@@ -34,6 +34,7 @@ from .host_tf import (
     tf_density,
     tf_density_at,
     tf_density_with_back_action,
+    tf_host,
     tf_radius,
 )
 from .lifetime import (

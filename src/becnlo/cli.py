@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from .errors import BecnloError, ConvergenceError, ValidationError
-from .grids import RadialGrid
 from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
-from .host_tf import tf_chemical_potential, tf_density, tf_radius
+from .host_tf import DEFAULT_GRID_POINTS, tf_chemical_potential, tf_host
+from .host_tf import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
 from .lifetime import estimate_lifetime
 from .params import (
     SystemConfig,
@@ -25,9 +25,8 @@ from .params import (
     sodium_reference_config,
 )
 from .stored_mode import FockSuperposition, energy_shift, evolve, gate_fidelity, ns_gate_target, ns_gate_time
-from .validity import GRID_SPAN_FACTOR, figure_data, validity_report
+from .validity import figure_data, validity_report
 
-DEFAULT_GRID_POINTS = 4096
 GRID_POINTS_ENV = "BECNLO_GRID_POINTS"
 
 
@@ -51,12 +50,6 @@ def _load(args) -> SystemConfig:
     if args.config is None:
         return sodium_reference_config()
     return load_config(args.config)
-
-
-def _host(config, scales, grid_points):
-    mu = tf_chemical_potential(config, scales)
-    grid = RadialGrid(GRID_SPAN_FACTOR * tf_radius(config, mu), grid_points)
-    return tf_density(config, scales, mu, grid)
 
 
 def cmd_units(args) -> int:
@@ -119,7 +112,7 @@ def cmd_gate(args) -> int:
 def cmd_lifetime(args) -> int:
     config = _load(args)
     scales = derive_scales(config)
-    host = _host(config, scales, _resolve_grid_points(args))
+    host = tf_host(config, scales, _resolve_grid_points(args))
     estimate = estimate_lifetime(config, scales, host)
     print(f"loss_rate_l = {_fmt(estimate.loss_rate_l)} J")
     print(f"tau = {_fmt(estimate.tau)} s")
@@ -158,6 +151,8 @@ def cmd_figures(args) -> int:
 def cmd_oracle(args) -> int:
     config = _load(args)
     grid_points = _resolve_grid_points(args)
+    if args.idealized and not args.stored:
+        raise ValidationError("--idealized applies only with --stored")
     if args.stored:
         comparison = solve_stored_in_host(
             config, idealized=args.idealized, grid_points=grid_points

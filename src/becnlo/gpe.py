@@ -7,15 +7,19 @@ on [0, r_max] with Dirichlet ends,
 
     mu u = -(hbar^2/2m) u'' + V(r) u + g (u/r)^2 u,
 
-which is driven to its ground state by semi-implicit imaginary-time stepping:
-each step solves the tridiagonal system (I + (dt/hbar) H[psi_n]) u_{n+1} = u_n
-with the nonlinearity frozen at the current iterate, then renormalizes to the
-atom number.  Backward Euler is unconditionally stable and, because the
-converged iterate satisfies the discrete stationary equation exactly, the
-fixed point does not depend on the step size; dt only sets how fast excited
-components die out.  Convergence is declared when the chemical potential
-mu = (E_kin + E_pot + 2*E_int)/N moves by less than `tol` (relative) in one
-step; the total energy must never increase along the way.
+discretized once: H[u] is the tridiagonal matrix of the three-point stencil
+plus V + g*(u/r)^2 on the diagonal, and every sum is the inner product
+<a, b> = 4*pi*dr*sum(a_i*b_i).  Each step of the backward-Euler normalized
+gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) solves
+(I + (dt/hbar) H[u_n]) u_{n+1} = u_n and renormalizes to <u, u> = N.  The
+energies come from the same matrix, E_kin = <u, T u> =
+4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2, E_pot = <u, V u>,
+E_int = (g/2)*<u, (u/r)^2 u>, so mu = (E_kin + E_pot + 2*E_int)/N is the
+Rayleigh quotient <u, H[u] u>/<u, u> and H[u] u = mu u holds at the fixed
+point, which does not depend on dt.  Convergence is declared when mu moves by
+less than `tol` (relative) in one step; the energy must never increase.  A
+state whose density in the outer tenth of the box exceeds CLIP_DENSITY of its
+peak raises GridError: the wall at r_max is squeezing the cloud.
 """
 
 from __future__ import annotations
@@ -24,22 +28,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, ValidationError
-from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid
-from .host_tf import tf_chemical_potential, tf_density_at, tf_radius
+from .errors import ConvergenceError, GridError, ValidationError
+from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
+from .host_tf import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, tf_density_at, tf_host
 from .params import HBAR, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
-DEFAULT_GRID_POINTS = 4096
-DEFAULT_R_MAX_FACTOR = 1.5
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
 DT_TRAP_PERIODS = 1e-4  # default imaginary-time step, in curvature periods
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
+CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,6 @@ def _curvature_frequency(problem: GpeProblem):
     return math.sqrt(vpp / problem.mass)
 
 
-
 def default_time_step(problem: GpeProblem) -> float:
     """DT_TRAP_PERIODS trap periods of the curvature-matched frequency."""
     omega = _curvature_frequency(problem)
@@ -156,14 +157,17 @@ def default_time_step(problem: GpeProblem) -> float:
     return DT_TRAP_PERIODS * 2.0 * math.pi / omega
 
 
-def _normalize(u, r, atom_count):
-    norm = 4.0 * math.pi * simpson(u * u, x=r)
-    u *= math.sqrt(atom_count / norm)
-    return u
+def _inner(dr, a, b) -> float:
+    """<a, b> = 4*pi*dr*sum(a_i*b_i), the solver's one quadrature."""
+    return 4.0 * math.pi * dr * float(np.dot(a, b))
+
+
+def _normalize(u, dr, atom_count):
+    u *= math.sqrt(atom_count / _inner(dr, u, u))
 
 
 def _initial_guess(problem: GpeProblem) -> np.ndarray:
-    """Strong-interaction profile smoothed at the edge, or a Gaussian for g=0."""
+    """Starting psi: strong-interaction profile smoothed at the edge, or a Gaussian for g=0."""
     grid = problem.grid
     r = grid.r
     v = problem.potential.values
@@ -175,7 +179,7 @@ def _initial_guess(problem: GpeProblem) -> np.ndarray:
 
         def defect(x):
             dens = np.clip((x * e_ref - v) / problem.g, 0.0, None)
-            return 4.0 * math.pi * simpson(r**2 * dens, x=r) - problem.atom_count
+            return radial_integral(r, dens) - problem.atom_count
 
         lo = float(v.min()) / e_ref  # defect(lo) = -N < 0
         hi = lo + 1.0
@@ -194,10 +198,7 @@ def _initial_guess(problem: GpeProblem) -> np.ndarray:
         else:
             width = grid.r_max / 6.0
         psi = np.exp(-0.5 * (r / width) ** 2)
-    u = r * psi
-    u[0] = 0.0
-    u[-1] = 0.0
-    return _normalize(u, r, problem.atom_count)
+    return psi
 
 
 def solve_ground_state(
@@ -212,7 +213,7 @@ def solve_ground_state(
 
     Raises ConvergenceError if the iteration budget runs out or the energy
     rises by more than round-off, either of which means the step size or the
-    grid is unsuitable.
+    grid is unsuitable, and GridError if the converged cloud reaches the wall.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -221,53 +222,46 @@ def solve_ground_state(
     dr = grid.spacing
     v = problem.potential.values
     hbar = problem.hbar
+    atom_count = problem.atom_count
     if dt is None:
         dt = default_time_step(problem)
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
 
     if initial_guess is None:
-        u = _initial_guess(problem)
-    else:
-        psi0 = np.asarray(initial_guess, dtype=float)
-        if psi0.shape != r.shape:
-            raise ValidationError(
-                f"initial guess shape {psi0.shape} does not match grid ({r.size},)"
-            )
-        u = r * psi0
-        u[0] = 0.0
-        u[-1] = 0.0
-        u = _normalize(u.copy(), r, problem.atom_count)
+        initial_guess = _initial_guess(problem)
+    psi0 = np.asarray(initial_guess, dtype=float)
+    if psi0.shape != r.shape:
+        raise ValidationError(f"initial guess shape {psi0.shape} does not match grid ({r.size},)")
+    u = r * psi0
+    u[0] = 0.0
+    u[-1] = 0.0
+    _normalize(u, dr, atom_count)
 
     kin = hbar**2 / (2.0 * problem.mass * dr**2)
     lam = dt / hbar
-    n_in = grid.n_points - 2
+    u_in = u[1:-1]  # view: the ends stay zero
     r_in = r[1:-1]
     v_in = v[1:-1]
-    ab = np.zeros((3, n_in))
+    ab = np.zeros((3, grid.n_points - 2))
     ab[0, 1:] = -lam * kin
     ab[2, :-1] = -lam * kin
 
-    kin_coeff = hbar**2 / (2.0 * problem.mass)
-    q = np.zeros(grid.n_points)
+    dens_in = (u_in / r_in) ** 2
     mu = math.inf
     residual = math.inf
     e_prev = math.inf
-    converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        dens_in = (u[1:-1] / r_in) ** 2
         ab[1, :] = 1.0 + lam * (2.0 * kin + v_in + problem.g * dens_in)
-        u[1:-1] = solve_banded((1, 1), ab, u[1:-1], check_finite=False)
-        u[0] = 0.0
-        u[-1] = 0.0
-        _normalize(u, r, problem.atom_count)
+        u_in[:] = solve_banded((1, 1), ab, u_in, check_finite=False)
+        _normalize(u, dr, atom_count)
 
-        du = np.gradient(u, dr)
-        e_kin = kin_coeff * 4.0 * math.pi * simpson(du * du, x=r)
-        e_pot = 4.0 * math.pi * simpson(v * u * u, x=r)
-        q[1:] = u[1:] ** 4 / r[1:] ** 2
-        e_int = 0.5 * problem.g * 4.0 * math.pi * simpson(q, x=r)
+        dens_in = (u_in / r_in) ** 2
+        du = np.diff(u)
+        e_kin = kin * _inner(dr, du, du)
+        e_pot = _inner(dr, v, u * u)
+        e_int = 0.5 * problem.g * _inner(dr, dens_in, u_in * u_in)
         e_tot = e_kin + e_pot + e_int
         if e_tot > e_prev + abs(e_prev) * ENERGY_SLACK:
             raise ConvergenceError(
@@ -277,13 +271,12 @@ def solve_ground_state(
                 iterations=iterations,
             )
         e_prev = e_tot
-        mu_new = (e_kin + e_pot + 2.0 * e_int) / problem.atom_count
+        mu_new = (e_kin + e_pot + 2.0 * e_int) / atom_count
         residual = abs(mu_new - mu) / abs(mu_new)
         mu = mu_new
         if residual < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"no convergence after {iterations} steps (last relative mu change "
             f"{residual:.3e}, tol {tol:.3e})",
@@ -294,6 +287,14 @@ def solve_ground_state(
     psi = np.empty_like(u)
     psi[1:] = u[1:] / r[1:]
     psi[0] = (4.0 * psi[1] - psi[2]) / 3.0
+    density = psi**2
+    edge = float(density[r >= 0.9 * grid.r_max].max()) / float(density.max())
+    if edge > CLIP_DENSITY:
+        raise GridError(
+            f"the ground state reaches the box wall: density in the outer tenth of "
+            f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
+            "enlarge the box"
+        )
     return GpeSolution(
         wavefunction=RadialField(grid, psi, WAVEFUNCTION),
         mu=mu,
@@ -337,30 +338,28 @@ def compare_tf_vs_gpe(
     config: SystemConfig,
     *,
     grid_points: int = DEFAULT_GRID_POINTS,
-    r_max_factor: float = DEFAULT_R_MAX_FACTOR,
+    r_max_factor: float = GRID_SPAN_FACTOR,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dt: float | None = None,
 ) -> TfGpeComparison:
     """Solve the host numerically and quantify the clipped-parabola error."""
     scales = derive_scales(config)
-    mu_tf = tf_chemical_potential(config, scales)
-    radius = tf_radius(config, mu_tf)
-    grid = RadialGrid(r_max_factor * radius, grid_points)
+    host = tf_host(config, scales, grid_points, r_max_factor)
     solution = solve_ground_state(
-        host_problem(config, scales, grid), tol=tol, max_iters=max_iters, dt=dt
+        host_problem(config, scales, host.grid), tol=tol, max_iters=max_iters, dt=dt
     )
-    r = grid.r
+    r = host.grid.r
     n_gpe = solution.wavefunction.values**2
-    n_tf = tf_density_at(config, scales, mu_tf, r)
-    central_tf = mu_tf / scales.u11
+    n_tf = host.density.values
+    central_tf = host.mu / scales.u11
     central_gpe = solution.central_density()
-    diff2 = 4.0 * math.pi * simpson(r**2 * (n_gpe - n_tf) ** 2, x=r)
-    ref2 = 4.0 * math.pi * simpson(r**2 * n_tf**2, x=r)
+    diff2 = radial_integral(r, (n_gpe - n_tf) ** 2)
+    ref2 = radial_integral(r, n_tf**2)
     return TfGpeComparison(
-        mu_tf=mu_tf,
+        mu_tf=host.mu,
         mu_gpe=solution.mu,
-        mu_rel_err=abs(solution.mu - mu_tf) / mu_tf,
+        mu_rel_err=abs(solution.mu - host.mu) / host.mu,
         central_density_tf=central_tf,
         central_density_gpe=central_gpe,
         central_density_rel_err=abs(central_gpe - central_tf) / central_tf,
@@ -384,21 +383,19 @@ def solve_stored_in_host(
     *,
     idealized: bool = False,
     grid_points: int = DEFAULT_GRID_POINTS,
-    r_max_factor: float = DEFAULT_R_MAX_FACTOR,
+    r_max_factor: float = GRID_SPAN_FACTOR,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dt: float | None = None,
 ) -> StoredComparison:
     """Ground state of the stored component and its overlap with the Gaussian."""
     scales = derive_scales(config)
-    mu = tf_chemical_potential(config, scales)
-    radius = tf_radius(config, mu)
-    grid = RadialGrid(r_max_factor * radius, grid_points)
-    problem = stored_problem(config, scales, mu, grid, idealized=idealized)
+    host = tf_host(config, scales, grid_points, r_max_factor)
+    problem = stored_problem(config, scales, host.mu, host.grid, idealized=idealized)
     solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
     mode = StoredMode.from_scales(scales)
-    r = grid.r
-    ov = 4.0 * math.pi * simpson(r**2 * mode.profile(r) * solution.wavefunction.values, x=r)
+    r = host.grid.r
+    ov = radial_integral(r, mode.profile(r) * solution.wavefunction.values)
     return StoredComparison(
         overlap=float(ov**2 / problem.atom_count),
         mode_length=scales.s,

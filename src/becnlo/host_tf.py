@@ -9,7 +9,6 @@ R = sqrt(2*mu/(m*omega^2)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,10 @@ from scipy.optimize import brentq
 
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid, radial_integral
-from .params import DerivedScales, SystemConfig
+from .params import DerivedScales, SystemConfig, tf_radius
+
+DEFAULT_GRID_POINTS = 4096
+GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,13 @@ def tf_chemical_potential_numeric(
     The defect 4*pi*int r^2 n1(r; mu) dr - N is monotone in mu; brentq on a
     geometrically grown bracket pins it down to machine precision.
     """
-    m = config.species.mass
-    omega = config.trap.omega
     target = float(config.n_host)
 
     # root-find in units of e_trap: the root in J is smaller than brentq's
     # default absolute xtol, so the bare scale would "converge" instantly
     def defect(x):
         mu = x * scales.e_trap
-        radius = math.sqrt(2.0 * mu / (m * omega**2))
-        r = np.linspace(0.0, radius, n_points)
+        r = np.linspace(0.0, tf_radius(config, mu), n_points)
         n1 = (mu - config.trap_potential(r)) / scales.u11
         return radial_integral(r, np.clip(n1, 0.0, None)) - target
 
@@ -68,13 +67,6 @@ def tf_chemical_potential_numeric(
         if hi > 1e12:
             raise ValidationError("could not bracket the chemical potential")
     return brentq(defect, lo, hi, rtol=1e-14, maxiter=200) * scales.e_trap
-
-
-def tf_radius(config: SystemConfig, mu: float) -> float:
-    """Cloud edge R where V(R) = mu."""
-    if not mu > 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
-    return math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
 
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):
@@ -94,6 +86,18 @@ def tf_density(
         )
     field = RadialField(grid, tf_density_at(config, scales, mu, grid.r), DENSITY)
     return TfSolution(mu=mu, radius=radius, density=field)
+
+
+def tf_host(
+    config: SystemConfig,
+    scales: DerivedScales,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    span: float = GRID_SPAN_FACTOR,
+) -> TfSolution:
+    """The closed-form host on a grid reaching `span` cloud radii."""
+    mu = tf_chemical_potential(config, scales)
+    grid = RadialGrid(span * tf_radius(config, mu), grid_points)
+    return tf_density(config, scales, mu, grid)
 
 
 def tf_density_with_back_action(

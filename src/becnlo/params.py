@@ -36,6 +36,9 @@ class SpeciesParams:
     im_a12: float = 0.0  # m, inelastic part of a12; <= 0, 0 disables losses
 
     def __post_init__(self):
+        for name in ("mass", "a11", "a22", "a12", "im_a12"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         if not self.a11 > 0:
@@ -67,8 +70,8 @@ class TrapParams:
     omega: float  # rad/s
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
+        if not (self.omega > 0 and math.isfinite(self.omega)):
+            raise ValidationError(f"omega must be positive and finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,13 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
     )
 
 
+def tf_radius(config: SystemConfig, mu: float) -> float:
+    """Cloud edge R where V(R) = mu."""
+    if not mu > 0:
+        raise ValidationError(f"mu must be positive, got {mu}")
+    return math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
+
+
 @dataclass(frozen=True)
 class ConditionFlags:
     """Regime checks for the host gas."""
@@ -167,8 +177,7 @@ class ConditionFlags:
 
 def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> ConditionFlags:
     """Flag whether the host is in the strong-interaction, dilute regime."""
-    radius = math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
-    tf_ratio = radius / scales.d
+    tf_ratio = tf_radius(config, mu) / scales.d
     diluteness = (mu / scales.u11) * config.species.a11**3
     return ConditionFlags(
         tf_ratio=tf_ratio,

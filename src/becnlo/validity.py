@@ -27,14 +27,14 @@ from scipy.optimize import brentq
 
 from .errors import GridError, ValidationError
 from .grids import RadialGrid
-from .host_tf import TfSolution, tf_chemical_potential, tf_density, tf_density_at, tf_radius
+from .host_tf import DEFAULT_GRID_POINTS, TfSolution, tf_density_at, tf_host
 from .params import DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
 DEPLETION_COEFF = 8.0 / (3.0 * math.sqrt(math.pi))
 RATIO_THRESHOLD = 1.0
-DEFAULT_GRID_POINTS = 4096
-GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
+FD_STEP = 1e-4  # finite-difference step of kinetic_correction_fd, in cloud radii
+SCAN_POINTS = 257  # radii the validity report scans over 0 <= r <= R/2
 FIGURE_SPAN = 0.95  # profiles are tabulated out to this fraction of R
 
 
@@ -58,9 +58,7 @@ def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     return 3.0 * hbar**2 * omega**2 / (4.0 * f) + hbar**2 * m * omega**4 * r**2 / (8.0 * f**2)
 
 
-def kinetic_correction_fd(
-    config: SystemConfig, scales: DerivedScales, host: TfSolution, r, step: float | None = None
-):
+def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfSolution, r):
     """K(r) by central differences on sqrt(n1): cross-check of the closed form.
 
     Uses lap(psi) = psi'' + 2*psi'/r, with the r -> 0 limit 3*psi''(0).
@@ -69,7 +67,7 @@ def kinetic_correction_fd(
     limit = _edge_limit(host)
     if np.any(r < 0.0) or np.any(r >= limit):
         raise GridError(f"finite-difference stencil needs 0 <= r < {limit:g} m")
-    h = step if step is not None else 1e-4 * host.radius
+    h = FD_STEP * host.radius
 
     def psi(x):
         return np.sqrt(tf_density_at(config, scales, host.mu, x))
@@ -78,9 +76,9 @@ def kinetic_correction_fd(
     pp = psi(r + h)
     pm = psi(np.abs(r - h))  # density is even in r
     d2 = (pp - 2.0 * p0 + pm) / h**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (pp - pm) / (2.0 * h)
-        lap = np.where(r > 0.0, d2 + 2.0 * np.divide(d1, r, where=r > 0.0), 3.0 * d2)
+    d1 = (pp - pm) / (2.0 * h)
+    d1_over_r = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0.0)
+    lap = np.where(r > 0.0, d2 + 2.0 * d1_over_r, 3.0 * d2)
     return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
 
 
@@ -160,13 +158,10 @@ class EnergyProfile:
 
 
 def energy_profile(
-    config: SystemConfig,
-    scales: DerivedScales,
-    host: TfSolution,
-    grid: RadialGrid,
-    n_stored: int | None = None,
+    config: SystemConfig, scales: DerivedScales, host: TfSolution, grid: RadialGrid
 ) -> EnergyProfile:
-    n = config.n_stored_max if n_stored is None else n_stored
+    """Energy curves for a full stored mode of n_stored_max atoms."""
+    n = config.n_stored_max
     mode = StoredMode.from_scales(scales)
     r = grid.r
     kin = kinetic_correction(config, host, r)
@@ -183,26 +178,23 @@ def energy_profile(
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Host, stored, depletion, and fluctuation densities on a grid (all m^-3)."""
+    """Host, stored, depletion, and fluctuation densities on a grid (all m^-3).
+
+    The fluctuations are coarse-grained over a cell of d^3.
+    """
 
     grid: RadialGrid
     host_density: np.ndarray
     stored_density: np.ndarray
     depletion_density: np.ndarray
     density_std: np.ndarray
-    cell_volume: float  # m^3
 
 
 def density_profile(
-    config: SystemConfig,
-    scales: DerivedScales,
-    host: TfSolution,
-    grid: RadialGrid,
-    n_stored: int | None = None,
-    cell_volume: float | None = None,
+    config: SystemConfig, scales: DerivedScales, host: TfSolution, grid: RadialGrid
 ) -> DensityProfile:
-    n = config.n_stored_max if n_stored is None else n_stored
-    cell = scales.d**3 if cell_volume is None else cell_volume
+    """Density curves for a full stored mode of n_stored_max atoms."""
+    n = config.n_stored_max
     mode = StoredMode.from_scales(scales)
     r = grid.r
     return DensityProfile(
@@ -210,20 +202,13 @@ def density_profile(
         host_density=tf_density_at(config, scales, host.mu, r),
         stored_density=mode.density(r, n),
         depletion_density=quantum_depletion(config, scales, host.mu, r),
-        density_std=density_std(config, scales, host.mu, r, cell),
-        cell_volume=cell,
+        density_std=density_std(config, scales, host.mu, r),
     )
 
 
 def _log10(values):
     with np.errstate(divide="ignore"):
         return np.log10(values)
-
-
-def _default_host(config: SystemConfig, scales: DerivedScales, grid_points: int) -> TfSolution:
-    mu = tf_chemical_potential(config, scales)
-    grid = RadialGrid(GRID_SPAN_FACTOR * tf_radius(config, mu), grid_points)
-    return tf_density(config, scales, mu, grid)
 
 
 def figure_data(
@@ -242,7 +227,7 @@ def figure_data(
     if fig not in (2, 3, 4):
         raise ValidationError(f"figure must be 2, 3, or 4, got {fig!r}")
     scales = derive_scales(config)
-    host = _default_host(config, scales, grid_points)
+    host = tf_host(config, scales, grid_points)
     grid = RadialGrid(FIGURE_SPAN * host.radius, n_rows)
     cols: dict[str, np.ndarray] = {"r_over_d": grid.r / scales.d}
     if fig in (2, 3):
@@ -266,6 +251,10 @@ def figure_data(
     for name in [k for k in cols if k != "r_over_d"]:
         cols["log10_" + name] = _log10(cols[name])
     return cols
+
+
+def _json_ratio(ratio: float):
+    return ratio if math.isfinite(ratio) else None
 
 
 @dataclass(frozen=True)
@@ -298,13 +287,14 @@ class ValidityReport:
         )
 
     def to_dict(self) -> dict:
+        """Plain JSON: the two-component ratios of an empty mode (inf) become None."""
         return {
             "single_tf": {"ratio": self.single_tf_ratio, "ok": self.single_component_tf_ok},
             "single_mf": {"ratio": self.single_mf_ratio, "ok": self.single_component_mf_ok},
-            "two_tf": {"ratio": self.two_tf_ratio, "ok": self.two_component_tf_ok},
+            "two_tf": {"ratio": _json_ratio(self.two_tf_ratio), "ok": self.two_component_tf_ok},
             "two_mf": {
-                "depletion_ratio": self.two_mf_depletion_ratio,
-                "std_ratio": self.two_mf_std_ratio,
+                "depletion_ratio": _json_ratio(self.two_mf_depletion_ratio),
+                "std_ratio": _json_ratio(self.two_mf_std_ratio),
                 "ok": self.two_component_mf_ok,
             },
             "scan_radius_m": self.scan_radius,
@@ -312,18 +302,13 @@ class ValidityReport:
         }
 
 
-def validity_report(
-    config: SystemConfig,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    n_eval: int = 257,
-) -> ValidityReport:
+def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> ValidityReport:
     """Evaluate all four checks where the stored mode lives (r up to R/2)."""
     scales = derive_scales(config)
-    host = _default_host(config, scales, grid_points)
+    host = tf_host(config, scales, grid_points)
     n = config.n_stored_max
     mode = StoredMode.from_scales(scales)
-    r = np.linspace(0.0, 0.5 * host.radius, n_eval)
+    r = np.linspace(0.0, 0.5 * host.radius, SCAN_POINTS)
 
     host_coll = scales.u11 * tf_density_at(config, scales, host.mu, r)
     kin = kinetic_correction(config, host, r)

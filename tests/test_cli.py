@@ -195,3 +195,50 @@ def test_grid_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("BECNLO_GRID_POINTS", "many")
     code, _, _ = run(capsys, "lifetime", "--grid-points", "2048")
     assert code == 0
+
+
+def write_config(tmp_path, name, **changes):
+    data = json.loads((REPO_ROOT / "paper_sodium.json").read_text(encoding="utf-8"))
+    data.update(changes)
+    p = tmp_path / name
+    p.write_text(json.dumps(data), encoding="utf-8")
+    return str(p)
+
+
+def test_oracle_clipped_box_exit_code(capsys, tmp_path):
+    path = write_config(tmp_path, "small.json", n_host=100)
+    code, _, err = run(capsys, "oracle", "--config", path, "--grid-points", "512")
+    assert code == 2
+    assert "box wall" in err
+
+
+def test_validity_without_stored_atoms_is_strict_json(capsys, tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    path = write_config(tmp_path, "empty.json", n_stored_max=0)
+    code, out, _ = run(capsys, "validity", "--config", path)
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["two_tf"]["ratio"] is None
+    assert payload["two_mf"]["depletion_ratio"] is None
+    assert payload["two_mf"]["std_ratio"] is None
+    assert payload["two_tf"]["ok"] is False
+
+
+def test_oracle_idealized_needs_stored(capsys):
+    code, out, err = run(capsys, "oracle", "--idealized")
+    assert code == 2
+    assert out == ""
+    assert "--stored" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("im_a12_m", math.nan), ("a22_m", math.inf), ("mass_kg", math.inf), ("omega_rad_s", math.inf)],
+)
+def test_non_finite_config_exit_code(capsys, tmp_path, key, value):
+    path = write_config(tmp_path, "nonfinite.json", **{key: value})
+    code, _, err = run(capsys, "units", "--config", path)
+    assert code == 2
+    assert "finite" in err

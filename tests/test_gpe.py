@@ -16,6 +16,7 @@ from scipy.integrate import simpson
 from becnlo import (
     DENSITY,
     ConvergenceError,
+    GridError,
     RadialField,
     RadialGrid,
     ValidationError,
@@ -219,3 +220,36 @@ def test_stored_potential_shapes(config, scales, mu):
     inside = grid.r < 0.9 * math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
     offset = mu * scales.u12 / scales.u11
     assert_allclose(v_full[inside] - v_ideal[inside], offset, rtol=1e-10)
+
+
+def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu):
+    # rebuild H[u] with an independent three-point stencil: at the fixed
+    # point the reported mu must be its eigenvalue, not a quadrature of it
+    from becnlo import tf_radius
+
+    grid = RadialGrid(1.5 * tf_radius(config, mu), 512)
+    problem = host_problem(config, scales, grid)
+    sol = solve_ground_state(problem, tol=1e-12)
+    r = grid.r
+    u = r * sol.wavefunction.values
+    kin = config.hbar**2 / (2.0 * config.species.mass * grid.spacing**2)
+    inner = u[1:-1]
+    h_u = (
+        kin * (2.0 * inner - u[:-2] - u[2:])
+        + problem.potential.values[1:-1] * inner
+        + problem.g * (inner / r[1:-1]) ** 2 * inner
+    )
+    residual = np.linalg.norm(h_u - sol.mu * inner) / np.linalg.norm(sol.mu * inner)
+    assert residual < 1e-8
+
+
+def test_clipped_box_refused(config):
+    # a hundred atoms spread far beyond the parabola's radius: a box of
+    # 1.5 R_TF squeezes the cloud against the wall
+    from becnlo import SystemConfig
+
+    small = SystemConfig(
+        species=config.species, trap=config.trap, n_host=100, n_stored_max=config.n_stored_max
+    )
+    with pytest.raises(GridError, match="box wall"):
+        compare_tf_vs_gpe(small, grid_points=512)
