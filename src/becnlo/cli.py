@@ -24,7 +24,7 @@ from .params import (
     load_config,
     sodium_reference_config,
 )
-from .stored_mode import FockSuperposition, energy_shift, evolve, gate_fidelity, ns_gate_target, ns_gate_time
+from .stored_mode import FockSuperposition, check_storage_time, energy_shift, evolve, gate_fidelity, ns_gate_target, ns_gate_time
 from .validity import figure_data, validity_report
 
 GRID_POINTS_ENV = "BECNLO_GRID_POINTS"
@@ -78,7 +78,7 @@ def cmd_phase(args) -> int:
     config = _load(args)
     scales = derive_scales(config)
     shift = energy_shift(args.n, scales)
-    phase = shift * args.time / scales.hbar
+    phase = shift * check_storage_time(args.time) / scales.hbar
     print(f"n = {args.n}")
     print(f"delta_e = {_fmt(shift)} J")
     print(f"phase = {_fmt(phase)} rad")

@@ -23,7 +23,8 @@ class ConvergenceError(BecnloError):
     Attributes
     ----------
     residual : float or None
-        Last relative change of the monitored quantity.
+        Last value of the quantity the solver drives below its tolerance
+        (for the GPE solver, the stationary residual ||H u - mu u||/||mu u||).
     iterations : int or None
         Number of iterations performed before giving up.
     """

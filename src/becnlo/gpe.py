@@ -11,15 +11,18 @@ discretized once: H[u] is the tridiagonal matrix of the three-point stencil
 plus V + g*(u/r)^2 on the diagonal, and every sum is the inner product
 <a, b> = 4*pi*dr*sum(a_i*b_i).  Each step of the backward-Euler normalized
 gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) solves
-(I + (dt/hbar) H[u_n]) u_{n+1} = u_n and renormalizes to <u, u> = N.  The
-energies come from the same matrix, E_kin = <u, T u> =
-4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2, E_pot = <u, V u>,
-E_int = (g/2)*<u, (u/r)^2 u>, so mu = (E_kin + E_pot + 2*E_int)/N is the
-Rayleigh quotient <u, H[u] u>/<u, u> and H[u] u = mu u holds at the fixed
-point, which does not depend on dt.  Convergence is declared when mu moves by
-less than `tol` (relative) in one step; the energy must never increase.  A
-state whose density in the outer tenth of the box exceeds CLIP_DENSITY of its
-peak raises GridError: the wall at r_max is squeezing the cloud.
+(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n and renormalizes to
+<u, u> = N; the shift by min V leaves the ground state unchanged and keeps
+the matrix positive definite.  dt starts at `default_time_step` and doubles
+each step up to DT_GROWTH_CAP times that start.  The energies come from the
+same matrix, E_kin = <u, T u> = 4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2,
+E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, so mu = (E_kin + E_pot +
+2*E_int)/N is the Rayleigh quotient <u, H[u] u>/<u, u>.  The loop stops when
+the stationary residual ||H[u] u - mu u||/||mu u|| falls below `tol`, or below
+its round-off floor eps*(4*T + max|V| + g*max n)/|mu| (T = hbar^2/2m dr^2) if
+that is larger; the energy must never increase.  A state whose density in
+the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
+the wall at r_max is squeezing the cloud.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridError, ValidationError
@@ -39,7 +42,9 @@ from .stored_mode import StoredMode
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
-DT_TRAP_PERIODS = 1e-4  # default imaginary-time step, in curvature periods
+DT_TRAP_PERIODS = 1e-4  # default first imaginary-time step, in curvature periods
+DT_GROWTH_CAP = 1e3  # the step doubles each iteration up to this multiple of the first
+EPS = float(np.finfo(float).eps)
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 
@@ -79,7 +84,7 @@ class GpeSolution:
     e_potential: float  # J
     e_interaction: float  # J
     iterations: int
-    mu_residual: float  # last relative mu change
+    residual: float  # ||H[u] u - mu u|| / ||mu u|| at the returned state
 
     @property
     def energy(self) -> float:
@@ -176,10 +181,11 @@ def _initial_guess(problem: GpeProblem) -> np.ndarray:
         # brentq's default absolute xtol
         volume = 4.0 * math.pi * grid.r_max**3 / 3.0
         e_ref = max(float(v.max() - v.min()), problem.g * problem.atom_count / volume)
+        r2 = r * r
 
-        def defect(x):
+        def defect(x):  # atom number in the solver's own inner product, less N
             dens = np.clip((x * e_ref - v) / problem.g, 0.0, None)
-            return radial_integral(r, dens) - problem.atom_count
+            return _inner(grid.spacing, r2, dens) - problem.atom_count
 
         lo = float(v.min()) / e_ref  # defect(lo) = -N < 0
         hi = lo + 1.0
@@ -209,11 +215,12 @@ def solve_ground_state(
     dt: float | None = None,
     initial_guess: np.ndarray | None = None,
 ) -> GpeSolution:
-    """Imaginary-time propagation until mu stalls to `tol` (relative).
+    """Normalized gradient flow until ||H[u] u - mu u||/||mu u|| < max(tol, floor).
 
-    Raises ConvergenceError if the iteration budget runs out or the energy
-    rises by more than round-off, either of which means the step size or the
-    grid is unsuitable, and GridError if the converged cloud reaches the wall.
+    `dt` is the first step (default `default_time_step`).  Raises
+    ConvergenceError if the iteration budget runs out or the energy rises by
+    more than round-off, either of which means the step size or the grid is
+    unsuitable, and GridError if the converged cloud reaches the wall.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
@@ -227,6 +234,7 @@ def solve_ground_state(
         dt = default_time_step(problem)
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
+    dt_max = DT_GROWTH_CAP * dt
 
     if initial_guess is None:
         initial_guess = _initial_guess(problem)
@@ -239,29 +247,38 @@ def solve_ground_state(
     _normalize(u, dr, atom_count)
 
     kin = hbar**2 / (2.0 * problem.mass * dr**2)
-    lam = dt / hbar
     u_in = u[1:-1]  # view: the ends stay zero
     r_in = r[1:-1]
     v_in = v[1:-1]
-    ab = np.zeros((3, grid.n_points - 2))
-    ab[0, 1:] = -lam * kin
-    ab[2, :-1] = -lam * kin
+    # the stepped matrix sees V - min V: same ground state, positive definite,
+    # and a large constant offset no longer caps the contraction per step
+    v_step = v_in - float(v.min())
+    linear_scale = 4.0 * kin + float(np.abs(v).max())  # bounds |H u| without the mean field
+    n_off = grid.n_points - 3
+    u_norm = math.sqrt(atom_count / (4.0 * math.pi * dr))  # ||u||, fixed by _normalize
 
-    dens_in = (u_in / r_in) ** 2
-    mu = math.inf
+    nonlinear = problem.g * (u_in / r_in) ** 2
     residual = math.inf
     e_prev = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        ab[1, :] = 1.0 + lam * (2.0 * kin + v_in + problem.g * dens_in)
-        u_in[:] = solve_banded((1, 1), ab, u_in, check_finite=False)
+        lam = dt / hbar
+        off = np.full(n_off, -lam * kin)
+        # the LAPACK routine solve_banded uses for (1, 1), without its per-call
+        # checks, which cost more than the solve at these sizes
+        *_, u_new, info = dgtsv(off, 1.0 + lam * (2.0 * kin + v_step + nonlinear), off, u_in)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed at step {iterations} (info {info})")
+        u_in[:] = u_new
         _normalize(u, dr, atom_count)
+        dt = min(2.0 * dt, dt_max)
 
-        dens_in = (u_in / r_in) ** 2
-        du = np.diff(u)
+        nonlinear = problem.g * (u_in / r_in) ** 2
+        du = u[1:] - u[:-1]
+        uu = u_in * u_in
         e_kin = kin * _inner(dr, du, du)
-        e_pot = _inner(dr, v, u * u)
-        e_int = 0.5 * problem.g * _inner(dr, dens_in, u_in * u_in)
+        e_pot = _inner(dr, v_in, uu)
+        e_int = 0.5 * _inner(dr, nonlinear, uu)
         e_tot = e_kin + e_pot + e_int
         if e_tot > e_prev + abs(e_prev) * ENERGY_SLACK:
             raise ConvergenceError(
@@ -271,14 +288,15 @@ def solve_ground_state(
                 iterations=iterations,
             )
         e_prev = e_tot
-        mu_new = (e_kin + e_pot + 2.0 * e_int) / atom_count
-        residual = abs(mu_new - mu) / abs(mu_new)
-        mu = mu_new
-        if residual < tol:
+        mu = (e_kin + e_pot + 2.0 * e_int) / atom_count
+        stationary = kin * (du[:-1] - du[1:]) + (v_in + nonlinear - mu) * u_in  # H[u] u - mu u
+        residual = math.sqrt(float(np.dot(stationary, stationary))) / (abs(mu) * u_norm)
+        floor = EPS * (linear_scale + float(nonlinear.max())) / abs(mu)
+        if residual < max(tol, floor):
             break
     else:
         raise ConvergenceError(
-            f"no convergence after {iterations} steps (last relative mu change "
+            f"no convergence after {iterations} steps (last residual "
             f"{residual:.3e}, tol {tol:.3e})",
             residual=residual,
             iterations=iterations,
@@ -302,7 +320,7 @@ def solve_ground_state(
         e_potential=e_pot,
         e_interaction=e_int,
         iterations=iterations,
-        mu_residual=residual,
+        residual=residual,
     )
 
 

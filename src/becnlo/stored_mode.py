@@ -62,7 +62,7 @@ class FockSuperposition:
         if amps.ndim != 1 or amps.size == 0:
             raise ValidationError("amplitudes must form a non-empty 1-d array")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state not normalized: |c| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -71,6 +71,8 @@ class FockSuperposition:
     def normalized(cls, amps) -> "FockSuperposition":
         amps = np.asarray(amps, dtype=complex)
         norm = np.linalg.norm(amps)
+        if not math.isfinite(norm):
+            raise ValidationError(f"amplitudes must be finite, got |c| = {norm}")
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls(amps / norm)
@@ -107,10 +109,16 @@ def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> 
     return pairs * scales.u22_tilde * quartic
 
 
+def check_storage_time(t: float) -> float:
+    """Return t if it is a finite, non-negative storage time in s."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"storage time must be finite and non-negative, got {t}")
+    return t
+
+
 def evolve(state: FockSuperposition, t: float, scales: DerivedScales) -> FockSuperposition:
     """Free self-phase evolution c_n -> exp(-i (n^2-n) omega_nl t) c_n."""
-    if t < 0:
-        raise ValidationError(f"evolution time must be non-negative, got {t}")
+    check_storage_time(t)
     n = np.arange(state.amps.size)
     phases = np.exp(-1j * (n * n - n) * scales.omega_nl * t)
     return FockSuperposition(state.amps * phases)

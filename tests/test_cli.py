@@ -60,6 +60,14 @@ def test_phase_single_occupation_is_linear(capsys):
     assert values["phase"] == 0.0
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-5"])
+def test_phase_bad_time_exit_code(capsys, time):
+    code, out, err = run(capsys, "phase", "--n", "2", "--time", time)
+    assert code == 2
+    assert out == ""
+    assert "finite and non-negative" in err
+
+
 def test_gate_reports_both_times(capsys):
     code, out, _ = run(capsys, "gate")
     assert code == 0
@@ -80,6 +88,14 @@ def test_gate_bad_amps(capsys):
     assert code == 2 and "three amplitudes" in err
     code, _, err = run(capsys, "gate", "--amps", "a,b,c")
     assert code == 2 and "cannot parse" in err
+
+
+@pytest.mark.parametrize("amps", ["nan,1,1", "inf,1,1"])
+def test_gate_non_finite_amps_exit_code(capsys, amps):
+    code, out, err = run(capsys, "gate", "--amps", amps)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_lifetime_default(capsys):

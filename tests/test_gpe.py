@@ -19,8 +19,10 @@ from becnlo import (
     GridError,
     RadialField,
     RadialGrid,
+    SystemConfig,
     ValidationError,
     compare_tf_vs_gpe,
+    derive_scales,
     solve_stored_in_host,
     virial_residual,
 )
@@ -125,7 +127,17 @@ class TestHostComparison:
             config, grid_points=1024, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.trap.omega
         )
         assert a.mu_gpe == b.mu_gpe  # identical inputs, identical bytes
-        assert_allclose(c.mu_gpe, a.mu_gpe, rtol=1e-8)
+        assert_allclose(c.mu_gpe, a.mu_gpe, rtol=1e-12)
+
+    def test_large_first_step_reaches_same_mu(self, config, scales, mu):
+        # the residual stop ties the answer to the fixed point, not to dt
+        from becnlo import tf_radius
+
+        grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
+        problem = host_problem(config, scales, grid)
+        ref = solve_ground_state(problem)
+        big = solve_ground_state(problem, dt=1e4 * default_time_step(problem))
+        assert_allclose(big.mu, ref.mu, rtol=1e-10)
 
     def test_grid_refinement_stable(self, config):
         coarse = compare_tf_vs_gpe(config, grid_points=1024)
@@ -241,6 +253,55 @@ def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu):
     )
     residual = np.linalg.norm(h_u - sol.mu * inner) / np.linalg.norm(sol.mu * inner)
     assert residual < 1e-8
+
+
+def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
+    # the stored problem sits on the host mean field U12*n1, a constant
+    # offset of nearly all of mu; the residual must still vanish
+    from becnlo import tf_radius
+
+    grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
+    problem = stored_problem(config, scales, mu, grid)
+    v = problem.potential.values
+    sol = solve_ground_state(problem)
+    assert v.min() > 0.9 * sol.mu
+    r = grid.r
+    u = r * sol.wavefunction.values
+    kin = config.hbar**2 / (2.0 * config.species.mass * grid.spacing**2)
+    inner = u[1:-1]
+    h_u = (
+        kin * (2.0 * inner - u[:-2] - u[2:])
+        + v[1:-1] * inner
+        + problem.g * (inner / r[1:-1]) ** 2 * inner
+    )
+    residual = np.linalg.norm(h_u - sol.mu * inner) / np.linalg.norm(sol.mu * inner)
+    assert residual < 1e-9
+
+
+@pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
+def test_iteration_count(config, scales, mu, case):
+    # the doubling step reaches the residual stop in about a hundred
+    # iterations on each problem; the count is deterministic, so a slower
+    # schedule or a lost potential shift fails here
+    from becnlo import SpeciesParams, tf_radius
+
+    if case == "decoupled":
+        sp = config.species
+        species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
+        solve_config = SystemConfig(
+            species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
+        )
+        scales = derive_scales(solve_config)
+    else:
+        solve_config = config
+    grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
+    if case == "host":
+        problem = host_problem(solve_config, scales, grid)
+    else:
+        problem = stored_problem(solve_config, scales, mu, grid, idealized=case == "idealized")
+    sol = solve_ground_state(problem)
+    assert sol.iterations <= 300
+    assert sol.residual < 1e-9
 
 
 def test_clipped_box_refused(config):
