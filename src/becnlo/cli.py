@@ -157,13 +157,16 @@ def cmd_oracle(args) -> int:
         comparison = solve_stored_in_host(
             config, idealized=args.idealized, grid_points=grid_points
         )
+        solution = comparison.solution
         payload = {
             "overlap": comparison.overlap,
             "mode_length_m": comparison.mode_length,
-            "mu_J": comparison.solution.mu,
-            "virial_residual": virial_residual(comparison.solution),
-            "iterations": comparison.solution.iterations,
+            "mu_J": solution.mu,
+            "residual": solution.residual,
+            "iterations": solution.iterations,
         }
+        if args.idealized:  # the virial identity holds only in a harmonic potential
+            payload["virial_residual"] = virial_residual(solution)
     else:
         payload = compare_tf_vs_gpe(config, grid_points=grid_points).to_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, GridError, ValidationError
 from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
@@ -171,29 +169,30 @@ def _normalize(u, dr, atom_count):
     u *= math.sqrt(atom_count / _inner(dr, u, u))
 
 
+def _thomas_fermi_mu(problem: GpeProblem) -> float:
+    """mu with N = (4*pi*dr/g) * sum r_i^2 max(mu - v_i, 0), the solver's inner product.
+
+    N(mu) is linear between the sorted v_i: solve the piece that holds N.  The
+    last of equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
+    """
+    order = np.argsort(problem.potential.values)
+    v = problem.potential.values[order]
+    dv = v - v[0]  # measured from min V, so the sums keep the digits of mu - min V
+    r2 = problem.grid.r[order] ** 2
+    weight = np.cumsum(r2)
+    moment = np.cumsum(r2 * dv)
+    target = problem.atom_count * problem.g / (4.0 * math.pi * problem.grid.spacing)
+    k = int(np.searchsorted(dv * weight - moment, target, side="right")) - 1
+    return float(v[0] + (target + moment[k]) / weight[k])
+
+
 def _initial_guess(problem: GpeProblem) -> np.ndarray:
     """Starting psi: strong-interaction profile smoothed at the edge, or a Gaussian for g=0."""
     grid = problem.grid
     r = grid.r
     v = problem.potential.values
     if problem.g > 0.0:
-        # work in units of e_ref: the root sits at ~1e-30 J, far below
-        # brentq's default absolute xtol
-        volume = 4.0 * math.pi * grid.r_max**3 / 3.0
-        e_ref = max(float(v.max() - v.min()), problem.g * problem.atom_count / volume)
-        r2 = r * r
-
-        def defect(x):  # atom number in the solver's own inner product, less N
-            dens = np.clip((x * e_ref - v) / problem.g, 0.0, None)
-            return _inner(grid.spacing, r2, dens) - problem.atom_count
-
-        lo = float(v.min()) / e_ref  # defect(lo) = -N < 0
-        hi = lo + 1.0
-        span = 1.0
-        while defect(hi) < 0.0:
-            hi += span
-            span *= 2.0
-        mu_guess = brentq(defect, lo, hi, rtol=1e-12, maxiter=200) * e_ref
+        mu_guess = _thomas_fermi_mu(problem)
         f = mu_guess - v
         eps = 0.05 * (mu_guess - float(v.min()))
         psi = np.sqrt((f + np.sqrt(f * f + eps * eps)) / (2.0 * problem.g))
@@ -222,6 +221,7 @@ def solve_ground_state(
     more than round-off, either of which means the step size or the grid is
     unsuitable, and GridError if the converged cloud reaches the wall.
     """
+    from scipy.linalg.lapack import dgtsv
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     grid = problem.grid

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import GridError, ValidationError
 
@@ -70,6 +69,17 @@ class RadialField:
 
 
 def radial_integral(r, values) -> float:
-    """4*pi * integral of r^2 * f(r) dr by composite Simpson."""
+    """4*pi * integral of r^2 * f(r) dr by composite Simpson on >= 3 equally spaced r.
+
+    An even point count adds Cartwright's rule for the last interval, as
+    scipy.integrate.simpson does since scipy 1.11.
+    """
     r = np.asarray(r, dtype=float)
-    return 4.0 * np.pi * float(simpson(r**2 * np.asarray(values, dtype=float), x=r))
+    y = r**2 * np.asarray(values, dtype=float)
+    h = (r[-1] - r[0]) / (r.size - 1)
+    m = y.size - 1 + y.size % 2  # the 1-4-2-...-4-1 rule covers the first m (odd) points
+    total = y[0] + 4.0 * y[1 : m - 1 : 2].sum() + 2.0 * y[2 : m - 2 : 2].sum() + y[m - 1]
+    total *= h / 3.0
+    if m < y.size:
+        total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
+    return 4.0 * np.pi * float(total)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid, radial_integral
@@ -50,6 +49,7 @@ def tf_chemical_potential_numeric(
     The defect 4*pi*int r^2 n1(r; mu) dr - N is monotone in mu; brentq on a
     geometrically grown bracket pins it down to machine precision.
     """
+    from scipy.optimize import brentq
     target = float(config.n_host)
 
     # root-find in units of e_trap: the root in J is smaller than brentq's

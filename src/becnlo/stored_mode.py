@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
 from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid
@@ -63,7 +62,7 @@ class FockSuperposition:
             raise ValidationError("amplitudes must form a non-empty 1-d array")
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state not normalized: |c| = {norm!r}")
+            raise ValidationError(f"state not normalized: |c| = {float(norm)}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -96,6 +95,7 @@ def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> 
     scaled variable x = r/s (the integrand is a pure Gaussian peak near x=1,
     invisible to a quadrature rule on an unscaled infinite interval).
     """
+    from scipy.integrate import quad
     if n < 0:
         raise ValidationError(f"occupation must be non-negative, got {n}")
     pairs = math.comb(n, 2)

@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridError, ValidationError
-from .grids import RadialGrid
+from .grids import MIN_POINTS, RadialGrid
 from .host_tf import DEFAULT_GRID_POINTS, TfSolution, tf_density_at, tf_host
 from .params import DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
@@ -131,6 +130,7 @@ def density_std(
 
 def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
     """Radius where K(r) catches up with the collisional energy U11*n1 = mu - V."""
+    from scipy.optimize import brentq
 
     # scan in units of R so brentq's absolute xtol is meaningful
     def gap(x):
@@ -226,6 +226,8 @@ def figure_data(
     """
     if fig not in (2, 3, 4):
         raise ValidationError(f"figure must be 2, 3, or 4, got {fig!r}")
+    if n_rows < MIN_POINTS:
+        raise ValidationError(f"figures need at least {MIN_POINTS} rows, got {n_rows}")
     scales = derive_scales(config)
     host = tf_host(config, scales, grid_points)
     grid = RadialGrid(FIGURE_SPAN * host.radius, n_rows)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import becnlo
 from becnlo import ConvergenceError, cli
 from conftest import REPO_ROOT
 
@@ -154,6 +159,15 @@ def test_fig2_serializes_log_of_zero(capsys, tmp_path):
     assert "-inf" in first  # log10 of the vanishing trap term at r = 0
 
 
+@pytest.mark.parametrize("rows", ["0", "5"])
+def test_figures_too_few_rows_exit_code(capsys, tmp_path, rows):
+    path = tmp_path / "fig.csv"
+    code, _, err = run(capsys, "figures", "--fig", "2", "--rows", rows, "--out", str(path))
+    assert code == 2
+    assert f"at least 16 rows, got {rows}" in err
+    assert not path.exists()
+
+
 def test_oracle_small_grid(capsys, monkeypatch):
     monkeypatch.setenv("BECNLO_GRID_POINTS", "512")
     code, out, _ = run(capsys, "oracle")
@@ -258,3 +272,66 @@ def test_non_finite_config_exit_code(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "units", "--config", path)
     assert code == 2
     assert "finite" in err
+
+
+def test_stored_oracle_report_keys(capsys):
+    # the virial identity holds only in the harmonic idealized trap; both
+    # reports carry the stationary residual the solver stops on
+    common = {"overlap", "mode_length_m", "mu_J", "residual", "iterations"}
+    for flags, keys in (([], common), (["--idealized"], common | {"virial_residual"})):
+        code, out, _ = run(capsys, "oracle", "--stored", *flags, "--grid-points", "512")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == keys
+        assert 0.0 < payload["residual"] < 1e-9
+
+
+# runs one command through cli.main in a fresh interpreter and reports, on the
+# last line of stderr, which scipy modules the process imported
+IMPORT_PROBE = """
+import sys
+from becnlo import cli
+code = cli.main(sys.argv[1:])
+sys.stderr.write("\\n" + " ".join(m for m in sys.modules if m.startswith("scipy")))
+sys.exit(code)
+"""
+
+
+def scipy_modules_loaded(tmp_path, *argv):
+    env = {k: v for k, v in os.environ.items() if k != "BECNLO_GRID_POINTS"}
+    src = str(Path(becnlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["units"],
+        ["phase", "--n", "2", "--time", "1505.4"],
+        ["gate", "--amps", "1,1,1"],
+        ["lifetime"],
+        ["validity"],
+        ["figures", "--fig", "2"],
+        ["figures", "--fig", "3"],
+        ["figures", "--fig", "4"],
+    ],
+)
+def test_closed_form_commands_import_no_scipy(tmp_path, argv):
+    assert scipy_modules_loaded(tmp_path, *argv) == set()
+
+
+@pytest.mark.parametrize("flags", [[], ["--stored"]])
+def test_oracle_imports_only_lapack(tmp_path, flags):
+    loaded = scipy_modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
+    assert "scipy.linalg.lapack" in loaded
+    assert not {m for m in loaded if m.startswith(("scipy.optimize", "scipy.integrate"))}

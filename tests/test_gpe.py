@@ -304,6 +304,31 @@ def test_iteration_count(config, scales, mu, case):
     assert sol.residual < 1e-9
 
 
+@pytest.mark.parametrize("case", ["host", "stored", "idealized"])
+def test_thomas_fermi_guess_matches_root_find(config, scales, mu, case):
+    # the guess solves the piecewise-linear atom-number defect exactly; a
+    # root-find of the same defect, measured from min V, must agree
+    from scipy.optimize import brentq
+
+    from becnlo import tf_radius
+    from becnlo.gpe import _thomas_fermi_mu
+
+    grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
+    if case == "host":
+        problem = host_problem(config, scales, grid)
+    else:
+        problem = stored_problem(config, scales, mu, grid, idealized=case == "idealized")
+    v = problem.potential.values
+    e_ref = v.max() - v.min()
+
+    def defect(x):  # atoms at mu = min V + x*e_ref in the solver's inner product, less N
+        dens = np.clip((x * e_ref - (v - v.min())) / problem.g, 0.0, None)
+        return 4.0 * math.pi * grid.spacing * float(np.dot(grid.r**2, dens)) - problem.atom_count
+
+    x = brentq(defect, 0.0, 1.0, xtol=1e-300, rtol=1e-15, maxiter=500)
+    assert_allclose(_thomas_fermi_mu(problem) - v.min(), x * e_ref, rtol=1e-12)
+
+
 def test_clipped_box_refused(config):
     # a hundred atoms spread far beyond the parabola's radius: a box of
     # 1.5 R_TF squeezes the cloud against the wall

@@ -66,3 +66,15 @@ def test_radial_integral_polynomial():
     r = np.linspace(0.0, 2.0, 2001)
     # 4*pi int_0^2 r^4 dr = 4*pi*32/5
     assert_allclose(radial_integral(r, r**2), 4.0 * np.pi * 32.0 / 5.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_points", [17, 18, 4096, 4097])
+def test_radial_integral_matches_scipy_simpson(n_points):
+    # odd and even point counts: the even ones take Cartwright's last-interval
+    # correction, which scipy.integrate.simpson applies since scipy 1.11
+    from scipy.integrate import simpson
+
+    r = np.linspace(0.0, 3.0, n_points)
+    f = np.exp(-(r**2)) * (1.0 + 0.3 * np.sin(5.0 * r))
+    reference = 4.0 * np.pi * simpson(r**2 * f, x=r)
+    assert_allclose(radial_integral(r, f), reference, rtol=1e-13)

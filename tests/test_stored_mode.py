@@ -91,8 +91,10 @@ class TestEnergyShift:
 
 class TestFockSuperposition:
     def test_requires_normalization(self):
-        with pytest.raises(ValidationError, match="not normalized"):
+        with pytest.raises(ValidationError, match="not normalized") as info:
             FockSuperposition(np.array([1.0, 1.0, 1.0]))
+        # the norm reads as a plain number, not as numpy's np.float64(...) repr
+        assert str(info.value) == "state not normalized: |c| = 1.7320508075688772"
 
     def test_normalized_constructor(self):
         state = FockSuperposition.normalized([1.0, 1.0, 1.0])
