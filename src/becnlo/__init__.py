@@ -30,7 +30,6 @@ from .gpe import (
 from .host_tf import (
     TfSolution,
     tf_chemical_potential,
-    tf_chemical_potential_numeric,
     tf_density,
     tf_density_at,
     tf_density_with_back_action,
@@ -64,7 +63,6 @@ from .stored_mode import (
     NsGateTimes,
     StoredMode,
     energy_shift,
-    energy_shift_bruteforce,
     evolve,
     gate_fidelity,
     ns_gate_target,
@@ -80,7 +78,6 @@ from .validity import (
     figure_data,
     kinetic_correction,
     kinetic_correction_fd,
-    kinetic_crossing_radius,
     quantum_depletion,
     rescaled_kinetic,
     stored_self_energy,

@@ -126,14 +126,21 @@ def cmd_validity(args) -> int:
     return 0
 
 
+def _write(path, text) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write output ({exc})") from exc
+
+
 def _write_csv(path, columns) -> int:
     names = list(columns)
     arrays = [np.asarray(columns[k]) for k in names]
     lines = [",".join(names)]
     for i in range(arrays[0].size):
         lines.append(",".join(_fmt(a[i]) for a in arrays))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
     return arrays[0].size
 
 
@@ -171,8 +178,7 @@ def cmd_oracle(args) -> int:
         payload = compare_tf_vs_gpe(config, grid_points=grid_points).to_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -11,11 +11,12 @@ discretized once: H[u] is the tridiagonal matrix of the three-point stencil
 plus V + g*(u/r)^2 on the diagonal, and every sum is the inner product
 <a, b> = 4*pi*dr*sum(a_i*b_i).  Each step of the backward-Euler normalized
 gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) solves
-(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n and renormalizes to
-<u, u> = N; the shift by min V leaves the ground state unchanged and keeps
-the matrix positive definite.  dt starts at `default_time_step` and doubles
-each step up to DT_GROWTH_CAP times that start.  The energies come from the
-same matrix, E_kin = <u, T u> = 4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2,
+(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n by cyclic reduction and
+renormalizes to <u, u> = N; the shift by min V leaves the ground state
+unchanged and makes the matrix strictly diagonally dominant.  dt starts at
+`default_time_step` and doubles each step up to DT_GROWTH_CAP times that
+start.  The energies come from the same matrix,
+E_kin = <u, T u> = 4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2,
 E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, so mu = (E_kin + E_pot +
 2*E_int)/N is the Rayleigh quotient <u, H[u] u>/<u, u>.  The loop stops when
 the stationary residual ||H[u] u - mu u||/||mu u|| falls below `tol`, or below
@@ -206,6 +207,55 @@ def _initial_guess(problem: GpeProblem) -> np.ndarray:
     return psi
 
 
+def _cyclic_reduction_solver(n: int):
+    """solve(off, diag, rhs) for the symmetric tridiagonal system of n unknowns.
+
+    Cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 627
+    (1970)) without pivoting, so the matrix must be diagonally dominant.  The
+    system is padded to 2^k - 1 unknowns with identity rows between ghost ends
+    x[0] = x[2^k] = 0.  Level s eliminates rows i - s and i + s from the rows
+    i that are multiples of 2s; back-substitution runs the levels in reverse.
+    `off` is a scalar or the n - 1 off-diagonal entries.  The buffers and
+    their per-level views are made here, once; the returned solution is a
+    view that the next call overwrites.
+    """
+    m = 1 << n.bit_length()  # 2^k > n
+    lower = np.zeros(m + 1)  # at level s, row i couples to row i - s
+    upper = np.zeros(m + 1)  # and to row i + s
+    diag = np.ones(m + 1)
+    x = np.zeros(m + 1)  # right-hand side, reduced in place into the solution
+    forward = []
+    s = 1
+    while 2 * s < m:
+        i, lo, hi = slice(2 * s, m, 2 * s), slice(s, m - 2 * s, 2 * s), slice(3 * s, m, 2 * s)
+        forward.append(tuple(buf[rows] for rows in (i, lo, hi) for buf in (lower, upper, diag, x)))
+        s *= 2
+    backward = []
+    while s >= 1:
+        j, lo, hi = slice(s, m, 2 * s), slice(0, m - s, 2 * s), slice(2 * s, m + 1, 2 * s)
+        backward.append((lower[j], upper[j], diag[j], x[j], x[lo], x[hi]))
+        s //= 2
+
+    def solve(off, d, rhs):
+        lower[2 : n + 1] = off
+        upper[1:n] = off
+        diag[1 : n + 1] = d
+        x[1 : n + 1] = rhs
+        for li, ui, di, xi, llo, ulo, dlo, xlo, lhi, uhi, dhi, xhi in forward:
+            a = -li / dlo  # eliminates x[i - s] from row i
+            c = -ui / dhi  # and x[i + s]
+            di += a * ulo + c * lhi
+            xi += a * xlo + c * xhi
+            np.multiply(a, llo, out=li)  # row i now couples to i - 2s
+            np.multiply(c, uhi, out=ui)  # and to i + 2s
+        for lj, uj, dj, xj, xlo, xhi in backward:
+            xj -= lj * xlo + uj * xhi
+            xj /= dj
+        return x[1 : n + 1]
+
+    return solve
+
+
 def solve_ground_state(
     problem: GpeProblem,
     *,
@@ -221,7 +271,6 @@ def solve_ground_state(
     more than round-off, either of which means the step size or the grid is
     unsuitable, and GridError if the converged cloud reaches the wall.
     """
-    from scipy.linalg.lapack import dgtsv
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     grid = problem.grid
@@ -250,26 +299,22 @@ def solve_ground_state(
     u_in = u[1:-1]  # view: the ends stay zero
     r_in = r[1:-1]
     v_in = v[1:-1]
-    # the stepped matrix sees V - min V: same ground state, positive definite,
+    # the stepped matrix sees V - min V: same ground state, diagonally dominant,
     # and a large constant offset no longer caps the contraction per step
     v_step = v_in - float(v.min())
     linear_scale = 4.0 * kin + float(np.abs(v).max())  # bounds |H u| without the mean field
-    n_off = grid.n_points - 3
     u_norm = math.sqrt(atom_count / (4.0 * math.pi * dr))  # ||u||, fixed by _normalize
 
     nonlinear = problem.g * (u_in / r_in) ** 2
     residual = math.inf
     e_prev = math.inf
     iterations = 0
+    solve = _cyclic_reduction_solver(u_in.size)
     for iterations in range(1, max_iters + 1):
         lam = dt / hbar
-        off = np.full(n_off, -lam * kin)
-        # the LAPACK routine solve_banded uses for (1, 1), without its per-call
-        # checks, which cost more than the solve at these sizes
-        *_, u_new, info = dgtsv(off, 1.0 + lam * (2.0 * kin + v_step + nonlinear), off, u_in)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"tridiagonal solve failed at step {iterations} (info {info})")
-        u_in[:] = u_new
+        # symmetric and strictly diagonally dominant (V - min V >= 0, g n >= 0),
+        # so cyclic reduction needs no pivoting
+        u_in[:] = solve(-lam * kin, 1.0 + lam * (2.0 * kin + v_step + nonlinear), u_in)
         _normalize(u, dr, atom_count)
         dt = min(2.0 * dt, dt_max)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, ValidationError
-from .grids import DENSITY, RadialField, RadialGrid, radial_integral
+from .grids import DENSITY, RadialField, RadialGrid
 from .params import DerivedScales, SystemConfig, tf_radius
 
 DEFAULT_GRID_POINTS = 4096
@@ -37,36 +37,6 @@ class TfSolution:
 def tf_chemical_potential(config: SystemConfig, scales: DerivedScales) -> float:
     """Closed form mu = (e_trap/2)*(15*N*a11/d)^(2/5)."""
     return 0.5 * scales.e_trap * (15.0 * config.n_host * config.species.a11 / scales.d) ** 0.4
-
-
-def tf_chemical_potential_numeric(
-    config: SystemConfig,
-    scales: DerivedScales,
-    n_points: int = 65537,
-) -> float:
-    """Root-find mu from the normalization integral (cross-check, no closed form).
-
-    The defect 4*pi*int r^2 n1(r; mu) dr - N is monotone in mu; brentq on a
-    geometrically grown bracket pins it down to machine precision.
-    """
-    from scipy.optimize import brentq
-    target = float(config.n_host)
-
-    # root-find in units of e_trap: the root in J is smaller than brentq's
-    # default absolute xtol, so the bare scale would "converge" instantly
-    def defect(x):
-        mu = x * scales.e_trap
-        r = np.linspace(0.0, tf_radius(config, mu), n_points)
-        n1 = (mu - config.trap_potential(r)) / scales.u11
-        return radial_integral(r, np.clip(n1, 0.0, None)) - target
-
-    lo = 1e-6
-    hi = 1.0
-    while defect(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValidationError("could not bracket the chemical potential")
-    return brentq(defect, lo, hi, rtol=1e-14, maxiter=200) * scales.e_trap
 
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):

@@ -236,8 +236,11 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    """Read a JSON scenario file; bad JSON or bad values raise ValidationError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a JSON scenario file; an unreadable file, bad JSON or bad values raise ValidationError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read config ({exc})") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

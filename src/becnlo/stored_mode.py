@@ -88,27 +88,6 @@ def energy_shift(n: int, scales: DerivedScales) -> float:
     return (n * n - n) * scales.hbar * scales.omega_nl
 
 
-def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> float:
-    """Pair count times U22_tilde times the quartic overlap of the mode.
-
-    The overlap 4*pi*int r^2 phi^4 dr is done by adaptive quadrature in the
-    scaled variable x = r/s (the integrand is a pure Gaussian peak near x=1,
-    invisible to a quadrature rule on an unscaled infinite interval).
-    """
-    from scipy.integrate import quad
-    if n < 0:
-        raise ValidationError(f"occupation must be non-negative, got {n}")
-    pairs = math.comb(n, 2)
-    s = mode.s
-
-    def integrand(x):
-        r = x * s
-        return 4.0 * math.pi * r**2 * mode.profile(r) ** 4 * s
-
-    quartic, _ = quad(integrand, 0.0, 20.0)
-    return pairs * scales.u22_tilde * quartic
-
-
 def check_storage_time(t: float) -> float:
     """Return t if it is a finite, non-negative storage time in s."""
     if not (math.isfinite(t) and t >= 0):

@@ -128,22 +128,6 @@ def density_std(
     return np.sqrt(2.0 * (n1 * cell) * (n_dep * cell)) / cell
 
 
-def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
-    """Radius where K(r) catches up with the collisional energy U11*n1 = mu - V."""
-    from scipy.optimize import brentq
-
-    # scan in units of R so brentq's absolute xtol is meaningful
-    def gap(x):
-        r = x * host.radius
-        return float(kinetic_correction(config, host, r) - (host.mu - config.trap_potential(r)))
-
-    hi = 1.0 - 2.001 * host.grid.spacing / host.radius
-    lo = 0.5
-    if gap(lo) >= 0.0 or gap(hi) <= 0.0:
-        raise ValidationError("no kinetic/collisional crossing inside (R/2, R)")
-    return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13, maxiter=200) * host.radius
-
-
 @dataclass(frozen=True)
 class EnergyProfile:
     """Per-atom energy curves sampled on a grid (all J)."""

@@ -1,0 +1,88 @@
+"""Independent numerical references for closed forms of the package.
+
+Each routine reaches a closed-form result by another route (root finding or
+adaptive quadrature with scipy), so a test can compare the two.  They serve
+the tests only: no command of the package needs them, and the package itself
+does not import scipy.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from becnlo import (
+    DerivedScales,
+    StoredMode,
+    SystemConfig,
+    TfSolution,
+    ValidationError,
+    kinetic_correction,
+    radial_integral,
+    tf_radius,
+)
+
+
+def tf_chemical_potential_numeric(
+    config: SystemConfig,
+    scales: DerivedScales,
+    n_points: int = 65537,
+) -> float:
+    """Root-find mu from the normalization integral (cross-check, no closed form).
+
+    The defect 4*pi*int r^2 n1(r; mu) dr - N is monotone in mu; brentq on a
+    geometrically grown bracket pins it down to machine precision.
+    """
+    target = float(config.n_host)
+
+    # root-find in units of e_trap: the root in J is smaller than brentq's
+    # default absolute xtol, so the bare scale would "converge" instantly
+    def defect(x):
+        mu = x * scales.e_trap
+        r = np.linspace(0.0, tf_radius(config, mu), n_points)
+        n1 = (mu - config.trap_potential(r)) / scales.u11
+        return radial_integral(r, np.clip(n1, 0.0, None)) - target
+
+    lo = 1e-6
+    hi = 1.0
+    while defect(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValidationError("could not bracket the chemical potential")
+    return brentq(defect, lo, hi, rtol=1e-14, maxiter=200) * scales.e_trap
+
+
+def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
+    """Radius where K(r) catches up with the collisional energy U11*n1 = mu - V."""
+
+    # scan in units of R so brentq's absolute xtol is meaningful
+    def gap(x):
+        r = x * host.radius
+        return float(kinetic_correction(config, host, r) - (host.mu - config.trap_potential(r)))
+
+    hi = 1.0 - 2.001 * host.grid.spacing / host.radius
+    lo = 0.5
+    if gap(lo) >= 0.0 or gap(hi) <= 0.0:
+        raise ValidationError("no kinetic/collisional crossing inside (R/2, R)")
+    return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13, maxiter=200) * host.radius
+
+
+def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> float:
+    """Pair count times U22_tilde times the quartic overlap of the mode.
+
+    The overlap 4*pi*int r^2 phi^4 dr is done by adaptive quadrature in the
+    scaled variable x = r/s (the integrand is a pure Gaussian peak near x=1,
+    invisible to a quadrature rule on an unscaled infinite interval).
+    """
+    if n < 0:
+        raise ValidationError(f"occupation must be non-negative, got {n}")
+    pairs = math.comb(n, 2)
+    s = mode.s
+
+    def integrand(x):
+        r = x * s
+        return 4.0 * math.pi * r**2 * mode.profile(r) ** 4 * s
+
+    quartic, _ = quad(integrand, 0.0, 20.0)
+    return pairs * scales.u22_tilde * quartic

@@ -23,14 +23,12 @@ from becnlo import (
     compare_tf_vs_gpe,
     derive_scales,
     energy_shift,
-    energy_shift_bruteforce,
     estimate_lifetime,
     evolve,
     figure_data,
     gate_fidelity,
     kinetic_correction,
     kinetic_correction_fd,
-    kinetic_crossing_radius,
     ns_gate_target,
     ns_gate_time,
     rescaled_kinetic,
@@ -38,6 +36,7 @@ from becnlo import (
     tf_density_at,
     validity_report,
 )
+from reference import energy_shift_bruteforce, kinetic_crossing_radius
 from becnlo.gpe import GpeProblem, default_time_step, harmonic_potential_field, solve_ground_state
 
 

@@ -329,6 +329,29 @@ def test_thomas_fermi_guess_matches_root_find(config, scales, mu, case):
     assert_allclose(_thomas_fermi_mu(problem) - v.min(), x * e_ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [14, 15, 16, 510, 1023, 4094])
+def test_cyclic_reduction_matches_banded_solve(n):
+    # random symmetric, strictly diagonally dominant systems, as each step
+    # builds, against LAPACK's banded solve; the off-diagonal is an array or,
+    # as in the solver, a scalar
+    from scipy.linalg import solve_banded
+
+    from becnlo.gpe import _cyclic_reduction_solver
+
+    rng = np.random.default_rng(n)
+    solve = _cyclic_reduction_solver(n)
+    random_off = rng.uniform(-1.0, 1.0, n - 1)
+    for off in (random_off, random_off, -0.4):  # the second call reuses reduced buffers
+        bands = np.zeros((3, n))
+        bands[0, 1:] = bands[2, :-1] = off
+        bands[1] = np.abs(bands[0]) + np.abs(bands[2]) + rng.uniform(0.1, 1.0, n)
+        rhs = rng.standard_normal(n)
+        expected = solve_banded((1, 1), bands, rhs)
+        # rtol on the solution's scale: single entries may nearly cancel
+        atol = 1e-13 * np.abs(expected).max()
+        assert_allclose(solve(off, bands[1], rhs), expected, rtol=1e-13, atol=atol)
+
+
 def test_clipped_box_refused(config):
     # a hundred atoms spread far beyond the parabola's radius: a box of
     # 1.5 R_TF squeezes the cloud against the wall

@@ -11,12 +11,12 @@ from becnlo import (
     ValidationError,
     radial_integral,
     tf_chemical_potential,
-    tf_chemical_potential_numeric,
     tf_density,
     tf_density_at,
     tf_density_with_back_action,
     tf_radius,
 )
+from reference import tf_chemical_potential_numeric
 
 
 def test_mu_value(mu, scales):

@@ -10,12 +10,12 @@ from becnlo import (
     StoredMode,
     ValidationError,
     energy_shift,
-    energy_shift_bruteforce,
     evolve,
     gate_fidelity,
     ns_gate_target,
     ns_gate_time,
 )
+from reference import energy_shift_bruteforce
 
 
 @pytest.fixture(scope="module")

