@@ -7,25 +7,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-import numpy as np
-
+# Each cmd_* imports the layers it runs, so `units` and `phase` never load numpy.
 from .errors import BecnloError, ConvergenceError, ValidationError
-from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
-from .host_tf import DEFAULT_GRID_POINTS, tf_chemical_potential, tf_host
-from .host_tf import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
-from .lifetime import estimate_lifetime
+from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
 from .params import (
-    SystemConfig,
-    check_conditions,
-    derive_scales,
-    load_config,
-    sodium_reference_config,
+    DEFAULT_GRID_POINTS, SystemConfig, check_conditions, check_storage_time, derive_scales,
+    energy_shift, load_config, sodium_reference_config, tf_chemical_potential,
 )
-from .stored_mode import FockSuperposition, check_storage_time, energy_shift, evolve, gate_fidelity, ns_gate_target, ns_gate_time
-from .validity import figure_data, validity_report
 
 GRID_POINTS_ENV = "BECNLO_GRID_POINTS"
 
@@ -35,7 +27,7 @@ def _fmt(x) -> str:
 
 
 def _resolve_grid_points(args) -> int:
-    if getattr(args, "grid_points", None) is not None:
+    if args.grid_points is not None:
         return args.grid_points
     raw = os.environ.get(GRID_POINTS_ENV)
     if raw is None:
@@ -82,24 +74,26 @@ def cmd_phase(args) -> int:
     print(f"n = {args.n}")
     print(f"delta_e = {_fmt(shift)} J")
     print(f"phase = {_fmt(phase)} rad")
-    print(f"phase_mod_2pi = {_fmt(phase % (2.0 * np.pi))} rad")
+    print(f"phase_mod_2pi = {_fmt(phase % (2.0 * math.pi))} rad")
     return 0
 
 
-def _parse_amps(text: str) -> FockSuperposition:
+def _parse_amps(text: str) -> list:
     try:
         values = [complex(tok.strip()) for tok in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse amplitudes {text!r}") from exc
     if len(values) != 3:
         raise ValidationError(f"need exactly three amplitudes c0,c1,c2, got {len(values)}")
-    return FockSuperposition.normalized(values)
+    return values
 
 
 def cmd_gate(args) -> int:
+    from .stored_mode import FockSuperposition, evolve, gate_fidelity, ns_gate_target, ns_gate_time
+
     config = _load(args)
     scales = derive_scales(config)
-    state = _parse_amps(args.amps)
+    state = FockSuperposition.normalized(_parse_amps(args.amps))
     times = ns_gate_time(scales)
     evolved = evolve(state, times.gate_time, scales)
     fidelity = gate_fidelity(evolved, ns_gate_target(state))
@@ -110,6 +104,9 @@ def cmd_gate(args) -> int:
 
 
 def cmd_lifetime(args) -> int:
+    from .host_tf import tf_host
+    from .lifetime import estimate_lifetime
+
     config = _load(args)
     scales = derive_scales(config)
     host = tf_host(config, scales, _resolve_grid_points(args))
@@ -120,6 +117,8 @@ def cmd_lifetime(args) -> int:
 
 
 def cmd_validity(args) -> int:
+    from .validity import validity_report
+
     config = _load(args)
     report = validity_report(config, grid_points=_resolve_grid_points(args))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -136,15 +135,17 @@ def _write(path, text) -> None:
 
 def _write_csv(path, columns) -> int:
     names = list(columns)
-    arrays = [np.asarray(columns[k]) for k in names]
+    arrays = [columns[k] for k in names]
     lines = [",".join(names)]
-    for i in range(arrays[0].size):
+    for i in range(len(arrays[0])):
         lines.append(",".join(_fmt(a[i]) for a in arrays))
     _write(path, "\n".join(lines) + "\n")
-    return arrays[0].size
+    return len(arrays[0])
 
 
 def cmd_figures(args) -> int:
+    from .validity import figure_data
+
     config = _load(args)
     columns = figure_data(
         config, args.fig, n_rows=args.rows, grid_points=_resolve_grid_points(args)
@@ -156,6 +157,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
+
     config = _load(args)
     grid_points = _resolve_grid_points(args)
     if args.idealized and not args.stored:
@@ -188,7 +191,8 @@ def cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON scenario file (default: bundled sodium)")
-    common.add_argument(
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument(
         "--grid-points",
         type=int,
         metavar="N",
@@ -216,20 +220,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("lifetime", parents=[common], help="loss rate and lifetime of the stored mode")
+    p = sub.add_parser("lifetime", parents=[gridded], help="loss rate and lifetime of the stored mode")
     p.set_defaults(func=cmd_lifetime)
 
-    p = sub.add_parser("validity", parents=[common], help="approximation checks as JSON")
+    p = sub.add_parser("validity", parents=[gridded], help="approximation checks as JSON")
     p.set_defaults(func=cmd_validity)
 
-    p = sub.add_parser("figures", parents=[common], help="energy/density budget tables as CSV")
+    p = sub.add_parser("figures", parents=[gridded], help="energy/density budget tables as CSV")
     p.add_argument("--fig", type=int, choices=(2, 3, 4), required=True, help="which table")
     p.add_argument("--rows", type=int, default=512, help="number of radii (default 512)")
     p.add_argument("--out", metavar="PATH", help="output file (default fig<N>.csv)")
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser(
-        "oracle", parents=[common], help="independent ground-state solve vs the closed forms"
+        "oracle", parents=[gridded], help="independent ground-state solve vs the closed forms"
     )
     p.add_argument("--stored", action="store_true", help="solve the stored component instead of the host")
     p.add_argument(

@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError, ValidationError
 from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
-from .host_tf import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, tf_density_at, tf_host
-from .params import HBAR, DerivedScales, SystemConfig, derive_scales
+from .host_tf import tf_density_at, tf_host
+from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
 DEFAULT_TOL = 1e-10

@@ -15,10 +15,8 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid
-from .params import DerivedScales, SystemConfig, tf_radius
-
-DEFAULT_GRID_POINTS = 4096
-GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
+from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, DerivedScales, SystemConfig
+from .params import tf_chemical_potential, tf_radius
 
 
 @dataclass(frozen=True)
@@ -32,11 +30,6 @@ class TfSolution:
     @property
     def grid(self) -> RadialGrid:
         return self.density.grid
-
-
-def tf_chemical_potential(config: SystemConfig, scales: DerivedScales) -> float:
-    """Closed form mu = (e_trap/2)*(15*N*a11/d)^(2/5)."""
-    return 0.5 * scales.e_trap * (15.0 * config.n_host * config.species.a11 / scales.d) ** 0.4
 
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,9 @@ HBAR = 1.054571817e-34  # J*s (2018 CODATA, exact by SI definition)
 TF_RATIO_THRESHOLD = 3.0
 # Peak n*a^3 must stay below this for the contact mean field to make sense.
 DILUTENESS_THRESHOLD = 1e-3
+
+DEFAULT_GRID_POINTS = 4096  # radial points of the host grid the subcommands build
+GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,7 @@ class SpeciesParams:
             raise ValidationError(
                 f"im_a12 must be <= 0 (losses shrink the norm), got {self.im_a12}"
             )
-        if not self.a11 * self.a22 > self.a12**2:
+        if not self.a11 * self.a22 > self.a12 * self.a12:  # a12**2 would raise past 1e154
             raise ValidationError(
                 "components would phase-separate: require a11*a22 > a12^2, "
                 f"got {self.a11:g}*{self.a22:g} <= {self.a12:g}^2"
@@ -99,6 +103,11 @@ class SystemConfig:
         return 0.5 * self.species.mass * self.trap.omega**2 * r**2
 
 
+# Python floats raise these, or quietly give inf or 0, where a closed form of an
+# extreme but finite config leaves double range; the config is then rejected.
+_OUT_OF_RANGE = (OverflowError, ZeroDivisionError)
+
+
 @dataclass(frozen=True)
 class DerivedScales:
     """Every derived scale needed downstream; see derive_scales for formulas."""
@@ -135,34 +144,66 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
     sp = config.species
     hbar = config.hbar
     omega = config.trap.omega
-    d = math.sqrt(hbar / (sp.mass * omega))
-    eff = 1.0 - sp.a12 / sp.a11
-    omega_tilde = omega * math.sqrt(eff)
-    s = math.sqrt(hbar / (sp.mass * omega_tilde))
-    a22_tilde = sp.a22 - sp.a12**2 / sp.a11
-    u22_tilde = coupling(hbar, sp.mass, a22_tilde)
-    omega_nl = u22_tilde / (2.0 * (2.0 * math.pi) ** 1.5 * s**3 * hbar)
-    return DerivedScales(
-        d=d,
-        e_trap=hbar * omega,
-        u11=coupling(hbar, sp.mass, sp.a11),
-        u22=coupling(hbar, sp.mass, sp.a22),
-        u12=coupling(hbar, sp.mass, sp.a12),
-        eff_trap_factor=eff,
-        omega_tilde=omega_tilde,
-        s=s,
-        a22_tilde=a22_tilde,
-        u22_tilde=u22_tilde,
-        omega_nl=omega_nl,
-        hbar=hbar,
-    )
+    try:
+        d = math.sqrt(hbar / (sp.mass * omega))
+        eff = 1.0 - sp.a12 / sp.a11
+        omega_tilde = omega * math.sqrt(eff)
+        s = math.sqrt(hbar / (sp.mass * omega_tilde))
+        a22_tilde = sp.a22 - sp.a12**2 / sp.a11
+        u22_tilde = coupling(hbar, sp.mass, a22_tilde)
+        omega_nl = u22_tilde / (2.0 * (2.0 * math.pi) ** 1.5 * s**3 * hbar)
+        scales = DerivedScales(
+            d=d,
+            e_trap=hbar * omega,
+            u11=coupling(hbar, sp.mass, sp.a11),
+            u22=coupling(hbar, sp.mass, sp.a22),
+            u12=coupling(hbar, sp.mass, sp.a12),
+            eff_trap_factor=eff,
+            omega_tilde=omega_tilde,
+            s=s,
+            a22_tilde=a22_tilde,
+            u22_tilde=u22_tilde,
+            omega_nl=omega_nl,
+            hbar=hbar,
+        )
+    except _OUT_OF_RANGE as exc:
+        raise ValidationError("a derived scale is out of floating-point range") from exc
+    for name, value in vars(scales).items():
+        if not 0.0 < value < math.inf and name != "u12":  # U12 is 0 when a12 is, else below U11
+            raise ValidationError(f"derived scale {name} = {value:g} is out of floating-point range")
+    return scales
+
+
+def tf_chemical_potential(config: SystemConfig, scales: DerivedScales) -> float:
+    """Closed form mu = (e_trap/2)*(15*N*a11/d)^(2/5)."""
+    return 0.5 * scales.e_trap * (15.0 * config.n_host * config.species.a11 / scales.d) ** 0.4
 
 
 def tf_radius(config: SystemConfig, mu: float) -> float:
     """Cloud edge R where V(R) = mu."""
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
-    return math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
+    try:
+        radius = math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
+    except _OUT_OF_RANGE as exc:
+        raise ValidationError("cloud radius R is out of floating-point range") from exc
+    if not 0.0 < radius < math.inf:
+        raise ValidationError(f"cloud radius R = {radius:g} is out of floating-point range")
+    return radius
+
+
+def energy_shift(n: int, scales: DerivedScales) -> float:
+    """DeltaE_n = (n^2 - n) * hbar * omega_nl in J."""
+    if n < 0:
+        raise ValidationError(f"occupation must be non-negative, got {n}")
+    return (n * n - n) * scales.hbar * scales.omega_nl
+
+
+def check_storage_time(t: float) -> float:
+    """Return t if it is a finite, non-negative storage time in s."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"storage time must be finite and non-negative, got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -178,7 +219,10 @@ class ConditionFlags:
 def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> ConditionFlags:
     """Flag whether the host is in the strong-interaction, dilute regime."""
     tf_ratio = tf_radius(config, mu) / scales.d
-    diluteness = (mu / scales.u11) * config.species.a11**3
+    try:
+        diluteness = (mu / scales.u11) * config.species.a11**3
+    except _OUT_OF_RANGE as exc:
+        raise ValidationError("the diluteness is out of floating-point range") from exc
     return ConditionFlags(
         tf_ratio=tf_ratio,
         diluteness=diluteness,
@@ -202,6 +246,9 @@ def config_from_dict(data: dict) -> SystemConfig:
     missing = sorted(k for k in _REQUIRED_KEYS if k not in data)
     if missing:
         raise ValidationError(f"missing config key(s): {', '.join(missing)}")
+    for key, value in data.items():  # JSON integers are unbounded; float() would raise
+        if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+            raise ValidationError(f"{key} is beyond floating-point range, got {value!r}")
 
     def number(key, default=None):
         value = data.get(key, default)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid
-from .params import DerivedScales
+from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F401  (energy_shift: re-exported)
 
 NORM_TOL = 1e-12
 
@@ -79,20 +79,6 @@ class FockSuperposition:
     @property
     def nmax(self) -> int:
         return self.amps.size - 1
-
-
-def energy_shift(n: int, scales: DerivedScales) -> float:
-    """DeltaE_n = (n^2 - n) * hbar * omega_nl in J."""
-    if n < 0:
-        raise ValidationError(f"occupation must be non-negative, got {n}")
-    return (n * n - n) * scales.hbar * scales.omega_nl
-
-
-def check_storage_time(t: float) -> float:
-    """Return t if it is a finite, non-negative storage time in s."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"storage time must be finite and non-negative, got {t}")
-    return t
 
 
 def evolve(state: FockSuperposition, t: float, scales: DerivedScales) -> FockSuperposition:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import GridError, ValidationError
 from .grids import MIN_POINTS, RadialGrid
-from .host_tf import DEFAULT_GRID_POINTS, TfSolution, tf_density_at, tf_host
-from .params import DerivedScales, SystemConfig, derive_scales
+from .host_tf import TfSolution, tf_density_at, tf_host
+from .params import DEFAULT_GRID_POINTS, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
 DEPLETION_COEFF = 8.0 / (3.0 * math.sqrt(math.pi))
@@ -310,9 +310,11 @@ def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POI
         two_mf_std = math.inf
     else:
         n2 = mode.density(r, n)
-        two_tf = float(np.max(rescaled_kinetic(kin, scales) / stored_self_energy(mode, n, scales, r)))
-        two_mf_dep = float(np.max(n_dep / n2))
-        two_mf_std = float(np.max(density_std(config, scales, host.mu, r) / n2))
+        # where a narrow mode underflows to 0 the ratios are inf (nan if U12 is 0 too): null, flag fails
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            two_tf = float(np.max(rescaled_kinetic(kin, scales) / stored_self_energy(mode, n, scales, r)))
+            two_mf_dep = float(np.max(n_dep / n2))
+            two_mf_std = float(np.max(density_std(config, scales, host.mu, r) / n2))
 
     return ValidityReport(
         single_tf_ratio=single_tf,

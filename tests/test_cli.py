@@ -189,7 +189,7 @@ def test_oracle_nonconvergence_exit_code(capsys, monkeypatch):
     def explode(config, grid_points):
         raise ConvergenceError("stuck", residual=1.0, iterations=1)
 
-    monkeypatch.setattr(cli, "compare_tf_vs_gpe", explode)
+    monkeypatch.setattr(becnlo.gpe, "compare_tf_vs_gpe", explode)
     code, _, err = run(capsys, "oracle")
     assert code == 3
     assert "stuck" in err
@@ -251,6 +251,17 @@ def test_grid_flag_beats_env(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["units"], ["phase", "--n", "2", "--time", "1"], ["gate", "--amps", "1,1,1"]]
+)
+def test_closed_forms_take_no_grid_flag(capsys, argv):
+    # these commands build no grid, so they do not offer --grid-points
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--grid-points", "512"])
+    assert exc.value.code == 2
+    assert "--grid-points" in capsys.readouterr().err
+
+
 def write_config(tmp_path, name, **changes):
     data = json.loads((REPO_ROOT / "paper_sodium.json").read_text(encoding="utf-8"))
     data.update(changes)
@@ -298,6 +309,37 @@ def test_non_finite_config_exit_code(capsys, tmp_path, key, value):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"mass_kg": 1e-313},  # s**3 overflows
+        {"mass_kg": 1e200},  # s**3 underflows to 0, a division by zero
+        {"mass_kg": 1e-70, "a22_m": 1e308},  # U22 and omega_nl become inf without raising
+        {"omega_rad_s": 1e155},  # omega**2 in the cloud radius overflows
+        {"n_host": 1e308},  # mu and R become inf without raising
+        {"a11_m": 1e103},  # a11**3 in the diluteness overflows
+    ],
+    ids=["s3-overflow", "s3-underflow", "inf-scale", "omega2-overflow", "inf-radius", "a11-cubed"],
+)
+def test_out_of_range_config_exit_code(capsys, tmp_path, changes):
+    # finite config values whose closed forms leave double range
+    path = write_config(tmp_path, "extreme.json", **changes)
+    code, out, err = run(capsys, "units", "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "out of floating-point range" in err
+
+
+def test_validity_underflowing_mode_warns_nothing(capsys, tmp_path):
+    # the stored Gaussian underflows to 0 inside R/2; warnings are errors in tier-1
+    path = write_config(tmp_path, "dense.json", n_host=1e14)
+    code, out, _ = run(capsys, "validity", "--config", path)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["two_tf"] == {"ok": False, "ratio": None}
+    assert payload["two_mf"] == {"depletion_ratio": None, "ok": False, "std_ratio": None}
+
+
 def test_stored_oracle_report_keys(capsys):
     # the virial identity holds only in the harmonic idealized trap; both
     # reports carry the stationary residual the solver stops on
@@ -310,18 +352,22 @@ def test_stored_oracle_report_keys(capsys):
         assert 0.0 < payload["residual"] < 1e-9
 
 
-# runs one command through cli.main in a fresh interpreter and reports, on the
-# last line of stderr, which scipy modules the process imported
+# runs one command through cli.main in a fresh interpreter (or only imports
+# becnlo, with no command) and reports, on the last line of stderr, which
+# modules the process imported
 IMPORT_PROBE = """
 import sys
-from becnlo import cli
-code = cli.main(sys.argv[1:])
-sys.stderr.write("\\n" + " ".join(m for m in sys.modules if m.startswith("scipy")))
+import becnlo
+code = 0
+if len(sys.argv) > 1:
+    from becnlo import cli
+    code = cli.main(sys.argv[1:])
+sys.stderr.write("\\n" + " ".join(sys.modules))
 sys.exit(code)
 """
 
 
-def scipy_modules_loaded(tmp_path, *argv):
+def modules_loaded(tmp_path, *argv):
     env = {k: v for k, v in os.environ.items() if k != "BECNLO_GRID_POINTS"}
     src = str(Path(becnlo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -337,23 +383,91 @@ def scipy_modules_loaded(tmp_path, *argv):
     return set(proc.stderr.splitlines()[-1].split())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["units"],
-        ["phase", "--n", "2", "--time", "1505.4"],
-        ["gate", "--amps", "1,1,1"],
-        ["lifetime"],
-        ["validity"],
-        ["figures", "--fig", "2"],
-        ["figures", "--fig", "3"],
-        ["figures", "--fig", "4"],
-    ],
-)
-def test_closed_form_commands_import_no_scipy(tmp_path, argv):
-    assert scipy_modules_loaded(tmp_path, *argv) == set()
+def scipy_modules(modules):
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+CLOSED_FORM_COMMANDS = [
+    ["units"],
+    ["phase", "--n", "2", "--time", "1505.4"],
+    ["gate", "--amps", "1,1,1"],
+    ["lifetime"],
+    ["validity"],
+    ["figures", "--fig", "2"],
+    ["figures", "--fig", "3"],
+    ["figures", "--fig", "4"],
+]
+
+
+@pytest.fixture(scope="module")
+def closed_form_modules(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("imports")
+    return {" ".join(argv): modules_loaded(tmp, *argv) for argv in CLOSED_FORM_COMMANDS}
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_import_no_scipy(closed_form_modules, argv):
+    assert scipy_modules(closed_form_modules[" ".join(argv)]) == set()
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_import_no_gpe(closed_form_modules, argv):
+    assert "becnlo.gpe" not in closed_form_modules[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS[:2])
+def test_units_and_phase_load_only_errors_and_params(closed_form_modules, argv):
+    modules = closed_form_modules[" ".join(argv)]
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("becnlo")} == {
+        "becnlo", "becnlo.cli", "becnlo.errors", "becnlo.params"
+    }
+
+
+def test_gate_does_not_load_host_profile(closed_form_modules):
+    modules = closed_form_modules["gate --amps 1,1,1"]
+    assert {"numpy", "becnlo.grids", "becnlo.stored_mode"} <= modules
+    assert "becnlo.host_tf" not in modules
+
+
+def test_import_becnlo_loads_no_numpy(tmp_path):
+    modules = modules_loaded(tmp_path)
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("becnlo")} == {"becnlo"}
 
 
 @pytest.mark.parametrize("flags", [[], ["--stored"]])
 def test_oracle_imports_no_scipy(tmp_path, flags):
-    assert scipy_modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512") == set()
+    modules = modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
+    assert scipy_modules(modules) == set()
+    assert not {"becnlo.validity", "becnlo.lifetime"} & modules
+
+
+# the package's public names, as `from becnlo import *` exported them before
+# the namespace became lazy
+PUBLIC_NAMES = [
+    "BecnloError", "ConditionFlags", "ConvergenceError", "DENSITY", "DensityProfile",
+    "DerivedScales", "ENERGY", "EnergyProfile", "FockSuperposition", "GpeProblem",
+    "GpeSolution", "GridError", "HBAR", "LossEstimate", "LossNotConfiguredError",
+    "NsGateTimes", "RadialField", "RadialGrid", "SpeciesParams", "StoredMode",
+    "SystemConfig", "TfSolution", "TrapParams", "ValidationError", "ValidityReport",
+    "WAVEFUNCTION", "backsolve_im_a12", "check_conditions", "compare_tf_vs_gpe",
+    "config_from_dict", "coupling", "density_profile", "density_std", "derive_scales",
+    "energy_profile", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
+    "gate_fidelity", "host_problem", "kinetic_correction", "kinetic_correction_fd",
+    "lifetime_tau", "load_config", "loss_overlap", "mode_host_overlap", "ns_gate_target",
+    "ns_gate_time", "quantum_depletion", "radial_integral", "rescaled_kinetic",
+    "sodium_reference_config", "solve_ground_state", "solve_stored_in_host",
+    "stored_problem", "stored_self_energy", "tf_chemical_potential", "tf_density",
+    "tf_density_at", "tf_density_with_back_action", "tf_host", "tf_radius",
+    "validity_report", "virial_residual",
+]
+
+
+def test_public_names_resolve():
+    assert sorted(becnlo.__all__) == PUBLIC_NAMES
+    for name in becnlo.__all__:
+        getattr(becnlo, name)
+        assert name in dir(becnlo)
+    with pytest.raises(AttributeError):
+        becnlo.no_such_name
