@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-# Each cmd_* imports the layers it runs, so `units` and `phase` never load numpy.
+# Each cmd_* imports the layers it runs; only `oracle` loads numpy, through the solver gpe.
 from .errors import BecnloError, ConvergenceError, ValidationError
 from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
 from .params import (

@@ -48,6 +48,16 @@ ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 
 
+def _array(values: tuple) -> np.ndarray:
+    """A field's values as a float array."""
+    return np.fromiter(values, float, len(values))
+
+
+def _radii(grid: RadialGrid) -> np.ndarray:
+    """The values of grid.r as an array, without building that tuple."""
+    return np.linspace(0.0, grid.r_max, grid.n_points)
+
+
 @dataclass(frozen=True)
 class GpeProblem:
     """One ground-state problem: external potential, coupling, atom number."""
@@ -100,7 +110,7 @@ def virial_residual(solution: GpeSolution) -> float:
 
 
 def harmonic_potential_field(config: SystemConfig, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, config.trap_potential(grid.r), ENERGY)
+    return RadialField(grid, config.trap_potential(_radii(grid)).tolist(), ENERGY)
 
 
 def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) -> GpeProblem:
@@ -127,13 +137,13 @@ def stored_problem(
     `idealized` keeps only the cancellation, i.e. the effective harmonic trap
     V(r)*(1 - U12/U11) with no cloud edge (plus an irrelevant constant).
     """
-    r = grid.r
+    r = _radii(grid)
     if idealized:
         v = scales.eff_trap_factor * config.trap_potential(r)
     else:
-        v = config.trap_potential(r) + scales.u12 * tf_density_at(config, scales, mu, r)
+        v = config.trap_potential(r) + scales.u12 * _array(tf_density_at(config, scales, mu, r.tolist()))
     return GpeProblem(
-        potential=RadialField(grid, v, ENERGY),
+        potential=RadialField(grid, v.tolist(), ENERGY),
         g=scales.u22,
         atom_count=float(max(config.n_stored_max, 1)),
         mass=config.species.mass,
@@ -170,16 +180,16 @@ def _normalize(u, dr, atom_count):
     u *= math.sqrt(atom_count / _inner(dr, u, u))
 
 
-def _thomas_fermi_mu(problem: GpeProblem) -> float:
+def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
     """mu with N = (4*pi*dr/g) * sum r_i^2 max(mu - v_i, 0), the solver's inner product.
 
     N(mu) is linear between the sorted v_i: solve the piece that holds N.  The
     last of equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
     """
-    order = np.argsort(problem.potential.values)
-    v = problem.potential.values[order]
+    order = np.argsort(v)
+    v = v[order]
     dv = v - v[0]  # measured from min V, so the sums keep the digits of mu - min V
-    r2 = problem.grid.r[order] ** 2
+    r2 = r[order] ** 2
     weight = np.cumsum(r2)
     moment = np.cumsum(r2 * dv)
     target = problem.atom_count * problem.g / (4.0 * math.pi * problem.grid.spacing)
@@ -187,13 +197,10 @@ def _thomas_fermi_mu(problem: GpeProblem) -> float:
     return float(v[0] + (target + moment[k]) / weight[k])
 
 
-def _initial_guess(problem: GpeProblem) -> np.ndarray:
+def _initial_guess(problem: GpeProblem, r, v) -> np.ndarray:
     """Starting psi: strong-interaction profile smoothed at the edge, or a Gaussian for g=0."""
-    grid = problem.grid
-    r = grid.r
-    v = problem.potential.values
     if problem.g > 0.0:
-        mu_guess = _thomas_fermi_mu(problem)
+        mu_guess = _thomas_fermi_mu(problem, r, v)
         f = mu_guess - v
         eps = 0.05 * (mu_guess - float(v.min()))
         psi = np.sqrt((f + np.sqrt(f * f + eps * eps)) / (2.0 * problem.g))
@@ -202,7 +209,7 @@ def _initial_guess(problem: GpeProblem) -> np.ndarray:
         if omega is not None:
             width = math.sqrt(problem.hbar / (problem.mass * omega))
         else:
-            width = grid.r_max / 6.0
+            width = problem.grid.r_max / 6.0
         psi = np.exp(-0.5 * (r / width) ** 2)
     return psi
 
@@ -274,9 +281,9 @@ def solve_ground_state(
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     grid = problem.grid
-    r = grid.r
+    r = _radii(grid)  # the grid and the potential as arrays, once per solve
     dr = grid.spacing
-    v = problem.potential.values
+    v = _array(problem.potential.values)
     hbar = problem.hbar
     atom_count = problem.atom_count
     if dt is None:
@@ -286,7 +293,7 @@ def solve_ground_state(
     dt_max = DT_GROWTH_CAP * dt
 
     if initial_guess is None:
-        initial_guess = _initial_guess(problem)
+        initial_guess = _initial_guess(problem, r, v)
     psi0 = np.asarray(initial_guess, dtype=float)
     if psi0.shape != r.shape:
         raise ValidationError(f"initial guess shape {psi0.shape} does not match grid ({r.size},)")
@@ -359,7 +366,7 @@ def solve_ground_state(
             "enlarge the box"
         )
     return GpeSolution(
-        wavefunction=RadialField(grid, psi, WAVEFUNCTION),
+        wavefunction=RadialField(grid, psi.tolist(), WAVEFUNCTION),
         mu=mu,
         e_kinetic=e_kin,
         e_potential=e_pot,
@@ -412,13 +419,13 @@ def compare_tf_vs_gpe(
     solution = solve_ground_state(
         host_problem(config, scales, host.grid), tol=tol, max_iters=max_iters, dt=dt
     )
-    r = host.grid.r
-    n_gpe = solution.wavefunction.values**2
-    n_tf = host.density.values
+    r = _radii(host.grid).tolist()
+    n_gpe = _array(solution.wavefunction.values) ** 2
+    n_tf = _array(tf_density_at(config, scales, host.mu, r))
     central_tf = host.mu / scales.u11
     central_gpe = solution.central_density()
-    diff2 = radial_integral(r, (n_gpe - n_tf) ** 2)
-    ref2 = radial_integral(r, n_tf**2)
+    diff2 = radial_integral(r, ((n_gpe - n_tf) ** 2).tolist())
+    ref2 = radial_integral(r, (n_tf**2).tolist())
     return TfGpeComparison(
         mu_tf=host.mu,
         mu_gpe=solution.mu,
@@ -457,8 +464,8 @@ def solve_stored_in_host(
     problem = stored_problem(config, scales, host.mu, host.grid, idealized=idealized)
     solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
     mode = StoredMode.from_scales(scales)
-    r = host.grid.r
-    ov = radial_integral(r, mode.profile(r) * solution.wavefunction.values)
+    r = _radii(host.grid).tolist()
+    ov = radial_integral(r, [p * u for p, u in zip(mode.profile(r), solution.wavefunction.values)])
     return StoredComparison(
         overlap=float(ov**2 / problem.atom_count),
         mode_length=scales.s,

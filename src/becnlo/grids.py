@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .errors import GridError, ValidationError
 
@@ -14,6 +15,27 @@ WAVEFUNCTION = "m^-3/2"
 ENERGY = "J"
 
 MIN_POINTS = 16
+
+
+def _all_finite(values) -> bool:
+    # a float sum stays inf or nan once a term is, so only an overflowing sum needs the full check
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _pointwise(f, *args):
+    """f at one point (numbers in, a float out), or mapped over sequences (a tuple out).
+
+    A closed form that leaves double range raises ValidationError, where
+    Python's floats raise OverflowError or ZeroDivisionError or give inf.
+    """
+    scalar = isinstance(args[0], numbers.Real)
+    try:
+        out = f(*args) if scalar else tuple(map(f, *args))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError("a closed form is out of floating-point range") from exc
+    if not _all_finite((out,) if scalar else out):
+        raise ValidationError("a closed form is out of floating-point range")
+    return out
 
 
 @dataclass(frozen=True)
@@ -28,44 +50,43 @@ class RadialGrid:
             raise GridError(f"r_max must be positive, got {self.r_max}")
         if self.n_points < MIN_POINTS:
             raise GridError(f"need at least {MIN_POINTS} grid points, got {self.n_points}")
+        if not self.spacing > 0:
+            raise GridError(f"grid spacing underflows: r_max={self.r_max:g} m")
 
     @property
     def spacing(self) -> float:
         return self.r_max / (self.n_points - 1)
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.n_points)
+    @cached_property
+    def r(self) -> tuple:
+        """i*spacing, with the last radius exactly r_max: numpy.linspace's values."""
+        step = self.spacing
+        return (*[i * step for i in range(self.n_points - 1)], self.r_max)
 
 
 @dataclass(frozen=True)
 class RadialField:
     """Values of a spherically symmetric quantity on a RadialGrid.
 
-    The array is copied and frozen; densities must be non-negative and every
-    entry finite.
+    The values are copied into a tuple of floats; densities must be
+    non-negative and every entry finite.
     """
 
     grid: RadialGrid
-    values: np.ndarray
+    values: tuple
     unit: str
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n_points,):
+        values = tuple(map(float, self.values))
+        if len(values) != self.grid.n_points:
             raise ValidationError(
-                f"field shape {values.shape} does not match grid ({self.grid.n_points},)"
+                f"field shape ({len(values)},) does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise ValidationError("field contains non-finite values")
-        if self.unit == DENSITY and np.any(values < 0.0):
+        if self.unit == DENSITY and min(values) < 0.0:
             raise ValidationError("density field has negative entries")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def r(self) -> np.ndarray:
-        return self.grid.r
 
 
 def radial_integral(r, values) -> float:
@@ -74,12 +95,12 @@ def radial_integral(r, values) -> float:
     An even point count adds Cartwright's rule for the last interval, as
     scipy.integrate.simpson does since scipy 1.11.
     """
-    r = np.asarray(r, dtype=float)
-    y = r**2 * np.asarray(values, dtype=float)
-    h = (r[-1] - r[0]) / (r.size - 1)
-    m = y.size - 1 + y.size % 2  # the 1-4-2-...-4-1 rule covers the first m (odd) points
-    total = y[0] + 4.0 * y[1 : m - 1 : 2].sum() + 2.0 * y[2 : m - 2 : 2].sum() + y[m - 1]
+    y = [x * x * f for x, f in zip(r, values)]
+    n = len(y)
+    h = (r[-1] - r[0]) / (n - 1)
+    m = n - 1 + n % 2  # the 1-4-2-...-4-1 rule covers the first m (odd) points
+    total = y[0] + 4.0 * sum(y[1 : m - 1 : 2]) + 2.0 * sum(y[2 : m - 2 : 2]) + y[m - 1]
     total *= h / 3.0
-    if m < y.size:
+    if m < n:
         total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
-    return 4.0 * np.pi * float(total)
+    return 4.0 * math.pi * float(total)

@@ -10,45 +10,52 @@ R = sqrt(2*mu/(m*omega^2)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .errors import GridError, ValidationError
-from .grids import DENSITY, RadialField, RadialGrid
+from .grids import DENSITY, RadialField, RadialGrid, _pointwise
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, DerivedScales, SystemConfig
 from .params import tf_chemical_potential, tf_radius
 
 
 @dataclass(frozen=True)
 class TfSolution:
-    """Chemical potential, cloud radius, and sampled density of the host."""
+    """Chemical potential, cloud radius and grid of the host; its density is sampled on first use."""
 
     mu: float  # J
     radius: float  # m
-    density: RadialField  # m^-3
+    grid: RadialGrid
+    config: SystemConfig
+    scales: DerivedScales
 
-    @property
-    def grid(self) -> RadialGrid:
-        return self.density.grid
+    @cached_property
+    def density(self) -> RadialField:
+        """The clipped parabola on the grid, m^-3."""
+        return RadialField(self.grid, tf_density_at(self.config, self.scales, self.mu, self.grid.r), DENSITY)
 
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):
-    """Clipped parabola (mu - V(r))/U11; scalar or array r."""
-    n1 = (mu - config.trap_potential(np.asarray(r, dtype=float))) / scales.u11
-    return np.clip(n1, 0.0, None)
+    """Clipped parabola max((mu - V(r))/U11, 0) at one radius or a sequence of radii."""
+    k = config.trap_potential(1.0)  # V(r) = k*r^2, inlined with no max(): this runs per grid point
+    u11 = scales.u11
+
+    def n1(x):
+        n = (mu - k * (x * x)) / u11
+        return 0.0 if n < 0.0 else n
+
+    return _pointwise(n1, r)
 
 
 def tf_density(
     config: SystemConfig, scales: DerivedScales, mu: float, grid: RadialGrid
 ) -> TfSolution:
-    """Sample the host profile on a grid; the grid must contain the cloud."""
+    """The host profile on a grid; the grid must contain the cloud."""
     radius = tf_radius(config, mu)
     if grid.r_max < radius:
         raise GridError(
             f"grid truncates the cloud: r_max={grid.r_max:g} m < R={radius:g} m"
         )
-    field = RadialField(grid, tf_density_at(config, scales, mu, grid.r), DENSITY)
-    return TfSolution(mu=mu, radius=radius, density=field)
+    return TfSolution(mu=mu, radius=radius, grid=grid, config=config, scales=scales)
 
 
 def tf_host(
@@ -77,11 +84,10 @@ def tf_density_with_back_action(
     stored component is too dense for this linear response and we refuse.
     """
     grid = stored_density.grid
-    raw = (
-        mu - config.trap_potential(grid.r) - scales.u12 * stored_density.values
-    ) / scales.u11
+    raw = _pointwise(lambda x, n2: (mu - config.trap_potential(x) - scales.u12 * n2) / scales.u11,
+                     grid.r, stored_density.values)
     if raw[0] < 0.0:
         raise ValidationError(
             "stored component too dense: host density would go negative at the center"
         )
-    return RadialField(grid, np.clip(raw, 0.0, None), DENSITY)
+    return RadialField(grid, [max(n1, 0.0) for n1 in raw], DENSITY)

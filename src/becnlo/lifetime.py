@@ -31,7 +31,7 @@ def _host_density(host: TfSolution | RadialField) -> RadialField:
 def mode_host_overlap(mode: StoredMode, host_density: RadialField) -> float:
     """4*pi*int r^2 phi(r)^2 n1(r) dr in m^-3."""
     r = host_density.grid.r
-    return radial_integral(r, mode.profile(r) ** 2 * host_density.values)
+    return radial_integral(r, [p2 * n1 for p2, n1 in zip(mode.density(r), host_density.values)])
 
 
 def loss_overlap(
@@ -45,8 +45,8 @@ def loss_overlap(
 
 def lifetime_tau(rate: float, hbar: float = HBAR) -> float:
     """Amplitude-halving time: |exp(-rate*t/hbar)| = 1/2 at t = hbar*ln2/rate."""
-    if not rate > 0:
-        raise ValidationError(f"loss rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValidationError(f"loss rate must be positive and finite, got {rate}")
     return hbar * math.log(2.0) / rate
 
 

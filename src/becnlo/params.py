@@ -99,8 +99,8 @@ class SystemConfig:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
 
     def trap_potential(self, r):
-        """V(r) in J; accepts scalars or arrays."""
-        return 0.5 * self.species.mass * self.trap.omega**2 * r**2
+        """V(r) in J at one radius or on a numpy array of radii."""
+        return 0.5 * self.species.mass * self.trap.omega**2 * (r * r)
 
 
 # Python floats raise these, or quietly give inf or 0, where a closed form of an

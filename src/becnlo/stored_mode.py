@@ -9,13 +9,12 @@ the sign flip of a nonlinear-sign gate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid
+from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid, _pointwise
 from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F401  (energy_shift: re-exported)
 
 NORM_TOL = 1e-12
@@ -36,12 +35,18 @@ class StoredMode:
         return cls(s=scales.s)
 
     def profile(self, r):
-        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1."""
-        x = np.asarray(r, dtype=float) / self.s
-        return math.pi**-0.75 * self.s**-1.5 * np.exp(-0.5 * x**2)
+        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
+        s = self.s
+        amplitude = math.pi**-0.75 * s**-1.5
+
+        def phi(x):
+            q = x / s
+            return amplitude * math.exp(-0.5 * (q * q))
+
+        return _pointwise(phi, r)
 
     def density(self, r, n_atoms: float = 1.0):
-        return n_atoms * self.profile(r) ** 2
+        return _pointwise(lambda p: n_atoms * (p * p), self.profile(r))
 
     def profile_field(self, grid: RadialGrid) -> RadialField:
         return RadialField(grid, self.profile(grid.r), WAVEFUNCTION)
@@ -54,39 +59,36 @@ class StoredMode:
 class FockSuperposition:
     """Amplitudes c_0..c_nmax of a photon-number superposition; must be normalized."""
 
-    amps: np.ndarray
+    amps: tuple
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValidationError("amplitudes must form a non-empty 1-d array")
-        norm = np.linalg.norm(amps)
+        amps = tuple(map(complex, self.amps))
+        norm = math.hypot(*map(abs, amps))  # 0 for no amplitudes
         if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state not normalized: |c| = {float(norm)}")
-        amps.setflags(write=False)
+            raise ValidationError(f"state not normalized: |c| = {norm}")
         object.__setattr__(self, "amps", amps)
 
     @classmethod
     def normalized(cls, amps) -> "FockSuperposition":
-        amps = np.asarray(amps, dtype=complex)
-        norm = np.linalg.norm(amps)
+        amps = tuple(map(complex, amps))
+        norm = math.hypot(*map(abs, amps))
         if not math.isfinite(norm):
             raise ValidationError(f"amplitudes must be finite, got |c| = {norm}")
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
-        return cls(amps / norm)
+        return cls([c / norm for c in amps])
 
     @property
     def nmax(self) -> int:
-        return self.amps.size - 1
+        return len(self.amps) - 1
 
 
 def evolve(state: FockSuperposition, t: float, scales: DerivedScales) -> FockSuperposition:
     """Free self-phase evolution c_n -> exp(-i (n^2-n) omega_nl t) c_n."""
     check_storage_time(t)
-    n = np.arange(state.amps.size)
-    phases = np.exp(-1j * (n * n - n) * scales.omega_nl * t)
-    return FockSuperposition(state.amps * phases)
+    return FockSuperposition(
+        [c * cmath.exp(-1j * (n * n - n) * scales.omega_nl * t) for n, c in enumerate(state.amps)]
+    )
 
 
 @dataclass(frozen=True)
@@ -109,17 +111,16 @@ def ns_gate_time(scales: DerivedScales) -> NsGateTimes:
 
 def ns_gate_target(state: FockSuperposition) -> FockSuperposition:
     """(c0, c1, c2) -> (c0, c1, -c2); defined on exactly three amplitudes."""
-    if state.amps.size != 3:
+    if len(state.amps) != 3:
         raise ValidationError(
-            f"the sign gate acts on (c0, c1, c2); got {state.amps.size} amplitudes"
+            f"the sign gate acts on (c0, c1, c2); got {len(state.amps)} amplitudes"
         )
-    flipped = state.amps.copy()
-    flipped[2] = -flipped[2]
-    return FockSuperposition(flipped)
+    c0, c1, c2 = state.amps
+    return FockSuperposition([c0, c1, -c2])
 
 
 def gate_fidelity(result: FockSuperposition, ideal: FockSuperposition) -> float:
     """|<ideal|result>|^2."""
-    if result.amps.size != ideal.amps.size:
+    if len(result.amps) != len(ideal.amps):
         raise ValidationError("states must have the same number of amplitudes")
-    return float(abs(np.vdot(ideal.amps, result.amps)) ** 2)
+    return abs(sum(a.conjugate() * b for a, b in zip(ideal.amps, result.amps))) ** 2

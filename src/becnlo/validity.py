@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GridError, ValidationError
-from .grids import MIN_POINTS, RadialGrid
+from .grids import MIN_POINTS, RadialGrid, _pointwise
 from .host_tf import TfSolution, tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
@@ -42,19 +40,22 @@ def _edge_limit(host: TfSolution) -> float:
 
 
 def kinetic_correction(config: SystemConfig, host: TfSolution, r):
-    """Closed-form K(r) for the clipped parabola, J per host atom."""
-    r = np.asarray(r, dtype=float)
+    """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
     limit = _edge_limit(host)
-    if np.any(r < 0.0) or np.any(r >= limit):
-        raise GridError(
-            f"kinetic correction is only evaluated on 0 <= r < {limit:g} m "
-            "(the parabola breaks down at the cloud edge)"
-        )
     hbar = config.hbar
     m = config.species.mass
     omega = config.trap.omega
-    f = host.mu - config.trap_potential(r)
-    return 3.0 * hbar**2 * omega**2 / (4.0 * f) + hbar**2 * m * omega**4 * r**2 / (8.0 * f**2)
+
+    def kinetic(x):
+        if not 0.0 <= x < limit:
+            raise GridError(
+                f"kinetic correction is only evaluated on 0 <= r < {limit:g} m "
+                "(the parabola breaks down at the cloud edge)"
+            )
+        f = host.mu - config.trap_potential(x)
+        return 3.0 * hbar**2 * omega**2 / (4.0 * f) + hbar**2 * m * omega**4 * (x * x) / (8.0 * (f * f))
+
+    return _pointwise(kinetic, r)
 
 
 def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfSolution, r):
@@ -62,28 +63,27 @@ def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfS
 
     Uses lap(psi) = psi'' + 2*psi'/r, with the r -> 0 limit 3*psi''(0).
     """
-    r = np.asarray(r, dtype=float)
     limit = _edge_limit(host)
-    if np.any(r < 0.0) or np.any(r >= limit):
-        raise GridError(f"finite-difference stencil needs 0 <= r < {limit:g} m")
     h = FD_STEP * host.radius
 
-    def psi(x):
-        return np.sqrt(tf_density_at(config, scales, host.mu, x))
+    def psi(shift):  # sqrt(n1) at |r + shift|: the density is even in r
+        radii = _pointwise(lambda x: abs(x + shift), r)
+        return _pointwise(math.sqrt, tf_density_at(config, scales, host.mu, radii))
 
-    p0 = psi(r)
-    pp = psi(r + h)
-    pm = psi(np.abs(r - h))  # density is even in r
-    d2 = (pp - 2.0 * p0 + pm) / h**2
-    d1 = (pp - pm) / (2.0 * h)
-    d1_over_r = np.divide(d1, r, out=np.zeros_like(d1), where=r > 0.0)
-    lap = np.where(r > 0.0, d2 + 2.0 * d1_over_r, 3.0 * d2)
-    return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
+    def kinetic(x, p0, pp, pm):
+        if not 0.0 <= x < limit:
+            raise GridError(f"finite-difference stencil needs 0 <= r < {limit:g} m")
+        d2 = (pp - 2.0 * p0 + pm) / h**2
+        d1 = (pp - pm) / (2.0 * h)
+        lap = d2 + 2.0 * (d1 / x) if x > 0.0 else 3.0 * d2
+        return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
+
+    return _pointwise(kinetic, r, psi(0.0), psi(h), psi(-h))
 
 
 def rescaled_kinetic(kinetic, scales: DerivedScales):
     """Host kinetic correction as seen by the stored component: K * U12/U11."""
-    return kinetic * (scales.u12 / scales.u11)
+    return _pointwise(lambda k: k * (scales.u12 / scales.u11), kinetic)
 
 
 def stored_self_energy(
@@ -97,13 +97,13 @@ def stored_self_energy(
     if n_stored < 0:
         raise ValidationError(f"n_stored must be non-negative, got {n_stored}")
     u = scales.u22_tilde if effective else scales.u22
-    return u * n_stored * mode.profile(r) ** 2
+    return _pointwise(lambda p: u * n_stored * (p * p), mode.profile(r))
 
 
 def quantum_depletion(config: SystemConfig, scales: DerivedScales, mu: float, r):
     """Local-density depletion (8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1, m^-3."""
-    n1 = tf_density_at(config, scales, mu, r)
-    return DEPLETION_COEFF * np.sqrt(n1 * config.species.a11**3) * n1
+    a11 = config.species.a11
+    return _pointwise(lambda n1: DEPLETION_COEFF * math.sqrt(n1 * a11**3) * n1, tf_density_at(config, scales, mu, r))
 
 
 def density_std(
@@ -125,7 +125,7 @@ def density_std(
         raise ValidationError(f"cell volume must be positive, got {cell}")
     n1 = tf_density_at(config, scales, mu, r)
     n_dep = quantum_depletion(config, scales, mu, r)
-    return np.sqrt(2.0 * (n1 * cell) * (n_dep * cell)) / cell
+    return _pointwise(lambda n1, n_dep: math.sqrt(2.0 * (n1 * cell) * (n_dep * cell)) / cell, n1, n_dep)
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,12 @@ class EnergyProfile:
     """Per-atom energy curves sampled on a grid (all J)."""
 
     grid: RadialGrid
-    trap_e: np.ndarray  # V(r)
-    host_coll_e: np.ndarray  # U11*n1
-    cross_coll_e: np.ndarray  # U12*n2, felt by a host atom
-    kinetic_e: np.ndarray  # K(r)
-    rescaled_kinetic_e: np.ndarray  # K*U12/U11, felt by a stored atom
-    stored_self_e: np.ndarray  # U22_tilde*n*phi^2
+    trap_e: tuple  # V(r)
+    host_coll_e: tuple  # U11*n1
+    cross_coll_e: tuple  # U12*n2, felt by a host atom
+    kinetic_e: tuple  # K(r)
+    rescaled_kinetic_e: tuple  # K*U12/U11, felt by a stored atom
+    stored_self_e: tuple  # U22_tilde*n*phi^2
 
 
 def energy_profile(
@@ -151,9 +151,9 @@ def energy_profile(
     kin = kinetic_correction(config, host, r)
     return EnergyProfile(
         grid=grid,
-        trap_e=config.trap_potential(r),
-        host_coll_e=scales.u11 * tf_density_at(config, scales, host.mu, r),
-        cross_coll_e=scales.u12 * mode.density(r, n),
+        trap_e=_pointwise(config.trap_potential, r),
+        host_coll_e=_pointwise(lambda n1: scales.u11 * n1, tf_density_at(config, scales, host.mu, r)),
+        cross_coll_e=_pointwise(lambda n2: scales.u12 * n2, mode.density(r, n)),
         kinetic_e=kin,
         rescaled_kinetic_e=rescaled_kinetic(kin, scales),
         stored_self_e=stored_self_energy(mode, n, scales, r),
@@ -168,10 +168,10 @@ class DensityProfile:
     """
 
     grid: RadialGrid
-    host_density: np.ndarray
-    stored_density: np.ndarray
-    depletion_density: np.ndarray
-    density_std: np.ndarray
+    host_density: tuple
+    stored_density: tuple
+    depletion_density: tuple
+    density_std: tuple
 
 
 def density_profile(
@@ -190,9 +190,8 @@ def density_profile(
     )
 
 
-def _log10(values):
-    with np.errstate(divide="ignore"):
-        return np.log10(values)
+def _log10(x: float) -> float:
+    return -math.inf if x == 0.0 else math.log10(x)
 
 
 def figure_data(
@@ -202,7 +201,7 @@ def figure_data(
     n_rows: int = 512,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> dict:
-    """Columns of the energy- or density-budget tables, keyed by name.
+    """Columns of the energy- or density-budget tables, keyed by name, as lists.
 
     fig 2: per-host-atom energies; fig 3: per-stored-atom energies; fig 4:
     densities per d^3.  Energies come out in units of hbar*omega, radii in
@@ -215,27 +214,24 @@ def figure_data(
     scales = derive_scales(config)
     host = tf_host(config, scales, grid_points)
     grid = RadialGrid(FIGURE_SPAN * host.radius, n_rows)
-    cols: dict[str, np.ndarray] = {"r_over_d": grid.r / scales.d}
-    if fig in (2, 3):
+    cols = {"r_over_d": list(_pointwise(lambda r: r / scales.d, grid.r))}
+    if fig == 2:
         ep = energy_profile(config, scales, host, grid)
-        e0 = scales.e_trap
-        if fig == 2:
-            cols["trap_hw"] = ep.trap_e / e0
-            cols["host_coll_hw"] = ep.host_coll_e / e0
-            cols["cross_coll_hw"] = ep.cross_coll_e / e0
-            cols["kinetic_hw"] = ep.kinetic_e / e0
-        else:
-            cols["rescaled_kinetic_hw"] = ep.rescaled_kinetic_e / e0
-            cols["stored_self_hw"] = ep.stored_self_e / e0
+        physical = {"trap_hw": ep.trap_e, "host_coll_hw": ep.host_coll_e,
+                    "cross_coll_hw": ep.cross_coll_e, "kinetic_hw": ep.kinetic_e}
+    elif fig == 3:
+        ep = energy_profile(config, scales, host, grid)
+        physical = {"rescaled_kinetic_hw": ep.rescaled_kinetic_e, "stored_self_hw": ep.stored_self_e}
     else:
         dp = density_profile(config, scales, host, grid)
-        d3 = scales.d**3
-        cols["host_per_d3"] = dp.host_density * d3
-        cols["stored_per_d3"] = dp.stored_density * d3
-        cols["depletion_per_d3"] = dp.depletion_density * d3
-        cols["std_per_d3"] = dp.density_std * d3
-    for name in [k for k in cols if k != "r_over_d"]:
-        cols["log10_" + name] = _log10(cols[name])
+        physical = {"host_per_d3": dp.host_density, "stored_per_d3": dp.stored_density,
+                    "depletion_per_d3": dp.depletion_density, "std_per_d3": dp.density_std}
+    d3 = scales.d**3
+    in_units = (lambda n: n * d3) if fig == 4 else (lambda e: e / scales.e_trap)
+    for name, values in physical.items():
+        cols[name] = list(_pointwise(in_units, values))
+    for name in physical:
+        cols["log10_" + name] = [_log10(x) for x in cols[name]]
     return cols
 
 
@@ -273,10 +269,10 @@ class ValidityReport:
         )
 
     def to_dict(self) -> dict:
-        """Plain JSON: the two-component ratios of an empty mode (inf) become None."""
+        """Plain JSON: a ratio that is not finite (an empty or underflowing mode) becomes None."""
         return {
-            "single_tf": {"ratio": self.single_tf_ratio, "ok": self.single_component_tf_ok},
-            "single_mf": {"ratio": self.single_mf_ratio, "ok": self.single_component_mf_ok},
+            "single_tf": {"ratio": _json_ratio(self.single_tf_ratio), "ok": self.single_component_tf_ok},
+            "single_mf": {"ratio": _json_ratio(self.single_mf_ratio), "ok": self.single_component_mf_ok},
             "two_tf": {"ratio": _json_ratio(self.two_tf_ratio), "ok": self.two_component_tf_ok},
             "two_mf": {
                 "depletion_ratio": _json_ratio(self.two_mf_depletion_ratio),
@@ -288,33 +284,31 @@ class ValidityReport:
         }
 
 
+def _worst(numerators, denominators) -> float:
+    """Largest ratio as numpy.max of a/b gives it: inf where b is 0 (nan for 0/0), nan if any is nan."""
+    ratios = [a / b if b else (math.inf if a else math.nan) for a, b in zip(numerators, denominators)]
+    return math.nan if any(map(math.isnan, ratios)) else max(ratios)
+
+
 def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> ValidityReport:
     """Evaluate all four checks where the stored mode lives (r up to R/2)."""
     scales = derive_scales(config)
     host = tf_host(config, scales, grid_points)
     n = config.n_stored_max
     mode = StoredMode.from_scales(scales)
-    r = np.linspace(0.0, 0.5 * host.radius, SCAN_POINTS)
-
-    host_coll = scales.u11 * tf_density_at(config, scales, host.mu, r)
-    kin = kinetic_correction(config, host, r)
-    single_tf = float(np.max(kin / host_coll))
+    r = RadialGrid(0.5 * host.radius, SCAN_POINTS).r
 
     n1 = tf_density_at(config, scales, host.mu, r)
+    kin = kinetic_correction(config, host, r)
+    single_tf = _worst(kin, [scales.u11 * x for x in n1])
     n_dep = quantum_depletion(config, scales, host.mu, r)
-    single_mf = float(np.max(n_dep / n1))
+    single_mf = _worst(n_dep, n1)
 
-    if n == 0:
-        two_tf = math.inf
-        two_mf_dep = math.inf
-        two_mf_std = math.inf
-    else:
-        n2 = mode.density(r, n)
-        # where a narrow mode underflows to 0 the ratios are inf (nan if U12 is 0 too): null, flag fails
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            two_tf = float(np.max(rescaled_kinetic(kin, scales) / stored_self_energy(mode, n, scales, r)))
-            two_mf_dep = float(np.max(n_dep / n2))
-            two_mf_std = float(np.max(density_std(config, scales, host.mu, r) / n2))
+    # an empty mode, or one that underflows to 0, gives inf ratios (nan if U12 is 0 too): null, flag fails
+    n2 = mode.density(r, n)
+    two_tf = _worst(rescaled_kinetic(kin, scales), stored_self_energy(mode, n, scales, r))
+    two_mf_dep = _worst(n_dep, n2)
+    two_mf_std = _worst(density_std(config, scales, host.mu, r), n2)
 
     return ValidityReport(
         single_tf_ratio=single_tf,
@@ -326,6 +320,6 @@ def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POI
         single_component_mf_ok=single_mf < RATIO_THRESHOLD,
         two_component_tf_ok=two_tf < RATIO_THRESHOLD,
         two_component_mf_ok=two_mf_dep < RATIO_THRESHOLD and two_mf_std < RATIO_THRESHOLD,
-        scan_radius=float(r[-1]),
+        scan_radius=r[-1],
         n_stored=n,
     )

@@ -109,23 +109,23 @@ def test_criterion_05_ns_gate(scales):
         gated = evolve(state, times.gate_time, scales)
         ok = ok and gate_fidelity(gated, ns_gate_target(state)) >= 1.0 - 1e-12
         revived = evolve(state, times.revival_time, scales)
-        ok = ok and bool(np.all(np.abs(revived.amps - state.amps) < 1e-12))
+        ok = ok and bool(np.all(np.abs(np.asarray(revived.amps) - np.asarray(state.amps)) < 1e-12))
     verdict(5, "NS gate: (c0,c1,c2) -> (c0,c1,-c2) at pi/(2 Omega), identity at pi/Omega", ok)
 
 
 def test_criterion_06_energy_ordering(config, scales, host):
     r = np.linspace(0.0, 0.5 * host.radius, 401)
-    host_coll = scales.u11 * tf_density_at(config, scales, host.mu, r)
+    host_coll = scales.u11 * np.asarray(tf_density_at(config, scales, host.mu, r))
     trap = config.trap_potential(r)
-    kin = kinetic_correction(config, host, r)
+    kin = np.asarray(kinetic_correction(config, host, r))
     ok = bool(np.all(host_coll > trap)) and bool(np.all(kin < host_coll))
     crossing = kinetic_crossing_radius(config, host)
     ok = ok and abs(crossing / host.radius - 1.0) < 0.05
     r_check = np.linspace(0.0, 0.949 * host.radius, 1001)
     ok = ok and bool(
         np.all(
-            kinetic_correction(config, host, r_check)
-            < scales.u11 * tf_density_at(config, scales, host.mu, r_check)
+            np.asarray(kinetic_correction(config, host, r_check))
+            < scales.u11 * np.asarray(tf_density_at(config, scales, host.mu, r_check))
         )
     )
     k_closed = 3.0 * scales.e_trap**2 / (4.0 * host.mu)
@@ -137,8 +137,8 @@ def test_criterion_06_energy_ordering(config, scales, host):
 def test_criterion_07_two_component_kinetic(config, scales, host):
     r = np.linspace(0.0, 0.5 * host.radius, 401)
     mode = StoredMode.from_scales(scales)
-    ratio = rescaled_kinetic(kinetic_correction(config, host, r), scales) / stored_self_energy(
-        mode, config.n_stored_max, scales, r
+    ratio = np.asarray(rescaled_kinetic(kinetic_correction(config, host, r), scales)) / np.asarray(
+        stored_self_energy(mode, config.n_stored_max, scales, r)
     )
     verdict(7, "rescaled kinetic exceeds stored self-interaction by > 100x", float(np.max(ratio)) > 100.0)
 
@@ -176,12 +176,12 @@ def test_criterion_09_gpe_oracle(config, scales):
         atom_count=1.0,
         mass=config.species.mass,
     )
-    guess = np.exp(-0.25 * (grid.r / (2.0 * scales.d)) ** 2)
+    guess = np.exp(-0.25 * (np.asarray(grid.r) / (2.0 * scales.d)) ** 2)
     sol = solve_ground_state(
         linear, initial_guess=guess, tol=1e-12, dt=100.0 * default_time_step(linear)
     )
-    phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (grid.r / scales.d) ** 2)
-    overlap = 4.0 * math.pi * simpson(grid.r**2 * phi * sol.wavefunction.values, x=grid.r)
+    phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (np.asarray(grid.r) / scales.d) ** 2)
+    overlap = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * phi * sol.wavefunction.values, x=grid.r)
     ok = ok and overlap**2 > 1.0 - 1e-8
     ok = ok and elapsed < 60.0
     verdict(9, "GPE oracle: TF errors in [2e-4, 5e-3], virial and g = 0 checks, < 60 s", ok)

@@ -367,12 +367,12 @@ sys.exit(code)
 """
 
 
-def modules_loaded(tmp_path, *argv):
+def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE):
     env = {k: v for k, v in os.environ.items() if k != "BECNLO_GRID_POINTS"}
     src = str(Path(becnlo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -426,8 +426,30 @@ def test_units_and_phase_load_only_errors_and_params(closed_form_modules, argv):
 
 def test_gate_does_not_load_host_profile(closed_form_modules):
     modules = closed_form_modules["gate --amps 1,1,1"]
-    assert {"numpy", "becnlo.grids", "becnlo.stored_mode"} <= modules
+    assert {"becnlo.grids", "becnlo.stored_mode"} <= modules
+    assert "numpy" not in modules
     assert "becnlo.host_tf" not in modules
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
+def test_closed_form_commands_load_no_numpy(closed_form_modules, argv):
+    assert "numpy" not in closed_form_modules[" ".join(argv)]
+
+
+# imports one module of the package and reports sys.modules on stderr
+LAYER_PROBE = """
+import importlib
+import sys
+importlib.import_module(sys.argv[1])
+sys.stderr.write("\\n" + " ".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("layer", ["grids", "host_tf", "stored_mode", "lifetime", "validity"])
+def test_closed_form_layers_load_no_numpy(tmp_path, layer):
+    modules = modules_loaded(tmp_path, f"becnlo.{layer}", probe=LAYER_PROBE)
+    assert f"becnlo.{layer}" in modules
+    assert "numpy" not in modules
 
 
 def test_import_becnlo_loads_no_numpy(tmp_path):
@@ -441,6 +463,7 @@ def test_oracle_imports_no_scipy(tmp_path, flags):
     modules = modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
     assert scipy_modules(modules) == set()
     assert not {"becnlo.validity", "becnlo.lifetime"} & modules
+    assert {"numpy", "becnlo.gpe"} <= modules  # the solver is the one layer on numpy
 
 
 # the package's public names, as `from becnlo import *` exported them before

@@ -10,7 +10,13 @@ def test_grid_basics():
     assert grid.spacing == 0.01
     assert grid.r[0] == 0.0
     assert grid.r[-1] == 1.0
-    assert grid.r.size == 101
+    assert np.asarray(grid.r).size == 101
+
+
+@pytest.mark.parametrize("r_max, n_points", [(1.0, 101), (3e-5, 4096), (2.9972e-5, 1025), (7.0, 17)])
+def test_grid_radii_are_linspace(r_max, n_points):
+    # the solver builds its radii with numpy.linspace; they must be the same doubles
+    assert RadialGrid(r_max, n_points).r == tuple(np.linspace(0.0, r_max, n_points).tolist())
 
 
 def test_grid_rejects_tiny():
@@ -50,7 +56,7 @@ def test_field_is_frozen_copy():
     field = RadialField(grid, values, ENERGY)
     values[0] = 7.0  # caller's array, not the field's
     assert field.values[0] == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         field.values[0] = 2.0
 
 

@@ -82,6 +82,14 @@ def test_grid_must_contain_cloud(config, scales, mu):
         tf_density(config, scales, mu, RadialGrid(0.5 * tf_radius(config, mu), 256))
 
 
+def test_density_is_sampled_on_first_use(config, scales, mu):
+    # mu and R come without the profile; reading the density samples it once
+    host = tf_density(config, scales, mu, RadialGrid(1.5 * tf_radius(config, mu), 64))
+    assert "density" not in vars(host)
+    assert host.density is host.density
+    assert host.density.values[0] == tf_density_at(config, scales, mu, 0.0)
+
+
 def test_back_action_dip(config, scales, mu, host):
     mode = StoredMode.from_scales(scales)
     stored = mode.density_field(host.grid, n_atoms=10)
@@ -90,8 +98,8 @@ def test_back_action_dip(config, scales, mu, host):
     assert_allclose(dip, 5.5322e15, rtol=1e-4)
     assert_allclose(dip / host.density.values[0], 7.395e-5, rtol=1e-3)
     # the dip heals where the mode ends
-    far = host.grid.r > 6.0 * scales.s
-    assert_allclose(dented.values[far], host.density.values[far], rtol=1e-12)
+    far = np.asarray(host.grid.r) > 6.0 * scales.s
+    assert_allclose(np.asarray(dented.values)[far], np.asarray(host.density.values)[far], rtol=1e-12)
 
 
 def test_back_action_rejects_dense_mode(config, scales, mu, host):
@@ -112,7 +120,7 @@ def test_back_action_never_raises_density(config, scales, mu, host):
     mode = StoredMode.from_scales(scales)
     stored = mode.density_field(host.grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
-    assert np.all(dented.values <= host.density.values)
+    assert np.all(np.asarray(dented.values) <= np.asarray(host.density.values))
 
 
 def test_back_action_decoupled_channel(config, mu, host):
@@ -143,5 +151,5 @@ def test_profile_is_parabolic(config, scales, mu):
     # n1(r)/n1(0) = 1 - (r/R)^2 inside the cloud
     radius = tf_radius(config, mu)
     r = np.linspace(0.0, 0.99 * radius, 57)
-    ratio = tf_density_at(config, scales, mu, r) / tf_density_at(config, scales, mu, 0.0)
+    ratio = np.asarray(tf_density_at(config, scales, mu, r)) / tf_density_at(config, scales, mu, 0.0)
     assert_allclose(ratio, 1.0 - (r / radius) ** 2, atol=1e-12)

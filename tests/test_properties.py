@@ -1,10 +1,11 @@
 """Property tests: fuzzed scenario files through the closed-form subcommands.
 
 Every config, however extreme, must end in exit code 0 or 2 without a
-traceback or a warning (tier-1 turns warnings into errors), and every
-physically sensible config must give finite, positive scales and a sign gate
-of fidelity 1.  Hypothesis runs derandomized, so the examples are the same on
-every run.
+traceback or a warning (tier-1 turns warnings into errors); a run that exits
+0 prints only finite numbers (`null` ratios and `-inf` logarithms aside).
+Every physically sensible config must give finite, positive scales and a sign
+gate of fidelity 1.  Hypothesis runs derandomized, so the examples are the
+same on every run.
 """
 
 import contextlib
@@ -122,3 +123,88 @@ def test_sensible_config_gives_positive_scales_and_exact_gate(data):
     state = FockSuperposition.normalized([1.0, 1.0j, -1.0])
     evolved = evolve(state, ns_gate_time(scales).gate_time, scales)
     assert gate_fidelity(evolved, ns_gate_target(state)) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def extreme_configs(draw):
+    """The sodium scenario with one or two values drawn log-uniformly over the doubles."""
+    data = dict(SODIUM_REFERENCE)
+    for key in draw(st.lists(st.sampled_from(sorted(data)), min_size=1, max_size=2, unique=True)):
+        data[key] = draw(magnitude)
+    return data
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def assert_clean_exit(argv, code, out, err, csv_path):
+    """Exit 0 with finite numbers, or exit 2 with a message and nothing on stdout."""
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    elif argv[0] == "validity":
+        json.loads(out, parse_constant=reject_constant)
+    elif argv[0] == "lifetime":
+        values = [float(line.split(" = ")[1].split()[0]) for line in out.splitlines()]
+        assert len(values) == 2 and all(map(math.isfinite, values))
+    else:
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        names = lines[0].split(",")
+        for line in lines[1:]:
+            for name, field in zip(names, line.split(",")):
+                assert math.isfinite(float(field)) or (name.startswith("log10_") and field == "-inf")
+
+
+GRID_COMMANDS = [
+    ["lifetime"],
+    ["validity"],
+    ["figures", "--fig", "2", "--rows", "16"],
+    ["figures", "--fig", "3", "--rows", "16"],
+    ["figures", "--fig", "4", "--rows", "16"],
+]
+GRID_IDS = ["lifetime", "validity", "fig2", "fig3", "fig4"]
+
+
+def run_grid_command(path, argv):
+    csv_path = path.with_suffix(".csv")
+    extra = ["--out", str(csv_path)] if argv[0] == "figures" else []
+    code, out, err = run_cli(path, *argv, "--grid-points", "64", *extra)
+    assert_clean_exit(argv, code, out, err, csv_path)
+    return code, out
+
+
+@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=GRID_IDS)
+@FUZZ
+@given(data=st.one_of(configs(), extreme_configs()))
+def test_fuzzed_config_grid_commands_exit_cleanly(config_path, argv, data):
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    run_grid_command(config_path, argv)
+
+
+@pytest.mark.parametrize("argv", GRID_COMMANDS, ids=GRID_IDS)
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"omega_rad_s": 7.8e87},  # omega**4 in the kinetic correction overflowed: traceback
+        {"a11_m": 5.4e174},  # a11**3 in the depletion overflowed: traceback
+        {"omega_rad_s": 1.1e154},  # overflow in the loss overlap: RuntimeWarning
+        {"omega_rad_s": 1.2e-145},  # 0/0 in the kinetic correction: RuntimeWarning, nan
+        {"mass_kg": 7.9e155},  # overflow in the density std: RuntimeWarning, inf
+        {"n_stored_max": 1e308},  # overflow in the stored density: RuntimeWarning, inf
+    ],
+)
+def test_extreme_config_grid_commands_exit_cleanly(tmp_path, argv, changes):
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({**SODIUM_REFERENCE, **changes}), encoding="utf-8")
+    run_grid_command(path, argv)
+
+
+def test_decoupled_underflowing_mode_gives_null_two_tf(tmp_path):
+    # with U12 = 0 the transferred kinetic term is 0 where the mode underflows
+    # to 0; that 0/0 is nan, so the worst ratio is null and the flag fails
+    path = tmp_path / "decoupled.json"
+    path.write_text(json.dumps({**SODIUM_REFERENCE, "a12_m": 0, "n_host": 1e14}), encoding="utf-8")
+    code, out = run_grid_command(path, ["validity"])
+    assert code == 0
+    assert json.loads(out)["two_tf"] == {"ratio": None, "ok": False}

@@ -146,11 +146,11 @@ def test_profiles_consistent(config, scales, host):
     grid = RadialGrid(0.9 * host.radius, 64)
     ep = energy_profile(config, scales, host, grid)
     dp = density_profile(config, scales, host, grid)
-    assert_allclose(ep.host_coll_e, scales.u11 * dp.host_density, rtol=1e-12)
-    assert_allclose(ep.cross_coll_e, scales.u12 * dp.stored_density, rtol=1e-12)
-    assert_allclose(ep.rescaled_kinetic_e, ep.kinetic_e * scales.u12 / scales.u11, rtol=1e-12)
+    assert_allclose(ep.host_coll_e, scales.u11 * np.asarray(dp.host_density), rtol=1e-12)
+    assert_allclose(ep.cross_coll_e, scales.u12 * np.asarray(dp.stored_density), rtol=1e-12)
+    assert_allclose(ep.rescaled_kinetic_e, np.asarray(ep.kinetic_e) * scales.u12 / scales.u11, rtol=1e-12)
     # the depleted fraction never exceeds what is there to deplete
-    assert np.all(dp.depletion_density <= dp.host_density)
+    assert np.all(np.asarray(dp.depletion_density) <= np.asarray(dp.host_density))
 
 
 class TestFigureData:
@@ -186,12 +186,12 @@ class TestFigureData:
 
     def test_fig3_ratio(self, config):
         cols = figure_data(config, 3, n_rows=32)
-        ratio = cols["rescaled_kinetic_hw"] / cols["stored_self_hw"]
+        ratio = np.asarray(cols["rescaled_kinetic_hw"]) / np.asarray(cols["stored_self_hw"])
         assert np.all(ratio > 100.0)
 
     def test_rows(self, config):
         cols = figure_data(config, 4, n_rows=40)
-        assert all(v.size == 40 for v in cols.values())
+        assert all(np.asarray(v).size == 40 for v in cols.values())
 
     def test_bad_fig(self, config):
         with pytest.raises(ValidationError):
