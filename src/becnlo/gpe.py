@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +47,6 @@ DT_GROWTH_CAP = 1e3  # the step doubles each iteration up to this multiple of th
 EPS = float(np.finfo(float).eps)
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
-
-
-def _array(values: tuple) -> np.ndarray:
-    """A field's values as a float array."""
-    return np.fromiter(values, float, len(values))
-
-
-def _radii(grid: RadialGrid) -> np.ndarray:
-    """The values of grid.r as an array, without building that tuple."""
-    return np.linspace(0.0, grid.r_max, grid.n_points)
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,8 @@ class GpeProblem:
 class GpeSolution:
     """Converged ground state and its energy budget."""
 
-    wavefunction: RadialField  # m^-3/2, normalized to the atom number
+    grid: RadialGrid
+    psi: np.ndarray  # m^-3/2 on the grid, normalized to the atom number; read-only
     mu: float  # J
     e_kinetic: float  # J (total, not per atom)
     e_potential: float  # J
@@ -99,8 +91,9 @@ class GpeSolution:
     def energy(self) -> float:
         return self.e_kinetic + self.e_potential + self.e_interaction
 
-    def central_density(self) -> float:
-        return float(self.wavefunction.values[0] ** 2)
+    @cached_property
+    def wavefunction(self) -> RadialField:
+        return RadialField(self.grid, self.psi.tolist(), WAVEFUNCTION)
 
 
 def virial_residual(solution: GpeSolution) -> float:
@@ -110,7 +103,7 @@ def virial_residual(solution: GpeSolution) -> float:
 
 
 def harmonic_potential_field(config: SystemConfig, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, config.trap_potential(_radii(grid)).tolist(), ENERGY)
+    return RadialField(grid, config.trap_potential(np.asarray(grid.r, dtype=float)).tolist(), ENERGY)
 
 
 def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) -> GpeProblem:
@@ -137,11 +130,11 @@ def stored_problem(
     `idealized` keeps only the cancellation, i.e. the effective harmonic trap
     V(r)*(1 - U12/U11) with no cloud edge (plus an irrelevant constant).
     """
-    r = _radii(grid)
+    v = config.trap_potential(np.asarray(grid.r, dtype=float))
     if idealized:
-        v = scales.eff_trap_factor * config.trap_potential(r)
+        v = scales.eff_trap_factor * v
     else:
-        v = config.trap_potential(r) + scales.u12 * _array(tf_density_at(config, scales, mu, r.tolist()))
+        v = v + scales.u12 * np.asarray(tf_density_at(config, scales, mu, grid.r), dtype=float)
     return GpeProblem(
         potential=RadialField(grid, v.tolist(), ENERGY),
         g=scales.u22,
@@ -281,9 +274,9 @@ def solve_ground_state(
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     grid = problem.grid
-    r = _radii(grid)  # the grid and the potential as arrays, once per solve
+    r = np.asarray(grid.r, dtype=float)  # the grid and the potential as arrays, once per solve
     dr = grid.spacing
-    v = _array(problem.potential.values)
+    v = np.asarray(problem.potential.values, dtype=float)
     hbar = problem.hbar
     atom_count = problem.atom_count
     if dt is None:
@@ -365,8 +358,10 @@ def solve_ground_state(
             f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
             "enlarge the box"
         )
+    psi.setflags(write=False)
     return GpeSolution(
-        wavefunction=RadialField(grid, psi.tolist(), WAVEFUNCTION),
+        grid=grid,
+        psi=psi,
         mu=mu,
         e_kinetic=e_kin,
         e_potential=e_pot,
@@ -419,12 +414,11 @@ def compare_tf_vs_gpe(
     solution = solve_ground_state(
         host_problem(config, scales, host.grid), tol=tol, max_iters=max_iters, dt=dt
     )
-    r = _radii(host.grid).tolist()
-    n_gpe = _array(solution.wavefunction.values) ** 2
-    n_tf = _array(tf_density_at(config, scales, host.mu, r))
+    r = host.grid.r
+    n_tf = np.asarray(tf_density_at(config, scales, host.mu, r), dtype=float)
     central_tf = host.mu / scales.u11
-    central_gpe = solution.central_density()
-    diff2 = radial_integral(r, ((n_gpe - n_tf) ** 2).tolist())
+    central_gpe = float(solution.psi[0] ** 2)
+    diff2 = radial_integral(r, ((solution.psi**2 - n_tf) ** 2).tolist())
     ref2 = radial_integral(r, (n_tf**2).tolist())
     return TfGpeComparison(
         mu_tf=host.mu,
@@ -464,8 +458,8 @@ def solve_stored_in_host(
     problem = stored_problem(config, scales, host.mu, host.grid, idealized=idealized)
     solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
     mode = StoredMode.from_scales(scales)
-    r = _radii(host.grid).tolist()
-    ov = radial_integral(r, [p * u for p, u in zip(mode.profile(r), solution.wavefunction.values)])
+    r = host.grid.r
+    ov = radial_integral(r, (np.asarray(mode.profile(r), dtype=float) * solution.psi).tolist())
     return StoredComparison(
         overlap=float(ov**2 / problem.atom_count),
         mode_length=scales.s,

@@ -55,6 +55,11 @@ class StoredMode:
         return RadialField(grid, self.density(grid.r, n_atoms), DENSITY)
 
 
+def _norm(amps) -> float:
+    """|c|, 0 for no amplitudes; abs() of a complex raises OverflowError past the largest double."""
+    return math.hypot(*(x for c in amps for x in (c.real, c.imag)))
+
+
 @dataclass(frozen=True)
 class FockSuperposition:
     """Amplitudes c_0..c_nmax of a photon-number superposition; must be normalized."""
@@ -63,7 +68,7 @@ class FockSuperposition:
 
     def __post_init__(self):
         amps = tuple(map(complex, self.amps))
-        norm = math.hypot(*map(abs, amps))  # 0 for no amplitudes
+        norm = _norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state not normalized: |c| = {norm}")
         object.__setattr__(self, "amps", amps)
@@ -71,7 +76,7 @@ class FockSuperposition:
     @classmethod
     def normalized(cls, amps) -> "FockSuperposition":
         amps = tuple(map(complex, amps))
-        norm = math.hypot(*map(abs, amps))
+        norm = _norm(amps)
         if not math.isfinite(norm):
             raise ValidationError(f"amplitudes must be finite, got |c| = {norm}")
         if norm == 0.0:

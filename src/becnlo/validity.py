@@ -89,7 +89,7 @@ def rescaled_kinetic(kinetic, scales: DerivedScales):
 def stored_self_energy(
     mode: StoredMode, n_stored: int, scales: DerivedScales, r, effective: bool = True
 ):
-    """Collisional self-energy U*n*phi(r)^2 of the stored mode, J per atom.
+    """Collisional self-energy U*n2(r) = U*n*phi(r)^2 of the stored mode, J per atom.
 
     `effective` selects the host-screened coupling U22_tilde (the one that
     sets the phase rate); otherwise the bare U22.
@@ -97,13 +97,22 @@ def stored_self_energy(
     if n_stored < 0:
         raise ValidationError(f"n_stored must be non-negative, got {n_stored}")
     u = scales.u22_tilde if effective else scales.u22
-    return _pointwise(lambda p: u * n_stored * (p * p), mode.profile(r))
+    return _pointwise(lambda n2: u * n2, mode.density(r, n_stored))
+
+
+def _depletion(a11: float, n1):
+    """(8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1 at one host density or a sequence."""
+    return _pointwise(lambda n: DEPLETION_COEFF * math.sqrt(n * a11**3) * n, n1)
+
+
+def _fluctuation(cell: float, n1, n_dep):
+    """sqrt(2*N_c*N_dep)/cell with N_c = n1*cell and N_dep = n_dep*cell atoms, pointwise."""
+    return _pointwise(lambda n, dep: math.sqrt(2.0 * (n * cell) * (dep * cell)) / cell, n1, n_dep)
 
 
 def quantum_depletion(config: SystemConfig, scales: DerivedScales, mu: float, r):
     """Local-density depletion (8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1, m^-3."""
-    a11 = config.species.a11
-    return _pointwise(lambda n1: DEPLETION_COEFF * math.sqrt(n1 * a11**3) * n1, tf_density_at(config, scales, mu, r))
+    return _depletion(config.species.a11, tf_density_at(config, scales, mu, r))
 
 
 def density_std(
@@ -124,8 +133,7 @@ def density_std(
     if not cell > 0:
         raise ValidationError(f"cell volume must be positive, got {cell}")
     n1 = tf_density_at(config, scales, mu, r)
-    n_dep = quantum_depletion(config, scales, mu, r)
-    return _pointwise(lambda n1, n_dep: math.sqrt(2.0 * (n1 * cell) * (n_dep * cell)) / cell, n1, n_dep)
+    return _fluctuation(cell, n1, _depletion(config.species.a11, n1))
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ class EnergyProfile:
     cross_coll_e: tuple  # U12*n2, felt by a host atom
     kinetic_e: tuple  # K(r)
     rescaled_kinetic_e: tuple  # K*U12/U11, felt by a stored atom
-    stored_self_e: tuple  # U22_tilde*n*phi^2
+    stored_self_e: tuple  # U22_tilde*n2
 
 
 def energy_profile(
@@ -146,17 +154,17 @@ def energy_profile(
 ) -> EnergyProfile:
     """Energy curves for a full stored mode of n_stored_max atoms."""
     n = config.n_stored_max
-    mode = StoredMode.from_scales(scales)
     r = grid.r
+    n2 = StoredMode.from_scales(scales).density(r, n)
     kin = kinetic_correction(config, host, r)
     return EnergyProfile(
         grid=grid,
         trap_e=_pointwise(config.trap_potential, r),
         host_coll_e=_pointwise(lambda n1: scales.u11 * n1, tf_density_at(config, scales, host.mu, r)),
-        cross_coll_e=_pointwise(lambda n2: scales.u12 * n2, mode.density(r, n)),
+        cross_coll_e=_pointwise(lambda x: scales.u12 * x, n2),
         kinetic_e=kin,
         rescaled_kinetic_e=rescaled_kinetic(kin, scales),
-        stored_self_e=stored_self_energy(mode, n, scales, r),
+        stored_self_e=_pointwise(lambda x: scales.u22_tilde * x, n2),
     )
 
 
@@ -178,15 +186,15 @@ def density_profile(
     config: SystemConfig, scales: DerivedScales, host: TfSolution, grid: RadialGrid
 ) -> DensityProfile:
     """Density curves for a full stored mode of n_stored_max atoms."""
-    n = config.n_stored_max
-    mode = StoredMode.from_scales(scales)
     r = grid.r
+    n1 = tf_density_at(config, scales, host.mu, r)
+    n_dep = _depletion(config.species.a11, n1)
     return DensityProfile(
         grid=grid,
-        host_density=tf_density_at(config, scales, host.mu, r),
-        stored_density=mode.density(r, n),
-        depletion_density=quantum_depletion(config, scales, host.mu, r),
-        density_std=density_std(config, scales, host.mu, r),
+        host_density=n1,
+        stored_density=StoredMode.from_scales(scales).density(r, config.n_stored_max),
+        depletion_density=n_dep,
+        density_std=_fluctuation(scales.d**3, n1, n_dep),
     )
 
 
@@ -295,20 +303,19 @@ def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POI
     scales = derive_scales(config)
     host = tf_host(config, scales, grid_points)
     n = config.n_stored_max
-    mode = StoredMode.from_scales(scales)
     r = RadialGrid(0.5 * host.radius, SCAN_POINTS).r
 
     n1 = tf_density_at(config, scales, host.mu, r)
     kin = kinetic_correction(config, host, r)
     single_tf = _worst(kin, [scales.u11 * x for x in n1])
-    n_dep = quantum_depletion(config, scales, host.mu, r)
+    n_dep = _depletion(config.species.a11, n1)
     single_mf = _worst(n_dep, n1)
 
     # an empty mode, or one that underflows to 0, gives inf ratios (nan if U12 is 0 too): null, flag fails
-    n2 = mode.density(r, n)
-    two_tf = _worst(rescaled_kinetic(kin, scales), stored_self_energy(mode, n, scales, r))
+    n2 = StoredMode.from_scales(scales).density(r, n)
+    two_tf = _worst(rescaled_kinetic(kin, scales), _pointwise(lambda x: scales.u22_tilde * x, n2))
     two_mf_dep = _worst(n_dep, n2)
-    two_mf_std = _worst(density_std(config, scales, host.mu, r), n2)
+    two_mf_std = _worst(_fluctuation(scales.d**3, n1, n_dep), n2)
 
     return ValidityReport(
         single_tf_ratio=single_tf,

@@ -103,6 +103,25 @@ def test_gate_non_finite_amps_exit_code(capsys, amps):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "amps, code",
+    [
+        ("1e308+1e308j,1,1", 0),
+        ("1e308,1e308,1e308", 0),
+        ("1.5e308+1.5e308j,1,1", 2),
+        ("1.5e308,1.5e308,1.5e308", 2),
+    ],
+)
+def test_gate_amps_near_double_range(capsys, amps, code):
+    # abs() of a complex past the largest double raised OverflowError: a traceback
+    got, out, err = run(capsys, "gate", "--amps", amps)
+    assert got == code
+    if code == 0:
+        assert parse_kv(out)["fidelity"] == 1.0
+    else:
+        assert out == "" and "finite" in err
+
+
 def test_lifetime_default(capsys):
     code, out, _ = run(capsys, "lifetime")
     assert code == 0

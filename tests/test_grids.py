@@ -15,7 +15,7 @@ def test_grid_basics():
 
 @pytest.mark.parametrize("r_max, n_points", [(1.0, 101), (3e-5, 4096), (2.9972e-5, 1025), (7.0, 17)])
 def test_grid_radii_are_linspace(r_max, n_points):
-    # the solver builds its radii with numpy.linspace; they must be the same doubles
+    # RadialGrid.r promises numpy.linspace's doubles, to the last bit
     assert RadialGrid(r_max, n_points).r == tuple(np.linspace(0.0, r_max, n_points).tolist())
 
 

@@ -1,4 +1,4 @@
-"""Property tests: fuzzed scenario files through the closed-form subcommands.
+"""Property tests: fuzzed scenario files and gate amplitudes through the closed-form subcommands.
 
 Every config, however extreme, must end in exit code 0 or 2 without a
 traceback or a warning (tier-1 turns warnings into errors); a run that exits
@@ -93,6 +93,25 @@ def test_fuzzed_config_exits_cleanly(config_path, argv, data):
     assert code in (0, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+
+
+# a component near the largest double gives |c| past it, where abs() of a complex raises OverflowError
+near_max = st.floats(1e307, 1.7976931348623157e308)
+component = st.one_of(finite, magnitude, near_max, near_max.map(lambda x: -x), st.sampled_from([math.inf, math.nan]))
+
+
+@FUZZ
+@given(amps=st.lists(st.builds(complex, component, component), min_size=3, max_size=3))
+def test_fuzzed_amps_exit_cleanly(amps):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["gate", "--amps=" + ",".join(map(repr, amps))])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        fidelity = float(out.getvalue().split("fidelity = ")[1])
+        assert fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 @st.composite
