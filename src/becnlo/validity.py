@@ -43,8 +43,10 @@ def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
     limit = _edge_limit(host)
     hbar = config.hbar
-    m = config.species.mass
-    omega = config.trap.omega
+    k = config.trap_potential(1.0)  # V(r) = k*r^2
+    # the factors that do not depend on r, once (as ValidationError if they leave double range)
+    c1 = _pointwise(lambda omega: 3.0 * hbar**2 * omega**2, config.trap.omega)
+    c2 = _pointwise(lambda omega: hbar**2 * config.species.mass * omega**4, config.trap.omega)
 
     def kinetic(x):
         if not 0.0 <= x < limit:
@@ -52,8 +54,8 @@ def kinetic_correction(config: SystemConfig, host: TfSolution, r):
                 f"kinetic correction is only evaluated on 0 <= r < {limit:g} m "
                 "(the parabola breaks down at the cloud edge)"
             )
-        f = host.mu - config.trap_potential(x)
-        return 3.0 * hbar**2 * omega**2 / (4.0 * f) + hbar**2 * m * omega**4 * (x * x) / (8.0 * (f * f))
+        f = host.mu - k * (x * x)
+        return c1 / (4.0 * f) + c2 * (x * x) / (8.0 * (f * f))
 
     return _pointwise(kinetic, r)
 
@@ -157,9 +159,10 @@ def energy_profile(
     r = grid.r
     n2 = StoredMode.from_scales(scales).density(r, n)
     kin = kinetic_correction(config, host, r)
+    k = config.trap_potential(1.0)  # V(r) = k*r^2
     return EnergyProfile(
         grid=grid,
-        trap_e=_pointwise(config.trap_potential, r),
+        trap_e=_pointwise(lambda x: k * (x * x), r),
         host_coll_e=_pointwise(lambda n1: scales.u11 * n1, tf_density_at(config, scales, host.mu, r)),
         cross_coll_e=_pointwise(lambda x: scales.u12 * x, n2),
         kinetic_e=kin,
