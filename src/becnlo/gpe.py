@@ -29,11 +29,11 @@ the wall at r_max is squeezing the cloud.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import record
 from .errors import ConvergenceError, GridError, ValidationError
 from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
 from .host_tf import tf_density_at, tf_host
@@ -49,7 +49,7 @@ ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 
 
-@dataclass(frozen=True)
+@record
 class GpeProblem:
     """One ground-state problem: external potential, coupling, atom number."""
 
@@ -74,7 +74,7 @@ class GpeProblem:
         return self.potential.grid
 
 
-@dataclass(frozen=True)
+@record
 class GpeSolution:
     """Converged ground state and its energy budget."""
 
@@ -371,7 +371,7 @@ def solve_ground_state(
     )
 
 
-@dataclass(frozen=True)
+@record
 class TfGpeComparison:
     """Side-by-side of the closed-form host parabola and the full ground state."""
 
@@ -433,7 +433,7 @@ def compare_tf_vs_gpe(
     )
 
 
-@dataclass(frozen=True)
+@record
 class StoredComparison:
     """Numerical stored-component ground state against the Gaussian ansatz."""
 

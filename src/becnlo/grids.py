@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import GridError, ValidationError
 
 # unit tags for RadialField
@@ -38,7 +38,7 @@ def _pointwise(f, *args):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class RadialGrid:
     """n_points equally spaced radii covering [0, r_max]."""
 
@@ -64,7 +64,7 @@ class RadialGrid:
         return (*[i * step for i in range(self.n_points - 1)], self.r_max)
 
 
-@dataclass(frozen=True)
+@record
 class RadialField:
     """Values of a spherically symmetric quantity on a RadialGrid.
 

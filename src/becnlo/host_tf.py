@@ -9,16 +9,16 @@ R = sqrt(2*mu/(m*omega^2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid, _pointwise
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, DerivedScales, SystemConfig
 from .params import tf_chemical_potential, tf_radius
 
 
-@dataclass(frozen=True)
+@record
 class TfSolution:
     """Chemical potential, cloud radius and grid of the host; its density is sampled on first use."""
 

@@ -9,8 +9,8 @@ amplitude has halved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import LossNotConfiguredError, ValidationError
 from .grids import RadialField, radial_integral
 from .host_tf import TfSolution
@@ -18,7 +18,7 @@ from .params import HBAR, DerivedScales, SystemConfig, coupling
 from .stored_mode import StoredMode
 
 
-@dataclass(frozen=True)
+@record
 class LossEstimate:
     loss_rate_l: float  # J, |Im U12| * 4*pi*int r^2 phi^2 n1 dr
     tau: float  # s

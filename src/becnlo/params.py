@@ -13,9 +13,9 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import record
 from .errors import ValidationError
 
 HBAR = 1.054571817e-34  # J*s (2018 CODATA, exact by SI definition)
@@ -29,7 +29,7 @@ DEFAULT_GRID_POINTS = 4096  # radial points of the host grid the subcommands bui
 GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
 
 
-@dataclass(frozen=True)
+@record
 class SpeciesParams:
     """Mass and s-wave scattering lengths of the two internal states."""
 
@@ -67,7 +67,7 @@ class SpeciesParams:
             )
 
 
-@dataclass(frozen=True)
+@record
 class TrapParams:
     """Isotropic harmonic trap, V(r) = m*omega^2*r^2/2."""
 
@@ -78,7 +78,7 @@ class TrapParams:
             raise ValidationError(f"omega must be positive and finite, got {self.omega}")
 
 
-@dataclass(frozen=True)
+@record
 class SystemConfig:
     """A complete scenario: species, trap, and atom numbers."""
 
@@ -108,7 +108,7 @@ class SystemConfig:
 _OUT_OF_RANGE = (OverflowError, ZeroDivisionError)
 
 
-@dataclass(frozen=True)
+@record
 class DerivedScales:
     """Every derived scale needed downstream; see derive_scales for formulas."""
 
@@ -206,7 +206,7 @@ def check_storage_time(t: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@record
 class ConditionFlags:
     """Regime checks for the host gas."""
 

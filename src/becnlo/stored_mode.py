@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import ValidationError
 from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid, _pointwise
 from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F401  (energy_shift: re-exported)
@@ -20,7 +20,7 @@ from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F40
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class StoredMode:
     """Normalized Gaussian mode phi(r) = pi^(-3/4) s^(-3/2) exp(-r^2/(2 s^2))."""
 
@@ -34,8 +34,7 @@ class StoredMode:
     def from_scales(cls, scales: DerivedScales) -> "StoredMode":
         return cls(s=scales.s)
 
-    def profile(self, r):
-        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
+    def _phi(self):
         s = self.s
         amplitude = math.pi**-0.75 * s**-1.5
 
@@ -43,10 +42,21 @@ class StoredMode:
             q = x / s
             return amplitude * math.exp(-0.5 * (q * q))
 
-        return _pointwise(phi, r)
+        return phi
+
+    def profile(self, r):
+        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
+        return _pointwise(self._phi(), r)
 
     def density(self, r, n_atoms: float = 1.0):
-        return _pointwise(lambda p: n_atoms * (p * p), self.profile(r))
+        """n_atoms*phi(r)^2, in one pass over r."""
+        phi = self._phi()
+
+        def n2(x):
+            p = phi(x)
+            return n_atoms * (p * p)
+
+        return _pointwise(n2, r)
 
     def profile_field(self, grid: RadialGrid) -> RadialField:
         return RadialField(grid, self.profile(grid.r), WAVEFUNCTION)
@@ -60,7 +70,7 @@ def _norm(amps) -> float:
     return math.hypot(*(x for c in amps for x in (c.real, c.imag)))
 
 
-@dataclass(frozen=True)
+@record
 class FockSuperposition:
     """Amplitudes c_0..c_nmax of a photon-number superposition; must be normalized."""
 
@@ -96,7 +106,7 @@ def evolve(state: FockSuperposition, t: float, scales: DerivedScales) -> FockSup
     )
 
 
-@dataclass(frozen=True)
+@record
 class NsGateTimes:
     """Characteristic storage durations of the nonlinear-sign gate."""
 

@@ -20,8 +20,8 @@ grid spacings before R, where the parabola itself is wrong anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import GridError, ValidationError
 from .grids import MIN_POINTS, RadialGrid, _pointwise
 from .host_tf import TfSolution, tf_density_at, tf_host
@@ -138,7 +138,7 @@ def density_std(
     return _fluctuation(cell, n1, _depletion(config.species.a11, n1))
 
 
-@dataclass(frozen=True)
+@record
 class EnergyProfile:
     """Per-atom energy curves sampled on a grid (all J)."""
 
@@ -171,7 +171,7 @@ def energy_profile(
     )
 
 
-@dataclass(frozen=True)
+@record
 class DensityProfile:
     """Host, stored, depletion, and fluctuation densities on a grid (all m^-3).
 
@@ -250,7 +250,7 @@ def _json_ratio(ratio: float):
     return ratio if math.isfinite(ratio) else None
 
 
-@dataclass(frozen=True)
+@record
 class ValidityReport:
     """Worst-case ratios over 0 <= r <= R/2 and their pass flags (ratio < 1).
 

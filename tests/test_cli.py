@@ -428,7 +428,7 @@ def test_units_and_phase_load_only_errors_and_params(closed_form_modules, argv):
     modules = closed_form_modules[" ".join(argv)]
     assert "numpy" not in modules
     assert {m for m in modules if m.startswith("becnlo")} == {
-        "becnlo", "becnlo.cli", "becnlo.errors", "becnlo.params"
+        "becnlo", "becnlo._record", "becnlo.cli", "becnlo.errors", "becnlo.params"
     }
 
 
@@ -441,7 +441,8 @@ def test_gate_does_not_load_host_profile(closed_form_modules):
 
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
 def test_closed_form_commands_load_no_numpy(closed_form_modules, argv):
-    assert "numpy" not in closed_form_modules[" ".join(argv)]
+    # nor dataclasses, which loads inspect and ast and compiles each record's methods
+    assert not {"numpy", "dataclasses", "inspect"} & closed_form_modules[" ".join(argv)]
 
 
 # imports one module of the package and reports sys.modules on stderr
@@ -457,12 +458,12 @@ sys.stderr.write("\\n" + " ".join(sys.modules))
 def test_closed_form_layers_load_no_numpy(tmp_path, layer):
     modules = modules_loaded(tmp_path, f"becnlo.{layer}", probe=LAYER_PROBE)
     assert f"becnlo.{layer}" in modules
-    assert "numpy" not in modules
+    assert not {"numpy", "dataclasses"} & modules
 
 
 def test_import_becnlo_loads_no_numpy(tmp_path):
     modules = modules_loaded(tmp_path)
-    assert "numpy" not in modules
+    assert not {"numpy", "dataclasses"} & modules
     assert {m for m in modules if m.startswith("becnlo")} == {"becnlo"}
 
 
@@ -470,7 +471,7 @@ def test_import_becnlo_loads_no_numpy(tmp_path):
 def test_oracle_imports_no_scipy(tmp_path, flags):
     modules = modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
     assert scipy_modules(modules) == set()
-    assert not {"becnlo.validity", "becnlo.lifetime"} & modules
+    assert not {"becnlo.validity", "becnlo.lifetime", "dataclasses"} & modules
     assert {"numpy", "becnlo.gpe"} <= modules  # the solver is the one layer on numpy
 
 
