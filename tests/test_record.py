@@ -18,10 +18,10 @@ from becnlo import (
     ns_gate_time,
     sodium_reference_config,
     solve_stored_in_host,
+    tf_host,
     validity_report,
 )
 from becnlo.gpe import StoredComparison, TfGpeComparison
-from becnlo.host_tf import tf_host
 
 # every public class that is not an exception, plus the oracle's two reports
 RECORDS = [
