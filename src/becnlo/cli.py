@@ -1,15 +1,16 @@
 """Command line: JSON scenario in, derived numbers / CSV tables / JSON reports out.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 solver did not converge.
+The options are parsed from the table COMMANDS, not by argparse: argparse and its
+gettext and locale imports, and building its parsers, cost more than `units` computes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 # Each cmd_* imports the layers it runs; only `oracle` loads numpy, through the solver gpe.
 from .errors import BecnloError, ConvergenceError, ValidationError
@@ -117,6 +118,8 @@ def cmd_lifetime(args) -> int:
 
 
 def cmd_validity(args) -> int:
+    import json
+
     from .validity import validity_report
 
     config = _load(args)
@@ -134,13 +137,10 @@ def _write(path, text) -> None:
 
 
 def _write_csv(path, columns) -> int:
-    names = list(columns)
-    arrays = [columns[k] for k in names]
-    lines = [",".join(names)]
-    for i in range(len(arrays[0])):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    _write(path, "\n".join(lines) + "\n")
-    return len(arrays[0])
+    rows = list(zip(*columns.values()))
+    row_format = ",".join(["%.9g"] * len(columns))  # the bytes of _fmt, one % per row
+    _write(path, "\n".join([",".join(columns), *(row_format % row for row in rows)]) + "\n")
+    return len(rows)
 
 
 def cmd_figures(args) -> int:
@@ -157,6 +157,8 @@ def cmd_figures(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import json
+
     from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
 
     config = _load(args)
@@ -188,66 +190,139 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON scenario file (default: bundled sodium)")
-    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
-    gridded.add_argument(
-        "--grid-points",
-        type=int,
-        metavar="N",
-        help=f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})",
-    )
-    parser = argparse.ArgumentParser(
-        prog="becnlo",
-        description="Collisional phase shifts of photon Fock states stored in a two-component condensate",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# option -> (attribute, type (None for a flag, a tuple for a choice of ints), default or REQUIRED, help)
+REQUIRED = object()
+CONFIG_OPTION = {"--config": ("config", str, None, "JSON scenario file (default: bundled sodium)")}
+GRID_OPTIONS = {
+    **CONFIG_OPTION,
+    "--grid-points": (
+        "grid_points", int, None, f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})"
+    ),
+}
+ALIASES = {"--t": "--time"}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("units", parents=[common], help="derived scales and regime checks")
-    p.set_defaults(func=cmd_units)
+# subcommand -> (handler, help, options)
+COMMANDS = {
+    "units": (cmd_units, "derived scales and regime checks", CONFIG_OPTION),
+    "phase": (cmd_phase, "Fock-state energy shift and phase after storage", {
+        **CONFIG_OPTION,
+        "--n": ("n", int, REQUIRED, "occupation number"),
+        "--time": ("time", float, REQUIRED, "storage time in s"),
+    }),
+    "gate": (cmd_gate, "sign-gate times and fidelity for c0,c1,c2", {
+        **CONFIG_OPTION,
+        "--amps": (
+            "amps", str, "1,1,1", "comma-separated complex amplitudes, normalized for you (default 1,1,1)"
+        ),
+    }),
+    "lifetime": (cmd_lifetime, "loss rate and lifetime of the stored mode", GRID_OPTIONS),
+    "validity": (cmd_validity, "approximation checks as JSON", GRID_OPTIONS),
+    "figures": (cmd_figures, "energy/density budget tables as CSV", {
+        **GRID_OPTIONS,
+        "--fig": ("fig", (2, 3, 4), REQUIRED, "which table"),
+        "--rows": ("rows", int, 512, "number of radii (default 512)"),
+        "--out": ("out", str, None, "output file (default fig<N>.csv)"),
+    }),
+    "oracle": (cmd_oracle, "independent ground-state solve vs the closed forms", {
+        **GRID_OPTIONS,
+        "--stored": ("stored", None, False, "solve the stored component instead of the host"),
+        "--idealized": (
+            "idealized", None, False, "with --stored: drop the cloud edge, keep only the cancelled trap"
+        ),
+        "--out": ("out", str, None, "write the JSON report here instead of stdout"),
+    }),
+}
 
-    p = sub.add_parser("phase", parents=[common], help="Fock-state energy shift and phase after storage")
-    p.add_argument("--n", type=int, required=True, help="occupation number")
-    p.add_argument("--time", "--t", type=float, required=True, help="storage time in s")
-    p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("gate", parents=[common], help="sign-gate times and fidelity for c0,c1,c2")
-    p.add_argument(
-        "--amps",
-        default="1,1,1",
-        help="comma-separated complex amplitudes, normalized for you (default 1,1,1)",
-    )
-    p.set_defaults(func=cmd_gate)
+def _with_metavar(name, attr, kind) -> str:
+    if isinstance(kind, tuple):
+        return name + " {" + ",".join(map(str, kind)) + "}"
+    return name if kind is None else f"{name} {attr.upper()}"
 
-    p = sub.add_parser("lifetime", parents=[gridded], help="loss rate and lifetime of the stored mode")
-    p.set_defaults(func=cmd_lifetime)
 
-    p = sub.add_parser("validity", parents=[gridded], help="approximation checks as JSON")
-    p.set_defaults(func=cmd_validity)
+def _usage(command) -> str:
+    if command is None:
+        return "usage: becnlo [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = ["usage: becnlo", command, "[-h]"]
+    for option, (attr, kind, default, _) in COMMANDS[command][2].items():
+        word = _with_metavar(option, attr, kind)
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
 
-    p = sub.add_parser("figures", parents=[gridded], help="energy/density budget tables as CSV")
-    p.add_argument("--fig", type=int, choices=(2, 3, 4), required=True, help="which table")
-    p.add_argument("--rows", type=int, default=512, help="number of radii (default 512)")
-    p.add_argument("--out", metavar="PATH", help="output file (default fig<N>.csv)")
-    p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser(
-        "oracle", parents=[gridded], help="independent ground-state solve vs the closed forms"
-    )
-    p.add_argument("--stored", action="store_true", help="solve the stored component instead of the host")
-    p.add_argument(
-        "--idealized",
-        action="store_true",
-        help="with --stored: drop the cloud edge, keep only the cancelled trap",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_oracle)
-    return parser
+def _fail(command, message):
+    prog = "becnlo" if command is None else f"becnlo {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(command):
+    if command is None:
+        summary = "Collisional phase shifts of photon Fock states stored in a two-component condensate"
+        heading, rows = "commands:", [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        summary, heading = COMMANDS[command][1], "options:"
+        rows = [(", ".join(HELP), "show this help and exit")]
+        for option, (attr, kind, _, text) in COMMANDS[command][2].items():
+            names = [option, *(alias for alias, target in ALIASES.items() if target == option)]
+            rows.append((", ".join(_with_metavar(name, attr, kind) for name in names), text))
+    width = max(len(left) for left, _ in rows) + 2
+    print(_usage(command), "", summary, "", heading, sep="\n")
+    print("\n".join(f"  {left:<{width}}{text}" for left, text in rows))
+    raise SystemExit(0)
+
+
+def parse_args(argv):
+    """The namespace argparse would give for argv, plus `func`, the subcommand's handler.
+
+    Option names are exact (no prefix abbreviations). A usage error writes the usage and a message
+    naming the offending argument to stderr and raises SystemExit(2); -h/--help exits 0.
+    """
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in HELP:
+        _help(None)
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
+    handler, _, options = COMMANDS[command]
+    values = {attr: default for attr, _, default, _ in options.values()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in HELP:
+            _help(command)
+        option, has_value, text = token.partition("=")
+        spec = options.get(ALIASES.get(option, option))
+        if spec is None:
+            _fail(command, f"unrecognized arguments: {token}")
+        attr, kind, _, _ = spec
+        if kind is None:
+            if has_value:
+                _fail(command, f"argument {option}: ignored explicit argument {text!r}")
+            values[attr] = True
+            continue
+        if not has_value:
+            text = next(tokens, None)
+            if text is None:
+                _fail(command, f"argument {option}: expected one argument")
+        convert = int if isinstance(kind, tuple) else kind
+        try:
+            value = convert(text)
+        except ValueError:
+            _fail(command, f"argument {option}: invalid {convert.__name__} value: {text!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            choices = ", ".join(map(str, kind))
+            _fail(command, f"argument {option}: invalid choice: {text!r} (choose from {choices})")
+        values[attr] = value
+    missing = [option for option, (attr, *_) in options.items() if values[attr] is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(func=handler, **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConvergenceError as exc:

@@ -9,11 +9,9 @@ the host, which nearly cancels it.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
-from pathlib import Path
 
 from ._record import record
 from .errors import ValidationError
@@ -284,8 +282,11 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 def load_config(path) -> SystemConfig:
     """Read a JSON scenario file; an unreadable file, bad JSON or bad values raise ValidationError."""
+    import json
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read config ({exc})") from exc
     try:

@@ -259,15 +259,88 @@ def test_grid_flag_beats_env(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "argv", [["units"], ["phase", "--n", "2", "--time", "1"], ["gate", "--amps", "1,1,1"]]
-)
-def test_closed_forms_take_no_grid_flag(capsys, argv):
+# argv and what the error line must name
+USAGE_ERRORS = [
+    pytest.param([], ["command"], id="no-command"),
+    pytest.param(["plot"], ["'plot'"], id="unknown-command"),
     # these commands build no grid, so they do not offer --grid-points
+    pytest.param(["units", "--grid-points", "512"], ["--grid-points"], id="units-grid-flag"),
+    pytest.param(
+        ["phase", "--n", "2", "--time", "1", "--grid-points", "512"], ["--grid-points"], id="phase-grid-flag"
+    ),
+    pytest.param(["gate", "--amps", "1,1,1", "--grid-points", "512"], ["--grid-points"], id="gate-grid-flag"),
+    pytest.param(["units", "extra"], ["extra"], id="extra-argument"),
+    # option names are exact: no unique-prefix abbreviations
+    pytest.param(["lifetime", "--grid", "512"], ["--grid"], id="abbreviation"),
+    pytest.param(["phase", "--time", "1", "--n"], ["--n"], id="missing-value"),
+    pytest.param(["phase", "--n", "two", "--time", "1"], ["--n", "'two'"], id="bad-int"),
+    pytest.param(["phase", "--n", "2", "--time", "soon"], ["--time", "'soon'"], id="bad-float"),
+    pytest.param(["figures", "--fig", "5"], ["--fig", "'5'"], id="bad-choice"),
+    pytest.param(["phase", "--n", "2"], ["--time"], id="missing-required"),
+    pytest.param(["oracle", "--stored=yes"], ["--stored", "'yes'"], id="flag-with-value"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
+def test_usage_error_exit_code(capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--grid-points", "512"])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert "--grid-points" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.out == ""
+    usage, error = out.err.splitlines()
+    assert usage.startswith("usage: becnlo ")
+    prog = f"becnlo {argv[0]}" if argv and argv[0] in cli.COMMANDS else "becnlo"
+    assert error.startswith(f"{prog}: error: ")
+    for word in named:
+        assert word in error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phase", "--n", "2", "--t", "1505.4"],
+        ["gate", "--amps", "0.6,0,0.8j"],
+        ["lifetime", "--grid-points", "512", "--config", str(REPO_ROOT / "paper_sodium.json")],
+    ],
+)
+def test_equals_form_matches_spaced_form(capsys, argv):
+    joined = [f"{option}={value}" for option, value in zip(argv[1::2], argv[2::2])]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err
+    assert run(capsys, argv[0], *joined) == (code, out, err)
+
+
+# what each help page lists: the subcommands, or a subcommand's options
+HELP_NAMES = {
+    None: ["units", "phase", "gate", "lifetime", "validity", "figures", "oracle"],
+    "units": ["--config"],
+    "phase": ["--config", "--n", "--time", "--t"],
+    "gate": ["--config", "--amps"],
+    "lifetime": ["--config", "--grid-points"],
+    "validity": ["--config", "--grid-points"],
+    "figures": ["--config", "--grid-points", "--fig", "--rows", "--out"],
+    "oracle": ["--config", "--grid-points", "--stored", "--idealized", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_NAMES)
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_commands_and_options(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag] if command is None else [command, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("usage: becnlo ")
+    listed = {word.rstrip(",") for line in out.out.splitlines() if line.startswith("  ") for word in line.split()}
+    assert set(HELP_NAMES[command]) <= listed
+    if command is None:
+        helps = [summary for _, summary, _ in cli.COMMANDS.values()]
+    else:
+        helps = [text for *_, text in cli.COMMANDS[command][2].values()]
+    for text in helps:
+        assert text in out.out
 
 
 def write_config(tmp_path, name, **changes):
@@ -375,12 +448,12 @@ sys.exit(code)
 """
 
 
-def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE):
+def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE, flags=()):
     env = {k: v for k, v in os.environ.items() if k != "BECNLO_GRID_POINTS"}
     src = str(Path(becnlo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [sys.executable, *flags, "-c", probe, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -404,6 +477,7 @@ CLOSED_FORM_COMMANDS = [
     ["figures", "--fig", "2"],
     ["figures", "--fig", "3"],
     ["figures", "--fig", "4"],
+    ["units", "--config", str(REPO_ROOT / "paper_sodium.json")],
 ]
 
 
@@ -439,10 +513,25 @@ def test_gate_does_not_load_host_profile(closed_form_modules):
     assert "becnlo.host_tf" not in modules
 
 
+# argparse, with the gettext and locale it loads, and building its parsers
+# cost more than a closed form computes
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)
 def test_closed_form_commands_load_no_numpy(closed_form_modules, argv):
+    modules = closed_form_modules[" ".join(argv)]
     # nor dataclasses, which loads inspect and ast and compiles each record's methods
-    assert not {"numpy", "dataclasses", "inspect"} & closed_form_modules[" ".join(argv)]
+    assert not ({"numpy", "dataclasses", "inspect"} | ARGPARSE_MODULES) & modules
+    # json only where JSON is read or written
+    assert ("json" in modules) == (argv[0] == "validity" or "--config" in argv)
+
+
+@pytest.mark.parametrize("argv", [["units"], ["gate"], ["lifetime"], ["figures", "--fig", "2"]])
+def test_closed_form_commands_without_site_load_no_stdlib_extras(tmp_path, argv):
+    # under -S no site hook preloads re, enum or pathlib, so what becnlo needs shows
+    modules = modules_loaded(tmp_path, *argv, flags=["-S"])
+    assert not {"argparse", "json", "pathlib", "re", "enum"} & modules
 
 
 # imports one module of the package and reports sys.modules on stderr
@@ -471,7 +560,7 @@ def test_import_becnlo_loads_no_numpy(tmp_path):
 def test_oracle_imports_no_scipy(tmp_path, flags):
     modules = modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
     assert scipy_modules(modules) == set()
-    assert not {"becnlo.validity", "becnlo.lifetime", "dataclasses"} & modules
+    assert not ({"becnlo.validity", "becnlo.lifetime", "dataclasses"} | ARGPARSE_MODULES) & modules
     assert {"numpy", "becnlo.gpe"} <= modules  # the solver is the one layer on numpy
 
 
