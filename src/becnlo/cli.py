@@ -193,12 +193,8 @@ def cmd_oracle(args) -> int:
 # option -> (attribute, type (None for a flag, a tuple for a choice of ints), default or REQUIRED, help)
 REQUIRED = object()
 CONFIG_OPTION = {"--config": ("config", str, None, "JSON scenario file (default: bundled sodium)")}
-GRID_OPTIONS = {
-    **CONFIG_OPTION,
-    "--grid-points": (
-        "grid_points", int, None, f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})"
-    ),
-}
+GRID_HELP = f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})"
+GRID_OPTIONS = {**CONFIG_OPTION, "--grid-points": ("grid_points", int, None, GRID_HELP)}
 ALIASES = {"--t": "--time"}
 HELP = ("-h", "--help")
 
