@@ -12,7 +12,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-# Each cmd_* imports the layers it runs; only `oracle` loads numpy, through the solver gpe.
+# Each cmd_* imports the layers it runs; only `oracle` loads the solver gpe, and no command loads numpy.
 from .errors import BecnloError, ConvergenceError, ValidationError
 from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
 from .params import (

@@ -1,27 +1,28 @@
 """Spherically symmetric ground-state solver for the Gross-Pitaevskii equation.
 
 This module is deliberately independent of the closed-form results elsewhere
-in the package so it can serve as a numerical cross-check.  The substitution
-u(r) = r*psi(r) maps the radial problem onto a 1-d Schrodinger-like equation
-on [0, r_max] with Dirichlet ends,
+in the package so it can serve as a numerical cross-check, and it needs only
+the standard library.  The substitution u(r) = r*psi(r) maps the radial problem
+onto mu u = -(hbar^2/2m) u'' + V(r) u + g (u/r)^2 u on [0, r_max] with
+Dirichlet ends, discretized once: H[u] is the tridiagonal matrix of the
+three-point stencil plus V + g*(u/r)^2 on the diagonal, every sum is the inner
+product <a, b> = 4*pi*dr*sum(a_i*b_i), E_kin = <u, T u> (T = hbar^2/2m dr^2),
+E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, and mu = (E_kin + E_pot +
+2*E_int)/N is the Rayleigh quotient <u, H[u] u>/<u, u>.
 
-    mu u = -(hbar^2/2m) u'' + V(r) u + g (u/r)^2 u,
-
-discretized once: H[u] is the tridiagonal matrix of the three-point stencil
-plus V + g*(u/r)^2 on the diagonal, and every sum is the inner product
-<a, b> = 4*pi*dr*sum(a_i*b_i).  Each step of the backward-Euler normalized
-gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) solves
-(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n by cyclic reduction and
-renormalizes to <u, u> = N; the shift by min V leaves the ground state
-unchanged and makes the matrix strictly diagonally dominant.  dt starts at
-`default_time_step` and doubles each step up to DT_GROWTH_CAP times that
-start.  The energies come from the same matrix,
-E_kin = <u, T u> = 4*pi*dr*(hbar^2/2m dr^2)*sum (u_{i+1} - u_i)^2,
-E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, so mu = (E_kin + E_pot +
-2*E_int)/N is the Rayleigh quotient <u, H[u] u>/<u, u>.  The loop stops when
-the stationary residual ||H[u] u - mu u||/||mu u|| falls below `tol`, or below
-its round-off floor eps*(4*T + max|V| + g*max n)/|mu| (T = hbar^2/2m dr^2) if
-that is larger; the energy must never increase.  A state whose density in
+Each iteration tries Newton's step on H[u] u = mu u, <u, u> = N first: it solves
+K du - u dmu = -(H[u] u - mu u), <u, du> = 0, with K = H[u] - mu + 2g*diag((u/r)^2),
+and keeps the renormalized u + du if every pivot of K is positive and the
+residual falls.  Otherwise it takes a step of the backward-Euler normalized
+gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)),
+(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n, renormalized: the shift by min V
+keeps the ground state and makes the matrix strictly diagonally dominant, dt
+starts at `default_time_step` and doubles each flow step up to DT_GROWTH_CAP
+times that, and the energy must not rise.  With g = 0, K is never positive
+definite, so linear problems run on the flow alone.  Both steps factor their
+matrix by the Thomas algorithm.  The loop stops when the stationary residual
+||H[u] u - mu u||/||mu u|| falls below `tol`, or below its round-off floor
+eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A state whose density in
 the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
 the wall at r_max is squeezing the cloud.
 """
@@ -29,9 +30,12 @@ the wall at r_max is squeezing the cloud.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
+from operator import mul, sub, truediv
 
 from ._record import record
 from .errors import ConvergenceError, GridError, ValidationError
@@ -43,8 +47,8 @@ from .stored_mode import StoredMode
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
 DT_TRAP_PERIODS = 1e-4  # default first imaginary-time step, in curvature periods
-DT_GROWTH_CAP = 1e3  # the step doubles each iteration up to this multiple of the first
-EPS = float(np.finfo(float).eps)
+DT_GROWTH_CAP = 1e3  # the step doubles each flow step up to this multiple of the first
+EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 
@@ -76,16 +80,20 @@ class GpeProblem:
 
 @record
 class GpeSolution:
-    """Converged ground state and its energy budget."""
+    """Converged ground state, its energy budget, and how the solve stopped."""
 
     grid: RadialGrid
-    psi: np.ndarray  # m^-3/2 on the grid, normalized to the atom number; read-only
+    psi: tuple  # m^-3/2 on the grid, normalized to the atom number
     mu: float  # J
     e_kinetic: float  # J (total, not per atom)
     e_potential: float  # J
     e_interaction: float  # J
-    iterations: int
+    iterations: int  # newton_steps + flow_steps
     residual: float  # ||H[u] u - mu u|| / ||mu u|| at the returned state
+    stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
+    floor: float  # the round-off floor of the residual at the returned state
+    newton_steps: int
+    flow_steps: int
 
     @property
     def energy(self) -> float:
@@ -93,7 +101,7 @@ class GpeSolution:
 
     @cached_property
     def wavefunction(self) -> RadialField:
-        return RadialField(self.grid, self.psi.tolist(), WAVEFUNCTION)
+        return RadialField(self.grid, self.psi, WAVEFUNCTION)
 
 
 def virial_residual(solution: GpeSolution) -> float:
@@ -103,7 +111,7 @@ def virial_residual(solution: GpeSolution) -> float:
 
 
 def harmonic_potential_field(config: SystemConfig, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, config.trap_potential(np.asarray(grid.r, dtype=float)).tolist(), ENERGY)
+    return RadialField(grid, tuple(map(config.trap_potential, grid.r)), ENERGY)
 
 
 def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) -> GpeProblem:
@@ -130,13 +138,13 @@ def stored_problem(
     `idealized` keeps only the cancellation, i.e. the effective harmonic trap
     V(r)*(1 - U12/U11) with no cloud edge (plus an irrelevant constant).
     """
-    v = config.trap_potential(np.asarray(grid.r, dtype=float))
+    v = map(config.trap_potential, grid.r)
     if idealized:
-        v = scales.eff_trap_factor * v
+        v = [scales.eff_trap_factor * x for x in v]
     else:
-        v = v + scales.u12 * np.asarray(tf_density_at(config, scales, mu, grid.r), dtype=float)
+        v = [x + scales.u12 * n for x, n in zip(v, tf_density_at(config, scales, mu, grid.r))]
     return GpeProblem(
-        potential=RadialField(grid, v.tolist(), ENERGY),
+        potential=RadialField(grid, v, ENERGY),
         g=scales.u22,
         atom_count=float(max(config.n_stored_max, 1)),
         mass=config.species.mass,
@@ -166,11 +174,7 @@ def default_time_step(problem: GpeProblem) -> float:
 
 def _inner(dr, a, b) -> float:
     """<a, b> = 4*pi*dr*sum(a_i*b_i), the solver's one quadrature."""
-    return 4.0 * math.pi * dr * float(np.dot(a, b))
-
-
-def _normalize(u, dr, atom_count):
-    u *= math.sqrt(atom_count / _inner(dr, u, u))
+    return 4.0 * math.pi * dr * sum(map(mul, a, b))
 
 
 def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
@@ -179,81 +183,60 @@ def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
     N(mu) is linear between the sorted v_i: solve the piece that holds N.  The
     last of equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
     """
-    order = np.argsort(v)
-    v = v[order]
-    dv = v - v[0]  # measured from min V, so the sums keep the digits of mu - min V
-    r2 = r[order] ** 2
-    weight = np.cumsum(r2)
-    moment = np.cumsum(r2 * dv)
+    ordered = sorted(zip(v, r))
+    v0 = ordered[0][0]
+    dv = [x - v0 for x, _ in ordered]  # measured from min V, so the sums keep the digits of mu - min V
+    r2 = [x * x for _, x in ordered]
+    weight = list(accumulate(r2))
+    moment = list(accumulate(map(mul, r2, dv)))
     target = problem.atom_count * problem.g / (4.0 * math.pi * problem.grid.spacing)
-    k = int(np.searchsorted(dv * weight - moment, target, side="right")) - 1
-    return float(v[0] + (target + moment[k]) / weight[k])
+    k = bisect_right([d * w - m for d, w, m in zip(dv, weight, moment)], target) - 1
+    return v0 + (target + moment[k]) / weight[k]
 
 
-def _initial_guess(problem: GpeProblem, r, v) -> np.ndarray:
-    """Starting psi: strong-interaction profile smoothed at the edge, or a Gaussian for g=0."""
+def _initial_guesses(problem: GpeProblem, r, v) -> list:
+    """Starting psi: a Gaussian of the curvature width and, for g > 0, the TF profile smoothed at the edge."""
+    omega = _curvature_frequency(problem)
+    width = problem.grid.r_max / 6.0 if omega is None else math.sqrt(problem.hbar / (problem.mass * omega))
+    guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
-        f = mu_guess - v
-        eps = 0.05 * (mu_guess - float(v.min()))
-        psi = np.sqrt((f + np.sqrt(f * f + eps * eps)) / (2.0 * problem.g))
-    else:
-        omega = _curvature_frequency(problem)
-        if omega is not None:
-            width = math.sqrt(problem.hbar / (problem.mass * omega))
-        else:
-            width = problem.grid.r_max / 6.0
-        psi = np.exp(-0.5 * (r / width) ** 2)
-    return psi
+        eps2 = (0.05 * (mu_guess - min(v))) ** 2
+        two_g = 2.0 * problem.g
+        guesses.append([math.sqrt((f + math.sqrt(f * f + eps2)) / two_g) for f in (mu_guess - x for x in v)])
+    return guesses
 
 
-def _cyclic_reduction_solver(n: int):
-    """solve(off, diag, rhs) for the symmetric tridiagonal system of n unknowns.
+def _thomas(off: float, diag, *rhs):
+    """x with A x = b for each b in rhs, A symmetric tridiagonal with constant off-diagonal `off`.
 
-    Cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 627
-    (1970)) without pivoting, so the matrix must be diagonally dominant.  The
-    system is padded to 2^k - 1 unknowns with identity rows between ghost ends
-    x[0] = x[2^k] = 0.  Level s eliminates rows i - s and i + s from the rows
-    i that are multiples of 2s; back-substitution runs the levels in reverse.
-    `off` is a scalar or the n - 1 off-diagonal entries.  The buffers and
-    their per-level views are made here, once; the returned solution is a
-    view that the next call overwrites.
+    One LDL^T factorization without pivoting (the Thomas algorithm) serves every
+    b.  None at a pivot that is not positive: A is not positive definite, or not finite.
     """
-    m = 1 << n.bit_length()  # 2^k > n
-    lower = np.zeros(m + 1)  # at level s, row i couples to row i - s
-    upper = np.zeros(m + 1)  # and to row i + s
-    diag = np.ones(m + 1)
-    x = np.zeros(m + 1)  # right-hand side, reduced in place into the solution
-    forward = []
-    s = 1
-    while 2 * s < m:
-        i, lo, hi = slice(2 * s, m, 2 * s), slice(s, m - 2 * s, 2 * s), slice(3 * s, m, 2 * s)
-        forward.append(tuple(buf[rows] for rows in (i, lo, hi) for buf in (lower, upper, diag, x)))
-        s *= 2
-    backward = []
-    while s >= 1:
-        j, lo, hi = slice(s, m, 2 * s), slice(0, m - s, 2 * s), slice(2 * s, m + 1, 2 * s)
-        backward.append((lower[j], upper[j], diag[j], x[j], x[lo], x[hi]))
-        s //= 2
+    pivots, ratios, ratio = [], [], 0.0  # ratios: off/pivot, the entries of L below the diagonal
+    for a in diag:
+        pivot = a - off * ratio
+        if not pivot > 0.0:
+            return None
+        ratio = off / pivot
+        pivots.append(pivot)
+        ratios.append(ratio)
+    solutions = []
+    for b in rhs:
+        y, ys = 0.0, []
+        for q, bi in zip((0.0, *ratios), b):  # L y = b
+            y = bi - q * y
+            ys.append(y)
+        x, xs = 0.0, []
+        for yi, p, q in zip(reversed(ys), reversed(pivots), reversed(ratios)):  # D L^T x = y
+            x = yi / p - q * x
+            xs.append(x)
+        solutions.append(xs[::-1])
+    return solutions
 
-    def solve(off, d, rhs):
-        lower[2 : n + 1] = off
-        upper[1:n] = off
-        diag[1 : n + 1] = d
-        x[1 : n + 1] = rhs
-        for li, ui, di, xi, llo, ulo, dlo, xlo, lhi, uhi, dhi, xhi in forward:
-            a = -li / dlo  # eliminates x[i - s] from row i
-            c = -ui / dhi  # and x[i + s]
-            di += a * ulo + c * lhi
-            xi += a * xlo + c * xhi
-            np.multiply(a, llo, out=li)  # row i now couples to i - 2s
-            np.multiply(c, uhi, out=ui)  # and to i + 2s
-        for lj, uj, dj, xj, xlo, xhi in backward:
-            xj -= lj * xlo + uj * xhi
-            xj /= dj
-        return x[1 : n + 1]
 
-    return solve
+# a normalized u (ends included), g*(u/r)^2 and H[u] u - mu u inside, mu, the energies and the residual
+_State = namedtuple("_State", "u nonlinear stationary mu e_kinetic e_potential e_interaction energy residual")
 
 
 def solve_ground_state(
@@ -262,112 +245,128 @@ def solve_ground_state(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dt: float | None = None,
-    initial_guess: np.ndarray | None = None,
+    initial_guess=None,
 ) -> GpeSolution:
-    """Normalized gradient flow until ||H[u] u - mu u||/||mu u|| < max(tol, floor).
+    """Newton or flow steps until ||H[u] u - mu u||/||mu u|| < max(tol, floor).
 
-    `dt` is the first step (default `default_time_step`).  Raises
-    ConvergenceError if the iteration budget runs out or the energy rises by
-    more than round-off, either of which means the step size or the grid is
-    unsuitable, and GridError if the converged cloud reaches the wall.
+    `dt` is the first flow step (default `default_time_step`), `initial_guess`
+    psi on the grid (default: the guess of lower energy).  Raises ConvergenceError
+    if the iteration budget runs out or a flow step breaks down or raises the
+    energy by more than round-off, and GridError if the cloud reaches the wall.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     grid = problem.grid
-    r = np.asarray(grid.r, dtype=float)  # the grid and the potential as arrays, once per solve
-    dr = grid.spacing
-    v = np.asarray(problem.potential.values, dtype=float)
-    hbar = problem.hbar
-    atom_count = problem.atom_count
-    if dt is None:
-        dt = default_time_step(problem)
+    r, dr, v = grid.r, grid.spacing, problem.potential.values
+    g, hbar, atom_count = problem.g, problem.hbar, problem.atom_count
+    dt = default_time_step(problem) if dt is None else dt
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     dt_max = DT_GROWTH_CAP * dt
 
-    if initial_guess is None:
-        initial_guess = _initial_guess(problem, r, v)
-    psi0 = np.asarray(initial_guess, dtype=float)
-    if psi0.shape != r.shape:
-        raise ValidationError(f"initial guess shape {psi0.shape} does not match grid ({r.size},)")
-    u = r * psi0
-    u[0] = 0.0
-    u[-1] = 0.0
-    _normalize(u, dr, atom_count)
-
     kin = hbar**2 / (2.0 * problem.mass * dr**2)
-    u_in = u[1:-1]  # view: the ends stay zero
-    r_in = r[1:-1]
-    v_in = v[1:-1]
-    # the stepped matrix sees V - min V: same ground state, diagonally dominant,
+    two_kin = 2.0 * kin
+    r_in, v_in = r[1:-1], v[1:-1]  # the ends of u stay zero
+    # the flow's matrix sees V - min V: same ground state, diagonally dominant,
     # and a large constant offset no longer caps the contraction per step
-    v_step = v_in - float(v.min())
-    linear_scale = 4.0 * kin + float(np.abs(v).max())  # bounds |H u| without the mean field
-    u_norm = math.sqrt(atom_count / (4.0 * math.pi * dr))  # ||u||, fixed by _normalize
+    v_min = min(v)
+    v_step = [x - v_min for x in v_in]
+    linear_scale = 4.0 * kin + max(map(abs, v))  # bounds |H u| without the mean field
+    u_norm = math.sqrt(atom_count / (4.0 * math.pi * dr))  # ||u|| of a normalized u
 
-    nonlinear = problem.g * (u_in / r_in) ** 2
-    residual = math.inf
-    e_prev = math.inf
-    iterations = 0
-    solve = _cyclic_reduction_solver(u_in.size)
-    for iterations in range(1, max_iters + 1):
-        lam = dt / hbar
-        # symmetric and strictly diagonally dominant (V - min V >= 0, g n >= 0),
-        # so cyclic reduction needs no pivoting
-        u_in[:] = solve(-lam * kin, 1.0 + lam * (2.0 * kin + v_step + nonlinear), u_in)
-        _normalize(u, dr, atom_count)
-        dt = min(2.0 * dt, dt_max)
-
-        nonlinear = problem.g * (u_in / r_in) ** 2
-        du = u[1:] - u[:-1]
-        uu = u_in * u_in
+    def state(u):
+        """The _State of u renormalized to <u, u> = N; None if u has no finite, nonzero norm."""
+        norm2 = _inner(dr, u, u)
+        if not 0.0 < norm2 < math.inf:
+            return None
+        scale = math.sqrt(atom_count / norm2)
+        u = [scale * x for x in u]
+        u_in = u[1:-1]
+        nonlinear = [g * (t * t) for t in map(truediv, u_in, r_in)]
+        du = list(map(sub, u[1:], u[:-1]))
+        uu = [x * x for x in u_in]
         e_kin = kin * _inner(dr, du, du)
         e_pot = _inner(dr, v_in, uu)
         e_int = 0.5 * _inner(dr, nonlinear, uu)
-        e_tot = e_kin + e_pot + e_int
-        if e_tot > e_prev + abs(e_prev) * ENERGY_SLACK:
-            raise ConvergenceError(
-                f"energy rose from {e_prev:.12e} to {e_tot:.12e} J at step {iterations}; "
-                "reduce dt",
-                residual=residual,
-                iterations=iterations,
-            )
-        e_prev = e_tot
         mu = (e_kin + e_pot + 2.0 * e_int) / atom_count
-        stationary = kin * (du[:-1] - du[1:]) + (v_in + nonlinear - mu) * u_in  # H[u] u - mu u
-        residual = math.sqrt(float(np.dot(stationary, stationary))) / (abs(mu) * u_norm)
-        floor = EPS * (linear_scale + float(nonlinear.max())) / abs(mu)
-        if residual < max(tol, floor):
+        stationary = [
+            kin * (a - b) + (vi + n - mu) * x for a, b, vi, n, x in zip(du, du[1:], v_in, nonlinear, u_in)
+        ]
+        residual = math.sqrt(sum(map(mul, stationary, stationary))) / (abs(mu) * u_norm or math.nan)
+        return _State(u, nonlinear, stationary, mu, e_kin, e_pot, e_int, e_kin + e_pot + e_int, residual)
+
+    def newton(s):
+        u_in = s.u[1:-1]
+        k_diag = [two_kin + vi + 3.0 * n - s.mu for vi, n in zip(v_in, s.nonlinear)]
+        solved = _thomas(-kin, k_diag, s.stationary, u_in)  # K^-1 (H u - mu u) and K^-1 u
+        if solved is None:
+            return None
+        a, b = solved
+        dmu = sum(map(mul, u_in, a)) / (sum(map(mul, u_in, b)) or math.nan)  # <u, du> = 0 for du = dmu*b - a
+        return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
+
+    def flow(s, dt):
+        lam = dt / hbar
+        flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_step, s.nonlinear)]
+        solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
+        return None if solved is None else state([0.0, *solved[0], 0.0])
+
+    guesses = _initial_guesses(problem, r, v) if initial_guess is None else [list(map(float, initial_guess))]
+    if len(guesses[-1]) != grid.n_points:
+        raise ValidationError(f"initial guess shape {len(guesses[-1])} does not match grid {grid.n_points}")
+    starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
+    if not starts:
+        raise ValidationError("the initial guess has no finite, nonzero norm on the grid")
+    current = min(starts, key=lambda s: s.energy)
+
+    newton_steps = flow_steps = 0
+    for iterations in range(1, max_iters + 1):
+        candidate = newton(current)
+        if candidate is not None and candidate.residual < current.residual:
+            current = candidate
+            newton_steps += 1
+        else:
+            stepped, e_prev = flow(current, dt), current.energy
+            if stepped is None or not stepped.energy <= e_prev + abs(e_prev) * ENERGY_SLACK:  # nan too
+                fault = "a pivot not positive or no finite, nonzero norm" if stepped is None else (
+                    f"energy rose from {e_prev:.12e} to {stepped.energy:.12e} J"
+                )
+                message = f"{fault} at step {iterations}; reduce dt"
+                raise ConvergenceError(message, residual=current.residual, iterations=iterations)
+            current = stepped
+            flow_steps += 1
+            dt = min(2.0 * dt, dt_max)
+        floor = EPS * (linear_scale + max(current.nonlinear)) / abs(current.mu)
+        if current.residual < max(tol, floor):
             break
     else:
         raise ConvergenceError(
             f"no convergence after {iterations} steps (last residual "
-            f"{residual:.3e}, tol {tol:.3e})",
-            residual=residual,
+            f"{current.residual:.3e}, tol {tol:.3e})",
+            residual=current.residual,
             iterations=iterations,
         )
 
-    psi = np.empty_like(u)
-    psi[1:] = u[1:] / r[1:]
-    psi[0] = (4.0 * psi[1] - psi[2]) / 3.0
-    density = psi**2
-    edge = float(density[r >= 0.9 * grid.r_max].max()) / float(density.max())
+    psi = list(map(truediv, current.u[1:], r[1:]))
+    psi = ((4.0 * psi[0] - psi[1]) / 3.0, *psi)
+    edge = (max(map(abs, psi[bisect_left(r, 0.9 * grid.r_max) :])) / max(map(abs, psi))) ** 2
     if edge > CLIP_DENSITY:
         raise GridError(
             f"the ground state reaches the box wall: density in the outer tenth of "
             f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
             "enlarge the box"
         )
-    psi.setflags(write=False)
     return GpeSolution(
         grid=grid,
         psi=psi,
-        mu=mu,
-        e_kinetic=e_kin,
-        e_potential=e_pot,
-        e_interaction=e_int,
+        mu=current.mu,
+        e_kinetic=current.e_kinetic,
+        e_potential=current.e_potential,
+        e_interaction=current.e_interaction,
         iterations=iterations,
-        residual=residual,
+        residual=current.residual,
+        stop="tol" if current.residual < tol else "floor", floor=floor,
+        newton_steps=newton_steps, flow_steps=flow_steps,
     )
 
 
@@ -415,11 +414,11 @@ def compare_tf_vs_gpe(
         host_problem(config, scales, host.grid), tol=tol, max_iters=max_iters, dt=dt
     )
     r = host.grid.r
-    n_tf = np.asarray(tf_density_at(config, scales, host.mu, r), dtype=float)
+    n_tf = tf_density_at(config, scales, host.mu, r)
     central_tf = host.mu / scales.u11
-    central_gpe = float(solution.psi[0] ** 2)
-    diff2 = radial_integral(r, ((solution.psi**2 - n_tf) ** 2).tolist())
-    ref2 = radial_integral(r, (n_tf**2).tolist())
+    central_gpe = solution.psi[0] ** 2
+    diff2 = radial_integral(r, [(p * p - n) ** 2 for p, n in zip(solution.psi, n_tf)])
+    ref2 = radial_integral(r, [n * n for n in n_tf])
     return TfGpeComparison(
         mu_tf=host.mu,
         mu_gpe=solution.mu,
@@ -459,9 +458,9 @@ def solve_stored_in_host(
     solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
     mode = StoredMode.from_scales(scales)
     r = host.grid.r
-    ov = radial_integral(r, (np.asarray(mode.profile(r), dtype=float) * solution.psi).tolist())
+    ov = radial_integral(r, list(map(mul, mode.profile(r), solution.psi)))
     return StoredComparison(
-        overlap=float(ov**2 / problem.atom_count),
+        overlap=ov**2 / problem.atom_count,
         mode_length=scales.s,
         solution=solution,
     )

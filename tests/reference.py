@@ -1,19 +1,21 @@
-"""Independent numerical references for closed forms of the package.
+"""Independent numerical references for results of the package.
 
-Each routine reaches a closed-form result by another route (root finding or
-adaptive quadrature with scipy), so a test can compare the two.  They serve
-the tests only: no command of the package needs them, and the package itself
-does not import scipy.
+Each routine reaches a result by another route (root finding, adaptive
+quadrature or a dense eigensolver from scipy), so a test can compare the two.
+They serve the tests only: no command of the package needs them, and the
+package itself imports neither scipy nor numpy.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from becnlo import (
     DerivedScales,
+    GpeProblem,
     StoredMode,
     SystemConfig,
     TfSolution,
@@ -86,3 +88,20 @@ def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> 
 
     quartic, _ = quad(integrand, 0.0, 20.0)
     return pairs * scales.u22_tilde * quartic
+
+
+def lowest_eigenpair(problem: GpeProblem, psi):
+    """Lowest eigenvalue of H[u] with the density psi^2 frozen, and its eigenvector's overlap with u.
+
+    H[u] is rebuilt here from its definition, the three-point stencil plus
+    V + g*psi^2 on the interior points, and diagonalized by LAPACK, so nothing
+    of the solver's iteration is reused.  The overlap is |<v, u>|/(|v| |u|);
+    at the ground state the eigenvalue is mu and the overlap is 1.
+    """
+    grid = problem.grid
+    kin = problem.hbar**2 / (2.0 * problem.mass * grid.spacing**2)
+    psi = np.asarray(psi, dtype=float)[1:-1]
+    diag = 2.0 * kin + np.asarray(problem.potential.values)[1:-1] + problem.g * psi**2
+    values, vectors = eigh_tridiagonal(diag, np.full(diag.size - 1, -kin), select="i", select_range=(0, 0))
+    u = np.asarray(grid.r)[1:-1] * psi
+    return float(values[0]), abs(float(vectors[:, 0] @ u)) / float(np.linalg.norm(u))

@@ -560,8 +560,14 @@ def test_import_becnlo_loads_no_numpy(tmp_path):
 def test_oracle_imports_no_scipy(tmp_path, flags):
     modules = modules_loaded(tmp_path, "oracle", *flags, "--grid-points", "512")
     assert scipy_modules(modules) == set()
-    assert not ({"becnlo.validity", "becnlo.lifetime", "dataclasses"} | ARGPARSE_MODULES) & modules
-    assert {"numpy", "becnlo.gpe"} <= modules  # the solver is the one layer on numpy
+    assert not ({"becnlo.validity", "becnlo.lifetime", "dataclasses", "numpy"} | ARGPARSE_MODULES) & modules
+    assert "becnlo.gpe" in modules  # the solver runs on the standard library
+
+
+def test_import_gpe_loads_no_numpy(tmp_path):
+    modules = modules_loaded(tmp_path, "becnlo.gpe", probe=LAYER_PROBE)
+    assert "becnlo.gpe" in modules
+    assert not {"numpy", "scipy", "dataclasses"} & modules
 
 
 # the package's public names, as `from becnlo import *` exported them before

@@ -1,9 +1,11 @@
-"""Imaginary-time ground-state solver: analytic limits, invariances, comparisons.
+"""Ground-state solver: analytic limits, invariances, comparisons, certificates.
 
-The semi-implicit scheme converges to the discrete stationary state, so the
-answer must not depend on the step size, and halving the grid spacing must
-barely move the chemical potential.  The g = 0 oscillator and the virial
-identity pin down the kinetic/potential bookkeeping independently.
+Newton's step and the backward-Euler flow converge to the same discrete
+stationary state, so the answer must not depend on the flow's step size, and
+halving the grid spacing must barely move the chemical potential.  The g = 0
+oscillator and the virial identity pin down the kinetic/potential bookkeeping
+independently, and a dense eigensolver certifies that the state found is the
+ground state, not an excited one.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from reference import lowest_eigenpair
 from scipy.integrate import simpson
 
 from becnlo import (
@@ -27,6 +30,9 @@ from becnlo import (
     virial_residual,
 )
 from becnlo.gpe import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_TOL,
+    GRID_SPAN_FACTOR,
     GpeProblem,
     default_time_step,
     harmonic_potential_field,
@@ -108,6 +114,14 @@ class TestProblemValidation:
             solve_ground_state(oscillator, max_iters=3, tol=1e-16)
         assert err.value.iterations == 3
         assert err.value.residual is not None
+
+    @pytest.mark.parametrize("dt", [1e200, 1e308])
+    def test_broken_flow_step_is_a_convergence_error(self, oscillator, dt):
+        # with g = 0 every step is a flow step; a step this large leaves double
+        # range (a pivot that is not positive, or a state whose norm underflows)
+        with pytest.raises(ConvergenceError, match="pivot not positive") as err:
+            solve_ground_state(oscillator, dt=dt)
+        assert err.value.iterations == 1
 
 
 class TestHostComparison:
@@ -278,30 +292,47 @@ def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
     assert residual < 1e-9
 
 
-@pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
-def test_iteration_count(config, scales, mu, case):
-    # the doubling step reaches the residual stop in about a hundred
-    # iterations on each problem; the count is deterministic, so a slower
-    # schedule or a lost potential shift fails here
+def sodium_problem(config, scales, mu, case):
+    """The host, stored, idealized or decoupled (a12 = 0, ten atoms) problem on 1,024 points."""
     from becnlo import SpeciesParams, tf_radius
 
     if case == "decoupled":
         sp = config.species
         species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
-        solve_config = SystemConfig(
-            species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
-        )
-        scales = derive_scales(solve_config)
-    else:
-        solve_config = config
+        config = SystemConfig(species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10)
+        scales = derive_scales(config)
     grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
     if case == "host":
-        problem = host_problem(solve_config, scales, grid)
-    else:
-        problem = stored_problem(solve_config, scales, mu, grid, idealized=case == "idealized")
-    sol = solve_ground_state(problem)
-    assert sol.iterations <= 300
+        return host_problem(config, scales, grid)
+    return stored_problem(config, scales, mu, grid, idealized=case == "idealized")
+
+
+@pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
+def test_iteration_count(config, scales, mu, case):
+    # Newton's step reaches the residual stop in two to four iterations on each
+    # problem, against about fifty to a hundred steps of the flow alone; the
+    # count is deterministic, so a lost Newton step or a poor guess fails here
+    sol = solve_ground_state(sodium_problem(config, scales, mu, case))
+    assert sol.iterations <= 10
     assert sol.residual < 1e-9
+
+
+@pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])
+def test_solution_is_the_ground_state(config, scales, mu, case):
+    # freeze the solved density and diagonalize H[u]: mu must be its lowest
+    # eigenvalue, with u as the eigenvector.  "stored-from-tf" starts the ten
+    # stored atoms from the smoothed Thomas-Fermi profile, a start from which an
+    # unguarded Newton iteration converges to an excited state
+    from becnlo.gpe import _initial_guesses
+
+    problem = sodium_problem(config, scales, mu, case.removesuffix("-from-tf"))
+    guess = None
+    if case == "stored-from-tf":
+        guess = _initial_guesses(problem, problem.grid.r, problem.potential.values)[1]
+    sol = solve_ground_state(problem, initial_guess=guess)
+    lowest, overlap = lowest_eigenpair(problem, sol.psi)
+    assert_allclose(lowest, sol.mu, rtol=1e-10)
+    assert overlap > 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized"])
@@ -329,27 +360,76 @@ def test_thomas_fermi_guess_matches_root_find(config, scales, mu, case):
     assert_allclose(_thomas_fermi_mu(problem, np.asarray(grid.r), v) - v.min(), x * e_ref, rtol=1e-12)
 
 
+def k_shaped_diagonal(rng, kin, n):
+    """Diagonal of M = tridiag(-kin, kin*(u[i-1] + u[i+1])/u[i], -kin) for a random positive u.
+
+    M u = 0 with u > 0, so M is positive semi-definite with lowest eigenvalue
+    0, as H[u] - mu is at the ground state, and it is not diagonally dominant
+    wherever u[i-1] + u[i+1] < 2*u[i].
+    """
+    u = np.concatenate([[0.0], rng.uniform(0.5, 1.5, n), [0.0]])
+    return kin * (u[:-2] + u[2:]) / u[1:-1]
+
+
 @pytest.mark.parametrize("n", [14, 15, 16, 510, 1023, 4094])
-def test_cyclic_reduction_matches_banded_solve(n):
-    # random symmetric, strictly diagonally dominant systems, as each step
-    # builds, against LAPACK's banded solve; the off-diagonal is an array or,
-    # as in the solver, a scalar
+@pytest.mark.parametrize("kind", ["flow", "newton"])
+def test_thomas_matches_banded_solve(n, kind):
+    # the two matrices the solver factors, each with two right-hand sides,
+    # against LAPACK's banded solve: a flow matrix, strictly diagonally dominant,
+    # and a positive definite matrix shaped like Newton's K, which is not
     from scipy.linalg import solve_banded
 
-    from becnlo.gpe import _cyclic_reduction_solver
+    from becnlo.gpe import _thomas
 
     rng = np.random.default_rng(n)
-    solve = _cyclic_reduction_solver(n)
-    random_off = rng.uniform(-1.0, 1.0, n - 1)
-    for off in (random_off, random_off, -0.4):  # the second call reuses reduced buffers
-        bands = np.zeros((3, n))
-        bands[0, 1:] = bands[2, :-1] = off
-        bands[1] = np.abs(bands[0]) + np.abs(bands[2]) + rng.uniform(0.1, 1.0, n)
-        rhs = rng.standard_normal(n)
-        expected = solve_banded((1, 1), bands, rhs)
-        # rtol on the solution's scale: single entries may nearly cancel
-        atol = 1e-13 * np.abs(expected).max()
-        assert_allclose(solve(off, bands[1], rhs), expected, rtol=1e-13, atol=atol)
+    kin = rng.uniform(0.5, 2.0)
+    if kind == "flow":
+        diag = 2.0 * kin + rng.uniform(0.1, 1.0, n)
+    else:
+        diag = k_shaped_diagonal(rng, kin, n) + kin * rng.uniform(0.05, 0.5, n)  # M + a positive mean field
+        assert (diag < 2.0 * kin).any()
+    bands = np.zeros((3, n))
+    bands[0, 1:] = bands[2, :-1] = -kin
+    bands[1] = diag
+    rhs = rng.standard_normal((n, 2))
+    expected = solve_banded((1, 1), bands, rhs)
+    solved = _thomas(-kin, diag.tolist(), rhs[:, 0].tolist(), rhs[:, 1].tolist())
+    # atol on the solution's scale: single entries may nearly cancel
+    assert_allclose(np.transpose(solved), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("n", [14, 1023])
+def test_thomas_refuses_a_matrix_that_is_not_positive_definite(n):
+    # K of an excited state has a negative eigenvalue; the factorization must
+    # report it, not return a solution, and so must a non-finite entry
+    from becnlo.gpe import _thomas
+
+    rng = np.random.default_rng(n)
+    singular = k_shaped_diagonal(rng, 1.0, n)  # positive semi-definite, lowest eigenvalue 0
+    rhs = rng.standard_normal(n).tolist()
+    assert _thomas(-1.0, (singular - 1e-3).tolist(), rhs) is None
+    assert _thomas(-1.0, [0.0] + [3.0] * (n - 1), rhs) is None
+    assert _thomas(-1.0, [3.0] * (n - 1) + [math.nan], rhs) is None
+    assert _thomas(-1.0, (singular + 1e-3).tolist(), rhs) is not None
+
+
+def test_stop_reason(config, scales):
+    # the oracle's host solve stops on tol after at least one Newton step, and
+    # records which criterion stopped it; below the round-off floor only the
+    # floor can stop the solve
+    from becnlo import tf_host
+
+    host = tf_host(config, scales, DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR)
+    problem = host_problem(config, scales, host.grid)
+    sol = solve_ground_state(problem)
+    assert sol.stop == "tol"
+    assert sol.residual < DEFAULT_TOL
+    assert sol.newton_steps >= 1
+    assert sol.newton_steps + sol.flow_steps == sol.iterations
+    assert 0.0 < sol.floor < DEFAULT_TOL
+    tight = solve_ground_state(problem, tol=1e-16)
+    assert tight.stop == "floor"
+    assert tight.residual < tight.floor
 
 
 def test_clipped_box_refused(config):
