@@ -292,7 +292,7 @@ def solve_ground_state(
         stationary = [
             kin * (a - b) + (vi + n - mu) * x for a, b, vi, n, x in zip(du, du[1:], v_in, nonlinear, u_in)
         ]
-        residual = math.sqrt(sum(map(mul, stationary, stationary))) / (abs(mu) * u_norm or math.nan)
+        residual = math.sqrt(sum(map(mul, stationary, stationary))) / (abs(mu) * u_norm)
         return _State(u, nonlinear, stationary, mu, e_kin, e_pot, e_int, e_kin + e_pot + e_int, residual)
 
     def newton(s):
@@ -302,7 +302,7 @@ def solve_ground_state(
         if solved is None:
             return None
         a, b = solved
-        dmu = sum(map(mul, u_in, a)) / (sum(map(mul, u_in, b)) or math.nan)  # <u, du> = 0 for du = dmu*b - a
+        dmu = sum(map(mul, u_in, a)) / sum(map(mul, u_in, b))  # <u, du> = 0 for du = dmu*b - a
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
     def flow(s, dt):
@@ -319,7 +319,7 @@ def solve_ground_state(
         raise ValidationError("the initial guess has no finite, nonzero norm on the grid")
     current = min(starts, key=lambda s: s.energy)
 
-    newton_steps = flow_steps = 0
+    iterations = newton_steps = flow_steps = 0
     for iterations in range(1, max_iters + 1):
         candidate = newton(current)
         if candidate is not None and candidate.residual < current.residual:

@@ -114,6 +114,9 @@ class TestProblemValidation:
             solve_ground_state(oscillator, max_iters=3, tol=1e-16)
         assert err.value.iterations == 3
         assert err.value.residual is not None
+        with pytest.raises(ConvergenceError) as err:  # no step at all
+            solve_ground_state(oscillator, max_iters=0)
+        assert err.value.iterations == 0
 
     @pytest.mark.parametrize("dt", [1e200, 1e308])
     def test_broken_flow_step_is_a_convergence_error(self, oscillator, dt):
