@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from reference import lowest_eigenpair
 from scipy.integrate import simpson
 
 from becnlo import (
@@ -40,6 +39,7 @@ from becnlo.gpe import (
     solve_ground_state,
     stored_problem,
 )
+from reference import lowest_eigenpair
 
 
 @pytest.fixture(scope="module")
