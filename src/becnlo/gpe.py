@@ -25,6 +25,15 @@ matrix by the Thomas algorithm.  The loop stops when the stationary residual
 eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A state whose density in
 the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
 the wall at r_max is squeezing the cloud.
+
+Without a caller's initial guess, the start on a grid of n points is a solve of
+the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V
+sliced from the fine values, its psi interpolated linearly onto the fine grid
+(grid sequencing: Newton's step count does not depend on the mesh, Allgower,
+Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)), so the
+fine grid takes one Newton step where it took two to four.  For k < 2, or
+if the coarse solve fails, the start is the lower-energy of two guesses: the
+smoothed Thomas-Fermi profile and the Gaussian of the potential's curvature.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from .errors import ConvergenceError, GridError, ValidationError
 from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
 from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
-from .stored_mode import StoredMode
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200_000
@@ -51,6 +59,7 @@ DT_GROWTH_CAP = 1e3  # the step doubles each flow step up to this multiple of th
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
+COARSE_POINTS = 640  # the coarse grid that starts a solve keeps at least this many points
 
 
 @record
@@ -88,12 +97,13 @@ class GpeSolution:
     e_kinetic: float  # J (total, not per atom)
     e_potential: float  # J
     e_interaction: float  # J
-    iterations: int  # newton_steps + flow_steps
+    iterations: int  # newton_steps + flow_steps, on this grid only (the coarse start's steps not counted)
     residual: float  # ||H[u] u - mu u|| / ||mu u|| at the returned state
     stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
     floor: float  # the round-off floor of the residual at the returned state
     newton_steps: int
     flow_steps: int
+    coarse_points: int  # points of the coarse grid the start was solved on, 0 if it was a guess
 
     @property
     def energy(self) -> float:
@@ -110,8 +120,14 @@ def virial_residual(solution: GpeSolution) -> float:
     return abs(val) / abs(solution.energy)
 
 
+def _trap_values(config: SystemConfig, r) -> list:
+    """config.trap_potential at each radius, bit for bit, with no method call per point."""
+    k = config.trap_potential(1.0)
+    return [k * (x * x) for x in r]
+
+
 def harmonic_potential_field(config: SystemConfig, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, tuple(map(config.trap_potential, grid.r)), ENERGY)
+    return RadialField(grid, _trap_values(config, grid.r), ENERGY)
 
 
 def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) -> GpeProblem:
@@ -138,7 +154,7 @@ def stored_problem(
     `idealized` keeps only the cancellation, i.e. the effective harmonic trap
     V(r)*(1 - U12/U11) with no cloud edge (plus an irrelevant constant).
     """
-    v = map(config.trap_potential, grid.r)
+    v = _trap_values(config, grid.r)
     if idealized:
         v = [scales.eff_trap_factor * x for x in v]
     else:
@@ -250,18 +266,49 @@ def solve_ground_state(
     """Newton or flow steps until ||H[u] u - mu u||/||mu u|| < max(tol, floor).
 
     `dt` is the first flow step (default `default_time_step`), `initial_guess`
-    psi on the grid (default: the guess of lower energy).  Raises ConvergenceError
-    if the iteration budget runs out or a flow step breaks down or raises the
-    energy by more than round-off, and GridError if the cloud reaches the wall.
+    psi on the grid (default: the coarse grid's solution, or the guess of lower
+    energy).  The solution's step counts are this grid's only.  Raises
+    ConvergenceError if the iteration budget runs out or a flow step breaks
+    down or raises the energy by more than round-off, and GridError if the
+    cloud reaches the wall.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
-    grid = problem.grid
-    r, dr, v = grid.r, grid.spacing, problem.potential.values
-    g, hbar, atom_count = problem.g, problem.hbar, problem.atom_count
     dt = default_time_step(problem) if dt is None else dt
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
+    return _solve(problem, tol, max_iters, dt, initial_guess)
+
+
+def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
+    """(points, psi): the problem solved on every k-th point, its psi interpolated onto the grid.
+
+    (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, or if
+    the coarse solve fails: an unresolved guess or the wall may stop it where
+    the fine grid converges.
+    """
+    n = problem.grid.n_points
+    k = (n - 1) // (COARSE_POINTS - 1)
+    if k < 2:
+        return 0, None
+    points = (n - 1) // k + 1
+    last = (points - 1) * k  # the coarse grid covers [0, r[last]]
+    grid = RadialGrid(problem.grid.r[last], points)
+    potential = RadialField(grid, problem.potential.values[: last + 1 : k], ENERGY)
+    coarse = GpeProblem(potential, problem.g, problem.atom_count, problem.mass, problem.hbar)
+    try:
+        psi = _solve(coarse, tol, max_iters, dt, None).psi
+    except (ConvergenceError, GridError, ValidationError):
+        return 0, None
+    weights = [i / k for i in range(k)]
+    fine = [a + w * (b - a) for a, b in zip(psi, psi[1:]) for w in weights]
+    return points, fine + [0.0] * (n - last)  # psi is 0 at the coarse wall and beyond
+
+
+def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_guess) -> GpeSolution:
+    grid = problem.grid
+    r, dr, v = grid.r, grid.spacing, problem.potential.values
+    g, hbar, atom_count = problem.g, problem.hbar, problem.atom_count
     dt_max = DT_GROWTH_CAP * dt
 
     kin = hbar**2 / (2.0 * problem.mass * dr**2)
@@ -311,7 +358,12 @@ def solve_ground_state(
         solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
         return None if solved is None else state([0.0, *solved[0], 0.0])
 
-    guesses = _initial_guesses(problem, r, v) if initial_guess is None else [list(map(float, initial_guess))]
+    coarse_points = 0
+    if initial_guess is not None:
+        guesses = [list(map(float, initial_guess))]
+    else:
+        coarse_points, psi = _coarse_start(problem, tol, max_iters, dt)
+        guesses = [psi] if coarse_points else _initial_guesses(problem, r, v)
     if len(guesses[-1]) != grid.n_points:
         raise ValidationError(f"initial guess shape {len(guesses[-1])} does not match grid {grid.n_points}")
     starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
@@ -366,7 +418,7 @@ def solve_ground_state(
         iterations=iterations,
         residual=current.residual,
         stop="tol" if current.residual < tol else "floor", floor=floor,
-        newton_steps=newton_steps, flow_steps=flow_steps,
+        newton_steps=newton_steps, flow_steps=flow_steps, coarse_points=coarse_points,
     )
 
 
@@ -452,6 +504,8 @@ def solve_stored_in_host(
     dt: float | None = None,
 ) -> StoredComparison:
     """Ground state of the stored component and its overlap with the Gaussian."""
+    from .stored_mode import StoredMode  # loaded here: the host oracle does not need it
+
     scales = derive_scales(config)
     host = tf_host(config, scales, grid_points, r_max_factor)
     problem = stored_problem(config, scales, host.mu, host.grid, idealized=idealized)

@@ -185,6 +185,36 @@ def test_oracle_small_grid(capsys, monkeypatch):
     assert payload["virial_residual"] < 1e-4
 
 
+# the three oracle reports at the default grid, as the solver that started
+# every solve from its guesses printed them
+ORACLE_RECORDED = json.loads((REPO_ROOT / "tests" / "oracle_golden.json").read_text(encoding="utf-8"))
+# README's relative tolerances for a change of the solver's path to the fixed point
+ORACLE_RTOL = {
+    "mu_gpe_J": 1e-9, "central_density_gpe_m3": 1e-9, "mu_J": 1e-9, "overlap": 1e-9,
+    "mu_rel_err": 1e-7, "central_density_rel_err": 1e-7, "l2_density_err": 1e-7,
+    "mu_tf_J": 1e-12, "central_density_tf_m3": 1e-12, "mode_length_m": 1e-12,  # closed forms
+}
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_RECORDED))
+def test_oracle_matches_recorded_reports(capsys, monkeypatch, command):
+    monkeypatch.delenv("BECNLO_GRID_POINTS", raising=False)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    got, want = json.loads(out), ORACLE_RECORDED[command]
+    assert set(got) == set(want)
+    for key, rtol in ORACLE_RTOL.items():
+        if key in want:
+            assert_allclose(got[key], want[key], rtol=rtol, atol=0.0, err_msg=key)
+    if "--idealized" in command:
+        assert_allclose(got["virial_residual"], want["virial_residual"], rtol=1e-3)
+    elif "--stored" not in command:
+        assert got["virial_residual"] < 1e-4
+    if "--stored" in command:
+        assert got["residual"] < 1e-10
+    assert isinstance(got["iterations"], int) and got["iterations"] >= 1
+
+
 def test_oracle_writes_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BECNLO_GRID_POINTS", "512")
     path = tmp_path / "oracle.json"
@@ -562,6 +592,7 @@ def test_oracle_imports_no_scipy(tmp_path, flags):
     assert scipy_modules(modules) == set()
     assert not ({"becnlo.validity", "becnlo.lifetime", "dataclasses", "numpy"} | ARGPARSE_MODULES) & modules
     assert "becnlo.gpe" in modules  # the solver runs on the standard library
+    assert ("becnlo.stored_mode" in modules) == ("--stored" in flags)  # the Gaussian mode only for the overlap
 
 
 def test_import_gpe_loads_no_numpy(tmp_path):

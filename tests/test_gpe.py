@@ -29,10 +29,12 @@ from becnlo import (
     virial_residual,
 )
 from becnlo.gpe import (
+    COARSE_POINTS,
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
     GRID_SPAN_FACTOR,
     GpeProblem,
+    _initial_guesses,
     default_time_step,
     harmonic_potential_field,
     host_problem,
@@ -295,8 +297,8 @@ def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
     assert residual < 1e-9
 
 
-def sodium_problem(config, scales, mu, case):
-    """The host, stored, idealized or decoupled (a12 = 0, ten atoms) problem on 1,024 points."""
+def sodium_problem(config, scales, mu, case, points=1024):
+    """The host, stored, idealized or decoupled (a12 = 0, ten atoms) problem, by default on 1,024 points."""
     from becnlo import SpeciesParams, tf_radius
 
     if case == "decoupled":
@@ -304,7 +306,7 @@ def sodium_problem(config, scales, mu, case):
         species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
         config = SystemConfig(species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10)
         scales = derive_scales(config)
-    grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
+    grid = RadialGrid(1.5 * tf_radius(config, mu), points)
     if case == "host":
         return host_problem(config, scales, grid)
     return stored_problem(config, scales, mu, grid, idealized=case == "idealized")
@@ -312,12 +314,72 @@ def sodium_problem(config, scales, mu, case):
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
 def test_iteration_count(config, scales, mu, case):
-    # Newton's step reaches the residual stop in two to four iterations on each
-    # problem, against about fifty to a hundred steps of the flow alone; the
-    # count is deterministic, so a lost Newton step or a poor guess fails here
+    # 1,024 points are too few for a coarse start: from the guesses Newton's
+    # step reaches the residual stop in two to four iterations on each problem,
+    # against about fifty to a hundred steps of the flow alone; the count is
+    # deterministic, so a lost Newton step or a poor guess fails here
     sol = solve_ground_state(sodium_problem(config, scales, mu, case))
+    assert sol.coarse_points == 0
     assert sol.iterations <= 10
     assert sol.residual < 1e-9
+
+
+@pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
+def test_coarse_start_at_the_oracle_grid(config, scales, mu, case):
+    # at 4,096 points the start is the same problem solved on every k-th point,
+    # so the fine grid takes one or two Newton steps; the answer is still the
+    # fine grid's ground state, and the fixed point the guesses lead to
+    problem = sodium_problem(config, scales, mu, case, DEFAULT_GRID_POINTS)
+    sol = solve_ground_state(problem)
+    assert sol.coarse_points >= COARSE_POINTS
+    assert sol.iterations == sol.newton_steps <= 2
+    assert sol.residual < DEFAULT_TOL
+    lowest, overlap = lowest_eigenpair(problem, sol.psi)
+    assert_allclose(lowest, sol.mu, rtol=1e-10)
+    assert overlap > 1.0 - 1e-10
+    guess = _initial_guesses(problem, problem.grid.r, problem.potential.values)[0]
+    from_guess = solve_ground_state(problem, initial_guess=guess)
+    assert from_guess.coarse_points == 0
+    assert_allclose(sol.mu, from_guess.mu, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "points, coarse_points",
+    [(COARSE_POINTS, 0), (2 * COARSE_POINTS - 2, 0), (2 * COARSE_POINTS - 1, COARSE_POINTS)],
+)
+def test_coarse_level_needs_two_fine_intervals_per_coarse_one(config, scales, mu, points, coarse_points):
+    sol = solve_ground_state(sodium_problem(config, scales, mu, "host", points))
+    assert sol.coarse_points == coarse_points
+    assert sol.residual < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, GridError, ValidationError])
+def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch, error):
+    # an unresolved start or the wall can stop the coarse level where the fine
+    # grid converges; the fine grid then starts from its own guesses
+    import becnlo.gpe as gpe
+
+    problem = sodium_problem(config, scales, mu, "host", DEFAULT_GRID_POINTS)
+    reference = solve_ground_state(problem)
+    solve = gpe._solve
+
+    def failing_coarse(coarse, *args):
+        if coarse.grid.n_points < problem.grid.n_points:
+            raise error("the coarse level failed")
+        return solve(coarse, *args)
+
+    monkeypatch.setattr(gpe, "_solve", failing_coarse)
+    sol = solve_ground_state(problem)
+    assert sol.coarse_points == 0
+    assert sol.residual < DEFAULT_TOL
+    assert sol.iterations > reference.iterations
+    assert_allclose(sol.mu, reference.mu, rtol=1e-9)
+
+
+def test_harmonic_potential_is_the_trap_potential(config, host):
+    # tabulated without a method call per point, bit for bit
+    field = harmonic_potential_field(config, host.grid)
+    assert field.values == tuple(config.trap_potential(x) for x in host.grid.r)
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])
@@ -326,8 +388,6 @@ def test_solution_is_the_ground_state(config, scales, mu, case):
     # eigenvalue, with u as the eigenvector.  "stored-from-tf" starts the ten
     # stored atoms from the smoothed Thomas-Fermi profile, a start from which an
     # unguarded Newton iteration converges to an excited state
-    from becnlo.gpe import _initial_guesses
-
     problem = sodium_problem(config, scales, mu, case.removesuffix("-from-tf"))
     guess = None
     if case == "stored-from-tf":
