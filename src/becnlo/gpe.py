@@ -26,14 +26,15 @@ eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A state whose density in
 the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
 the wall at r_max is squeezing the cloud.
 
-Without a caller's initial guess, the start on a grid of n points is a solve of
-the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V
-sliced from the fine values, its psi interpolated linearly onto the fine grid
-(grid sequencing: Newton's step count does not depend on the mesh, Allgower,
-Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)), so the
-fine grid takes one Newton step where it took two to four.  For k < 2, or
-if the coarse solve fails, the start is the lower-energy of two guesses: the
-smoothed Thomas-Fermi profile and the Gaussian of the potential's curvature.
+Without a caller's initial guess, the start for g > 0 on a grid of n points is
+a solve of the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1),
+with V sliced from the fine values, its psi interpolated linearly onto the fine
+grid (grid sequencing: Newton's step count does not depend on the mesh,
+Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
+so the fine grid takes one Newton step where it took two to four.  For k < 2,
+for g = 0 (the flow gains nothing from it), or if the coarse solve fails, the
+start is the lower-energy of two guesses: the smoothed Thomas-Fermi profile
+and the Gaussian of the potential's curvature.
 """
 
 from __future__ import annotations
@@ -283,13 +284,14 @@ def solve_ground_state(
 def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     """(points, psi): the problem solved on every k-th point, its psi interpolated onto the grid.
 
-    (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, or if
+    (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
+    g = 0, where the flow takes every step and a coarse start saves none, or if
     the coarse solve fails: an unresolved guess or the wall may stop it where
     the fine grid converges.
     """
     n = problem.grid.n_points
     k = (n - 1) // (COARSE_POINTS - 1)
-    if k < 2:
+    if k < 2 or problem.g == 0.0:
         return 0, None
     points = (n - 1) // k + 1
     last = (points - 1) * k  # the coarse grid covers [0, r[last]]
@@ -298,7 +300,7 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     coarse = GpeProblem(potential, problem.g, problem.atom_count, problem.mass, problem.hbar)
     try:
         psi = _solve(coarse, tol, max_iters, dt, None).psi
-    except (ConvergenceError, GridError, ValidationError):
+    except (ConvergenceError, GridError):
         return 0, None
     weights = [i / k for i in range(k)]
     fine = [a + w * (b - a) for a, b in zip(psi, psi[1:]) for w in weights]

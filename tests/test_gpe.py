@@ -353,7 +353,7 @@ def test_coarse_level_needs_two_fine_intervals_per_coarse_one(config, scales, mu
     assert sol.residual < DEFAULT_TOL
 
 
-@pytest.mark.parametrize("error", [ConvergenceError, GridError, ValidationError])
+@pytest.mark.parametrize("error", [ConvergenceError, GridError])
 def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch, error):
     # an unresolved start or the wall can stop the coarse level where the fine
     # grid converges; the fine grid then starts from its own guesses
@@ -374,6 +374,17 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
     assert sol.residual < DEFAULT_TOL
     assert sol.iterations > reference.iterations
     assert_allclose(sol.mu, reference.mu, rtol=1e-9)
+
+
+def test_linear_problem_starts_from_the_guess(config, scales):
+    # with g = 0 only the flow steps, and from a coarse start it takes more
+    # steps, not fewer
+    grid = RadialGrid(8.0 * scales.d, 2 * COARSE_POINTS - 1)
+    problem = GpeProblem(harmonic_potential_field(config, grid), 0.0, 1.0, config.species.mass)
+    sol = solve_ground_state(problem)
+    assert sol.coarse_points == 0
+    assert sol.newton_steps == 0
+    assert sol.residual < DEFAULT_TOL
 
 
 def test_harmonic_potential_is_the_trap_potential(config, host):
