@@ -29,8 +29,8 @@ _EXPORTS = {
     "stored_mode": "FockSuperposition NsGateTimes StoredMode evolve gate_fidelity "
     "ns_gate_target ns_gate_time",
     "validity": "DensityProfile EnergyProfile ValidityReport density_profile density_std "
-    "energy_profile figure_data kinetic_correction kinetic_correction_fd quantum_depletion "
-    "rescaled_kinetic stored_self_energy validity_report",
+    "energy_profile figure_data kinetic_correction quantum_depletion rescaled_kinetic "
+    "stored_self_energy validity_report",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 # Each cmd_* imports the layers it runs; only `oracle` loads the solver gpe, and no command loads numpy.
 from .errors import BecnloError, ConvergenceError, ValidationError
-from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the subcommands' host grid)
+from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the host grid)
 from .params import (
     DEFAULT_GRID_POINTS, SystemConfig, check_conditions, check_storage_time, derive_scales,
     energy_shift, load_config, sodium_reference_config, tf_chemical_potential,
@@ -110,7 +110,7 @@ def cmd_lifetime(args) -> int:
 
     config = _load(args)
     scales = derive_scales(config)
-    host = tf_host(config, scales, _resolve_grid_points(args))
+    host = tf_host(config, scales)
     estimate = estimate_lifetime(config, scales, host)
     print(f"loss_rate_l = {_fmt(estimate.loss_rate_l)} J")
     print(f"tau = {_fmt(estimate.tau)} s")
@@ -123,7 +123,7 @@ def cmd_validity(args) -> int:
     from .validity import validity_report
 
     config = _load(args)
-    report = validity_report(config, grid_points=_resolve_grid_points(args))
+    report = validity_report(config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -147,9 +147,7 @@ def cmd_figures(args) -> int:
     from .validity import figure_data
 
     config = _load(args)
-    columns = figure_data(
-        config, args.fig, n_rows=args.rows, grid_points=_resolve_grid_points(args)
-    )
+    columns = figure_data(config, args.fig, n_rows=args.rows)
     out = args.out if args.out else f"fig{args.fig}.csv"
     rows = _write_csv(out, columns)
     print(f"wrote {out} ({rows} rows)")
@@ -194,7 +192,6 @@ def cmd_oracle(args) -> int:
 REQUIRED = object()
 CONFIG_OPTION = {"--config": ("config", str, None, "JSON scenario file (default: bundled sodium)")}
 GRID_HELP = f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})"
-GRID_OPTIONS = {**CONFIG_OPTION, "--grid-points": ("grid_points", int, None, GRID_HELP)}
 ALIASES = {"--t": "--time"}
 HELP = ("-h", "--help")
 
@@ -212,16 +209,17 @@ COMMANDS = {
             "amps", str, "1,1,1", "comma-separated complex amplitudes, normalized for you (default 1,1,1)"
         ),
     }),
-    "lifetime": (cmd_lifetime, "loss rate and lifetime of the stored mode", GRID_OPTIONS),
-    "validity": (cmd_validity, "approximation checks as JSON", GRID_OPTIONS),
+    "lifetime": (cmd_lifetime, "loss rate and lifetime of the stored mode", CONFIG_OPTION),
+    "validity": (cmd_validity, "approximation checks as JSON", CONFIG_OPTION),
     "figures": (cmd_figures, "energy/density budget tables as CSV", {
-        **GRID_OPTIONS,
+        **CONFIG_OPTION,
         "--fig": ("fig", (2, 3, 4), REQUIRED, "which table"),
         "--rows": ("rows", int, 512, "number of radii (default 512)"),
         "--out": ("out", str, None, "output file (default fig<N>.csv)"),
     }),
     "oracle": (cmd_oracle, "independent ground-state solve vs the closed forms", {
-        **GRID_OPTIONS,
+        **CONFIG_OPTION,
+        "--grid-points": ("grid_points", int, None, GRID_HELP),
         "--stored": ("stored", None, False, "solve the stored component instead of the host"),
         "--idealized": (
             "idealized", None, False, "with --stored: drop the cloud edge, keep only the cancelled trap"

@@ -9,8 +9,6 @@ R = sqrt(2*mu/(m*omega^2)).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from ._record import record
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid, _pointwise
@@ -20,18 +18,13 @@ from .params import tf_chemical_potential, tf_radius
 
 @record
 class TfSolution:
-    """Chemical potential, cloud radius and grid of the host; its density is sampled on first use."""
+    """Chemical potential, cloud radius and grid of the host; tf_density_at gives its density."""
 
     mu: float  # J
     radius: float  # m
     grid: RadialGrid
     config: SystemConfig
     scales: DerivedScales
-
-    @cached_property
-    def density(self) -> RadialField:
-        """The clipped parabola on the grid, m^-3."""
-        return RadialField(self.grid, tf_density_at(self.config, self.scales, self.mu, self.grid.r), DENSITY)
 
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):

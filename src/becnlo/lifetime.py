@@ -12,7 +12,7 @@ import math
 
 from ._record import record
 from .errors import LossNotConfiguredError, ValidationError
-from .grids import RadialField, radial_integral
+from .grids import _pointwise
 from .host_tf import TfSolution
 from .params import HBAR, DerivedScales, SystemConfig, coupling
 from .stored_mode import StoredMode
@@ -24,23 +24,32 @@ class LossEstimate:
     tau: float  # s
 
 
-def _host_density(host: TfSolution | RadialField) -> RadialField:
-    return host.density if isinstance(host, TfSolution) else host
+def mode_host_overlap(mode: StoredMode, host: TfSolution) -> float:
+    """4*pi*int_0^R r^2 phi(r)^2 n1(r) dr in m^-3, in closed form.
+
+    With x = r/s, X = R/s and V(r) = k*r^2, phi^2 = pi^-3/2 s^-3 exp(-x^2) and
+    n1 = (mu - k*s^2*x^2)/U11, so the integral is
+    (4/sqrt(pi))/U11 * (mu*J2(X) - k*s^2*J4(X)) with the truncated moments
+    J2 = int_0^X x^2 exp(-x^2) dx = sqrt(pi)/4 erf(X) - X exp(-X^2)/2 and
+    J4 = int_0^X x^4 exp(-x^2) dx = 3/2 J2 - X^3 exp(-X^2)/2.
+    """
+    s = mode.s
+    k = host.config.trap_potential(1.0)
+
+    def overlap(x):
+        xg = x * math.exp(-(x * x))  # X^3 exp(-X^2) as xg*X*X: 0, not inf*0, for a large X
+        j2 = 0.25 * math.sqrt(math.pi) * math.erf(x) - 0.5 * xg
+        j4 = 1.5 * j2 - 0.5 * xg * x * x
+        return 4.0 / math.sqrt(math.pi) / host.scales.u11 * (host.mu * j2 - k * s * s * j4)
+
+    return _pointwise(overlap, host.radius / s)
 
 
-def mode_host_overlap(mode: StoredMode, host_density: RadialField) -> float:
-    """4*pi*int r^2 phi(r)^2 n1(r) dr in m^-3."""
-    r = host_density.grid.r
-    return radial_integral(r, [p2 * n1 for p2, n1 in zip(mode.density(r), host_density.values)])
-
-
-def loss_overlap(
-    mode: StoredMode, host: TfSolution | RadialField, im_u12: float
-) -> float:
+def loss_overlap(mode: StoredMode, host: TfSolution, im_u12: float) -> float:
     """|Im U12| weighted by the host density the mode actually samples."""
     if im_u12 == 0.0:
         raise LossNotConfiguredError("loss channel not configured: im_a12 is zero")
-    return abs(im_u12) * mode_host_overlap(mode, _host_density(host))
+    return abs(im_u12) * mode_host_overlap(mode, host)
 
 
 def lifetime_tau(rate: float, hbar: float = HBAR) -> float:
@@ -65,7 +74,7 @@ def backsolve_im_a12(
     """Im(a12) (negative, in m) that reproduces a target lifetime."""
     if not tau_target > 0:
         raise ValidationError(f"target lifetime must be positive, got {tau_target}")
-    overlap = mode_host_overlap(StoredMode.from_scales(scales), host.density)
+    overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
     rate_needed = config.hbar * math.log(2.0) / tau_target
     im_u12 = rate_needed / overlap
     return -im_u12 * config.species.mass / (4.0 * math.pi * config.hbar**2)

@@ -14,7 +14,7 @@ import math
 
 from ._record import record
 from .errors import ValidationError
-from .grids import DENSITY, WAVEFUNCTION, RadialField, RadialGrid, _pointwise
+from .grids import _pointwise
 from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F401  (energy_shift: re-exported)
 
 NORM_TOL = 1e-12
@@ -57,12 +57,6 @@ class StoredMode:
             return n_atoms * (p * p)
 
         return _pointwise(n2, r)
-
-    def profile_field(self, grid: RadialGrid) -> RadialField:
-        return RadialField(grid, self.profile(grid.r), WAVEFUNCTION)
-
-    def density_field(self, grid: RadialGrid, n_atoms: float = 1.0) -> RadialField:
-        return RadialField(grid, self.density(grid.r, n_atoms), DENSITY)
 
 
 def _norm(amps) -> float:

@@ -14,7 +14,9 @@ Two levels are probed, each at two points:
 For the clipped parabola the kinetic correction has the closed form
 K(r) = 3*hbar^2*omega^2/(4*f) + hbar^2*m*omega^4*r^2/(8*f^2),  f = mu - V(r),
 which diverges at the cloud edge; evaluation is refused inside the last two
-grid spacings before R, where the parabola itself is wrong anyway.
+spacings of the host grid before R, where the parabola itself is wrong
+anyway.  The report and the figure tables build the default grid of tf_host
+(4096 points over 1.5*R), never sampled, so they refuse r >= 0.99927*R.
 """
 
 from __future__ import annotations
@@ -25,23 +27,18 @@ from ._record import record
 from .errors import GridError, ValidationError
 from .grids import MIN_POINTS, RadialGrid, _pointwise
 from .host_tf import TfSolution, tf_density_at, tf_host
-from .params import DEFAULT_GRID_POINTS, DerivedScales, SystemConfig, derive_scales
+from .params import DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
 DEPLETION_COEFF = 8.0 / (3.0 * math.sqrt(math.pi))
 RATIO_THRESHOLD = 1.0
-FD_STEP = 1e-4  # finite-difference step of kinetic_correction_fd, in cloud radii
 SCAN_POINTS = 257  # radii the validity report scans over 0 <= r <= R/2
 FIGURE_SPAN = 0.95  # profiles are tabulated out to this fraction of R
 
 
-def _edge_limit(host: TfSolution) -> float:
-    return host.radius - 2.0 * host.grid.spacing
-
-
 def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
-    limit = _edge_limit(host)
+    limit = host.radius - 2.0 * host.grid.spacing
     hbar = config.hbar
     k = config.trap_potential(1.0)  # V(r) = k*r^2
     # the factors that do not depend on r, once (as ValidationError if they leave double range)
@@ -58,29 +55,6 @@ def kinetic_correction(config: SystemConfig, host: TfSolution, r):
         return c1 / (4.0 * f) + c2 * (x * x) / (8.0 * (f * f))
 
     return _pointwise(kinetic, r)
-
-
-def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfSolution, r):
-    """K(r) by central differences on sqrt(n1): cross-check of the closed form.
-
-    Uses lap(psi) = psi'' + 2*psi'/r, with the r -> 0 limit 3*psi''(0).
-    """
-    limit = _edge_limit(host)
-    h = FD_STEP * host.radius
-
-    def psi(shift):  # sqrt(n1) at |r + shift|: the density is even in r
-        radii = _pointwise(lambda x: abs(x + shift), r)
-        return _pointwise(math.sqrt, tf_density_at(config, scales, host.mu, radii))
-
-    def kinetic(x, p0, pp, pm):
-        if not 0.0 <= x < limit:
-            raise GridError(f"finite-difference stencil needs 0 <= r < {limit:g} m")
-        d2 = (pp - 2.0 * p0 + pm) / h**2
-        d1 = (pp - pm) / (2.0 * h)
-        lap = d2 + 2.0 * (d1 / x) if x > 0.0 else 3.0 * d2
-        return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
-
-    return _pointwise(kinetic, r, psi(0.0), psi(h), psi(-h))
 
 
 def rescaled_kinetic(kinetic, scales: DerivedScales):
@@ -210,7 +184,6 @@ def figure_data(
     fig: int,
     *,
     n_rows: int = 512,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> dict:
     """Columns of the energy- or density-budget tables, keyed by name, as lists.
 
@@ -223,7 +196,7 @@ def figure_data(
     if n_rows < MIN_POINTS:
         raise ValidationError(f"figures need at least {MIN_POINTS} rows, got {n_rows}")
     scales = derive_scales(config)
-    host = tf_host(config, scales, grid_points)
+    host = tf_host(config, scales)
     grid = RadialGrid(FIGURE_SPAN * host.radius, n_rows)
     cols = {"r_over_d": list(_pointwise(lambda r: r / scales.d, grid.r))}
     if fig == 2:
@@ -301,10 +274,10 @@ def _worst(numerators, denominators) -> float:
     return math.nan if any(map(math.isnan, ratios)) else max(ratios)
 
 
-def validity_report(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> ValidityReport:
+def validity_report(config: SystemConfig) -> ValidityReport:
     """Evaluate all four checks where the stored mode lives (r up to R/2)."""
     scales = derive_scales(config)
-    host = tf_host(config, scales, grid_points)
+    host = tf_host(config, scales)
     n = config.n_stored_max
     r = RadialGrid(0.5 * host.radius, SCAN_POINTS).r
 

@@ -1,7 +1,8 @@
 """Independent numerical references for results of the package.
 
 Each routine reaches a result by another route (root finding, adaptive
-quadrature or a dense eigensolver from scipy), so a test can compare the two.
+quadrature, finite differences or a dense eigensolver from scipy), so a test
+can compare the two.
 They serve the tests only: no command of the package needs them, and the
 package itself imports neither scipy nor numpy.
 """
@@ -16,14 +17,19 @@ from scipy.optimize import brentq
 from becnlo import (
     DerivedScales,
     GpeProblem,
+    GridError,
     StoredMode,
     SystemConfig,
     TfSolution,
     ValidationError,
     kinetic_correction,
     radial_integral,
+    tf_density_at,
     tf_radius,
 )
+from becnlo.grids import _pointwise
+
+FD_STEP = 1e-4  # finite-difference step of kinetic_correction_fd, in cloud radii
 
 
 def tf_chemical_potential_numeric(
@@ -68,6 +74,47 @@ def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
     if gap(lo) >= 0.0 or gap(hi) <= 0.0:
         raise ValidationError("no kinetic/collisional crossing inside (R/2, R)")
     return brentq(gap, lo, hi, xtol=1e-14, rtol=1e-13, maxiter=200) * host.radius
+
+
+def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfSolution, r):
+    """K(r) by central differences on sqrt(n1): cross-check of the closed form.
+
+    Uses lap(psi) = psi'' + 2*psi'/r, with the r -> 0 limit 3*psi''(0).  Like
+    the closed form, it refuses the last two spacings of the host grid before R.
+    """
+    limit = host.radius - 2.0 * host.grid.spacing
+    h = FD_STEP * host.radius
+
+    def psi(shift):  # sqrt(n1) at |r + shift|: the density is even in r
+        radii = _pointwise(lambda x: abs(x + shift), r)
+        return _pointwise(math.sqrt, tf_density_at(config, scales, host.mu, radii))
+
+    def kinetic(x, p0, pp, pm):
+        if not 0.0 <= x < limit:
+            raise GridError(f"finite-difference stencil needs 0 <= r < {limit:g} m")
+        d2 = (pp - 2.0 * p0 + pm) / h**2
+        d1 = (pp - pm) / (2.0 * h)
+        lap = d2 + 2.0 * (d1 / x) if x > 0.0 else 3.0 * d2
+        return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
+
+    return _pointwise(kinetic, r, psi(0.0), psi(h), psi(-h))
+
+
+def mode_host_overlap_quad(config: SystemConfig, scales: DerivedScales, mu: float, mode: StoredMode) -> float:
+    """4*pi*int_0^R r^2 phi^2 n1 dr by adaptive quadrature (cross-check of the closed form).
+
+    The integrand multiplies the mode's density and the clipped parabola, each
+    evaluated at one radius; quad runs in x = r/s up to the cloud edge, where
+    n1 has its kink.
+    """
+    s = mode.s
+
+    def integrand(x):
+        r = x * s
+        return 4.0 * math.pi * r * r * mode.density(r) * tf_density_at(config, scales, mu, r) * s
+
+    value, _ = quad(integrand, 0.0, tf_radius(config, mu) / s, epsabs=0.0, epsrel=1e-13, limit=200)
+    return value
 
 
 def energy_shift_bruteforce(n: int, mode: StoredMode, scales: DerivedScales) -> float:

@@ -28,7 +28,6 @@ from becnlo import (
     figure_data,
     gate_fidelity,
     kinetic_correction,
-    kinetic_correction_fd,
     ns_gate_target,
     ns_gate_time,
     rescaled_kinetic,
@@ -36,7 +35,7 @@ from becnlo import (
     tf_density_at,
     validity_report,
 )
-from reference import energy_shift_bruteforce, kinetic_crossing_radius
+from reference import energy_shift_bruteforce, kinetic_correction_fd, kinetic_crossing_radius
 from becnlo.gpe import GpeProblem, default_time_step, harmonic_potential_field, solve_ground_state
 
 

@@ -215,6 +215,33 @@ def test_oracle_matches_recorded_reports(capsys, monkeypatch, command):
     assert isinstance(got["iterations"], int) and got["iterations"] >= 1
 
 
+# the stdout of lifetime and validity and each table's CSV at the default 512
+# rows, as the commands printed them when the loss overlap was integrated by
+# Simpson's rule on the 4,096-point host grid
+CLOSED_FORM_RECORDED = {
+    "lifetime": "lifetime.txt",
+    "validity": "validity.json",
+    "figures --fig 2": "fig2.csv",
+    "figures --fig 3": "fig3.csv",
+    "figures --fig 4": "fig4.csv",
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_FORM_RECORDED)
+def test_closed_form_outputs_match_recorded(capsys, tmp_path, command):
+    want = (REPO_ROOT / "tests" / "golden" / CLOSED_FORM_RECORDED[command]).read_bytes()
+    argv = command.split()
+    if argv[0] == "figures":
+        path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        got = path.read_bytes()
+    else:
+        code, out, _ = run(capsys, *argv)
+        got = out.encode("utf-8")
+    assert code == 0
+    assert got == want
+
+
 def test_oracle_writes_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BECNLO_GRID_POINTS", "512")
     path = tmp_path / "oracle.json"
@@ -277,7 +304,7 @@ def test_unknown_key_exit_code(capsys, tmp_path):
 
 def test_bad_grid_env(capsys, monkeypatch):
     monkeypatch.setenv("BECNLO_GRID_POINTS", "many")
-    code, _, err = run(capsys, "lifetime")
+    code, _, err = run(capsys, "oracle")
     assert code == 2
     assert "BECNLO_GRID_POINTS" in err
 
@@ -285,7 +312,7 @@ def test_bad_grid_env(capsys, monkeypatch):
 def test_grid_flag_beats_env(capsys, monkeypatch):
     # a bad env value is ignored when the flag is given
     monkeypatch.setenv("BECNLO_GRID_POINTS", "many")
-    code, _, _ = run(capsys, "lifetime", "--grid-points", "2048")
+    code, _, _ = run(capsys, "oracle", "--grid-points", "512")
     assert code == 0
 
 
@@ -293,15 +320,20 @@ def test_grid_flag_beats_env(capsys, monkeypatch):
 USAGE_ERRORS = [
     pytest.param([], ["command"], id="no-command"),
     pytest.param(["plot"], ["'plot'"], id="unknown-command"),
-    # these commands build no grid, so they do not offer --grid-points
+    # only the oracle solves on a grid, so only it offers --grid-points
     pytest.param(["units", "--grid-points", "512"], ["--grid-points"], id="units-grid-flag"),
     pytest.param(
         ["phase", "--n", "2", "--time", "1", "--grid-points", "512"], ["--grid-points"], id="phase-grid-flag"
     ),
     pytest.param(["gate", "--amps", "1,1,1", "--grid-points", "512"], ["--grid-points"], id="gate-grid-flag"),
+    pytest.param(["lifetime", "--grid-points", "512"], ["--grid-points"], id="lifetime-grid-flag"),
+    pytest.param(["validity", "--grid-points", "512"], ["--grid-points"], id="validity-grid-flag"),
+    pytest.param(
+        ["figures", "--fig", "2", "--grid-points", "512"], ["--grid-points"], id="figures-grid-flag"
+    ),
     pytest.param(["units", "extra"], ["extra"], id="extra-argument"),
     # option names are exact: no unique-prefix abbreviations
-    pytest.param(["lifetime", "--grid", "512"], ["--grid"], id="abbreviation"),
+    pytest.param(["oracle", "--grid", "512"], ["--grid"], id="abbreviation"),
     pytest.param(["phase", "--time", "1", "--n"], ["--n"], id="missing-value"),
     pytest.param(["phase", "--n", "two", "--time", "1"], ["--n", "'two'"], id="bad-int"),
     pytest.param(["phase", "--n", "2", "--time", "soon"], ["--time", "'soon'"], id="bad-float"),
@@ -331,7 +363,7 @@ def test_usage_error_exit_code(capsys, argv, named):
     [
         ["phase", "--n", "2", "--t", "1505.4"],
         ["gate", "--amps", "0.6,0,0.8j"],
-        ["lifetime", "--grid-points", "512", "--config", str(REPO_ROOT / "paper_sodium.json")],
+        ["lifetime", "--config", str(REPO_ROOT / "paper_sodium.json")],
     ],
 )
 def test_equals_form_matches_spaced_form(capsys, argv):
@@ -347,9 +379,9 @@ HELP_NAMES = {
     "units": ["--config"],
     "phase": ["--config", "--n", "--time", "--t"],
     "gate": ["--config", "--amps"],
-    "lifetime": ["--config", "--grid-points"],
-    "validity": ["--config", "--grid-points"],
-    "figures": ["--config", "--grid-points", "--fig", "--rows", "--out"],
+    "lifetime": ["--config"],
+    "validity": ["--config"],
+    "figures": ["--config", "--fig", "--rows", "--out"],
     "oracle": ["--config", "--grid-points", "--stored", "--idealized", "--out"],
 }
 
@@ -612,9 +644,9 @@ PUBLIC_NAMES = [
     "WAVEFUNCTION", "backsolve_im_a12", "check_conditions", "compare_tf_vs_gpe",
     "config_from_dict", "coupling", "density_profile", "density_std", "derive_scales",
     "energy_profile", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
-    "gate_fidelity", "host_problem", "kinetic_correction", "kinetic_correction_fd",
-    "lifetime_tau", "load_config", "loss_overlap", "mode_host_overlap", "ns_gate_target",
-    "ns_gate_time", "quantum_depletion", "radial_integral", "rescaled_kinetic",
+    "gate_fidelity", "host_problem", "kinetic_correction", "lifetime_tau", "load_config",
+    "loss_overlap", "mode_host_overlap", "ns_gate_target", "ns_gate_time",
+    "quantum_depletion", "radial_integral", "rescaled_kinetic",
     "sodium_reference_config", "solve_ground_state", "solve_stored_in_host",
     "stored_problem", "stored_self_energy", "tf_chemical_potential", "tf_density",
     "tf_density_at", "tf_density_with_back_action", "tf_host", "tf_radius",

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from becnlo import (
+    DENSITY,
     GridError,
+    RadialField,
     RadialGrid,
     StoredMode,
     ValidationError,
@@ -17,6 +19,16 @@ from becnlo import (
     tf_radius,
 )
 from reference import tf_chemical_potential_numeric
+
+
+@pytest.fixture(scope="module")
+def host_n1(config, scales, mu, host):
+    """The clipped parabola sampled on the host grid."""
+    return tf_density_at(config, scales, mu, host.grid.r)
+
+
+def stored_field(mode, grid, n_atoms):
+    return RadialField(grid, mode.density(grid.r, n_atoms), DENSITY)
 
 
 def test_mu_value(mu, scales):
@@ -72,8 +84,8 @@ def test_mu_scales_with_interaction_strength(config, scales, mu):
     assert_allclose(mu32 / mu, 4.0, rtol=1e-13)
 
 
-def test_density_normalizes_to_n(config, host):
-    total = radial_integral(host.grid.r, host.density.values)
+def test_density_normalizes_to_n(config, host, host_n1):
+    total = radial_integral(host.grid.r, host_n1)
     assert_allclose(total, config.n_host, rtol=1e-6)
 
 
@@ -82,48 +94,40 @@ def test_grid_must_contain_cloud(config, scales, mu):
         tf_density(config, scales, mu, RadialGrid(0.5 * tf_radius(config, mu), 256))
 
 
-def test_density_is_sampled_on_first_use(config, scales, mu):
-    # mu and R come without the profile; reading the density samples it once
-    host = tf_density(config, scales, mu, RadialGrid(1.5 * tf_radius(config, mu), 64))
-    assert "density" not in vars(host)
-    assert host.density is host.density
-    assert host.density.values[0] == tf_density_at(config, scales, mu, 0.0)
-
-
-def test_back_action_dip(config, scales, mu, host):
+def test_back_action_dip(config, scales, mu, host, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = mode.density_field(host.grid, n_atoms=10)
+    stored = stored_field(mode, host.grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
-    dip = host.density.values[0] - dented.values[0]
+    dip = host_n1[0] - dented.values[0]
     assert_allclose(dip, 5.5322e15, rtol=1e-4)
-    assert_allclose(dip / host.density.values[0], 7.395e-5, rtol=1e-3)
+    assert_allclose(dip / host_n1[0], 7.395e-5, rtol=1e-3)
     # the dip heals where the mode ends
     far = np.asarray(host.grid.r) > 6.0 * scales.s
-    assert_allclose(np.asarray(dented.values)[far], np.asarray(host.density.values)[far], rtol=1e-12)
+    assert_allclose(np.asarray(dented.values)[far], np.asarray(host_n1)[far], rtol=1e-12)
 
 
 def test_back_action_rejects_dense_mode(config, scales, mu, host):
     mode = StoredMode.from_scales(scales)
-    stored = mode.density_field(host.grid, n_atoms=2e5)
+    stored = stored_field(mode, host.grid, n_atoms=2e5)
     with pytest.raises(ValidationError, match="too dense"):
         tf_density_with_back_action(config, scales, mu, stored)
 
 
-def test_back_action_trivial_without_stored_atoms(config, scales, mu, host):
+def test_back_action_trivial_without_stored_atoms(config, scales, mu, host, host_n1):
     mode = StoredMode.from_scales(scales)
-    empty = mode.density_field(host.grid, n_atoms=0)
+    empty = stored_field(mode, host.grid, n_atoms=0)
     dented = tf_density_with_back_action(config, scales, mu, empty)
-    assert_allclose(dented.values, host.density.values, rtol=0.0, atol=0.0)
+    assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
 
 
-def test_back_action_never_raises_density(config, scales, mu, host):
+def test_back_action_never_raises_density(config, scales, mu, host, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = mode.density_field(host.grid, n_atoms=10)
+    stored = stored_field(mode, host.grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
-    assert np.all(np.asarray(dented.values) <= np.asarray(host.density.values))
+    assert np.all(np.asarray(dented.values) <= np.asarray(host_n1))
 
 
-def test_back_action_decoupled_channel(config, mu, host):
+def test_back_action_decoupled_channel(config, mu, host, host_n1):
     # u12 = 0: stored atoms no longer dent the host at all
     from becnlo import SpeciesParams, SystemConfig, derive_scales
 
@@ -133,16 +137,15 @@ def test_back_action_decoupled_channel(config, mu, host):
         species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
     )
     dscales = derive_scales(decoupled)
-    stored = StoredMode.from_scales(dscales).density_field(host.grid, n_atoms=10)
+    stored = stored_field(StoredMode.from_scales(dscales), host.grid, n_atoms=10)
     dented = tf_density_with_back_action(decoupled, dscales, mu, stored)
-    assert_allclose(dented.values, host.density.values, rtol=0.0, atol=0.0)
+    assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
 
 
 def test_normalization_survives_grid_doubling(config, scales, mu):
     def total(n_points):
         grid = RadialGrid(1.5 * tf_radius(config, mu), n_points)
-        sol = tf_density(config, scales, mu, grid)
-        return radial_integral(grid.r, sol.density.values)
+        return radial_integral(grid.r, tf_density_at(config, scales, mu, grid.r))
 
     assert_allclose(total(4096), total(2048), rtol=1e-8)
 

@@ -1,4 +1,6 @@
-import numpy as np
+import math
+import random
+
 import pytest
 from numpy.testing import assert_allclose
 
@@ -9,42 +11,71 @@ from becnlo import (
     SystemConfig,
     ValidationError,
     backsolve_im_a12,
+    config_from_dict,
     derive_scales,
     estimate_lifetime,
     lifetime_tau,
     loss_overlap,
     mode_host_overlap,
+    sodium_reference_config,
+    tf_host,
 )
-from becnlo.grids import RadialField, RadialGrid
+from reference import mode_host_overlap_quad
 
 
 def test_overlap_value(scales, host):
     # 4*pi int r^2 phi^2 n1 dr: the host density the mode samples
-    overlap = mode_host_overlap(StoredMode.from_scales(scales), host.density)
+    overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
     assert_allclose(overlap, 6.186424e19, rtol=1e-4)
+
+
+def scan_scenario(rng):
+    """A stable, trapped Thomas-Fermi scenario over the benchmark's parameter-scan ranges."""
+    a11 = rng.uniform(2e-9, 6e-9)
+    a12 = a11 * rng.uniform(0.85, 0.99)
+    return {
+        "mass_kg": rng.uniform(1.0e-26, 1.5e-25),
+        "a11_m": a11,
+        "a22_m": a12 * a12 / a11 * (1.0 + rng.uniform(0.05, 0.5)),
+        "a12_m": a12,
+        "im_a12_m": -rng.uniform(1e-11, 2e-9),
+        "omega_rad_s": 2.0 * math.pi * rng.uniform(20.0, 200.0),
+        "n_host": int(10.0 ** rng.uniform(5.0, 7.0)),
+        "n_stored_max": rng.randint(1, 20),
+    }
+
+
+def scan_configs(seed, count):
+    rng = random.Random(seed)
+    return [config_from_dict(scan_scenario(rng)) for _ in range(count)]
+
+
+OVERLAP_CONFIGS = [sodium_reference_config(), *scan_configs(14, 24)]
+
+
+@pytest.mark.parametrize(
+    "scenario", OVERLAP_CONFIGS, ids=["sodium", *(f"scan{i}" for i in range(1, len(OVERLAP_CONFIGS)))]
+)
+def test_overlap_matches_quadrature(scenario):
+    scales = derive_scales(scenario)
+    host = tf_host(scenario, scales)
+    mode = StoredMode.from_scales(scales)
+    want = mode_host_overlap_quad(scenario, scales, host.mu, mode)
+    assert_allclose(mode_host_overlap(mode, host), want, rtol=1e-10, atol=0.0)
+
+
+def test_closed_forms_never_sample_the_host_grid(config, scales):
+    # the overlap needs mu, R and s only: the 4,096 radii of the host grid are never built
+    host = tf_host(config, scales)
+    estimate_lifetime(config, scales, host)
+    backsolve_im_a12(config, scales, host, 2.5e-4)
+    assert "r" not in vars(host.grid)
 
 
 def test_default_lifetime(config, scales, host):
     estimate = estimate_lifetime(config, scales, host)
     assert_allclose(estimate.loss_rate_l, 2.9241e-31, rtol=1e-3)
     assert_allclose(estimate.tau, 2.5e-4, rtol=1e-4)
-
-
-def test_uniform_host_gives_bare_rate(scales):
-    # with n1 = const the overlap integral collapses to the mode norm,
-    # so L = |Im U12| * n0 exactly
-    n0 = 5.0e19
-    grid = RadialGrid(r_max=15.0 * scales.s, n_points=2048)
-    uniform = RadialField(grid, np.full(grid.n_points, n0), "m^-3")
-    rate = loss_overlap(StoredMode.from_scales(scales), uniform, -3.1e-51)
-    assert_allclose(rate, 3.1e-51 * n0, rtol=1e-10)
-
-
-def test_loss_overlap_accepts_solution_or_field(scales, host):
-    mode = StoredMode.from_scales(scales)
-    assert loss_overlap(mode, host, -1e-51) == loss_overlap(
-        mode, host.density, -1e-51
-    )
 
 
 def test_lifetime_inverse_in_loss(config, scales, host):

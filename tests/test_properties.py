@@ -188,7 +188,7 @@ GRID_IDS = ["lifetime", "validity", "fig2", "fig3", "fig4"]
 def run_grid_command(path, argv):
     csv_path = path.with_suffix(".csv")
     extra = ["--out", str(csv_path)] if argv[0] == "figures" else []
-    code, out, err = run_cli(path, *argv, "--grid-points", "64", *extra)
+    code, out, err = run_cli(path, *argv, *extra)
     assert_clean_exit(argv, code, out, err, csv_path)
     return code, out
 

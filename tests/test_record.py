@@ -39,14 +39,15 @@ def records():
     host = tf_host(config, scales, 64)
     inner = RadialGrid(0.5 * host.radius, 64)  # the profiles end inside the cloud
     stored = solve_stored_in_host(config, grid_points=256)
+    problem = host_problem(config, scales, host.grid)
     built = [
         config, config.species, config.trap, scales,
-        check_conditions(config, scales, host.mu), host, host.grid, host.density,
+        check_conditions(config, scales, host.mu), host, host.grid, problem.potential,
         estimate_lifetime(config, scales, host), StoredMode.from_scales(scales),
         FockSuperposition.normalized([1, 1, 1]), ns_gate_time(scales),
         energy_profile(config, scales, host, inner),
-        density_profile(config, scales, host, inner), validity_report(config, grid_points=64),
-        host_problem(config, scales, host.grid), stored, stored.solution,
+        density_profile(config, scales, host, inner), validity_report(config),
+        problem, stored, stored.solution,
         compare_tf_vs_gpe(config, grid_points=256),
     ]
     return {type(rec): rec for rec in built}

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from becnlo import (
     DerivedScales,
     FockSuperposition,
-    RadialGrid,
     StoredMode,
     ValidationError,
     energy_shift,
@@ -44,12 +43,6 @@ def test_central_density(mode, scales):
     # 10 atoms in the Gaussian mode
     assert_allclose(mode.density(0.0, 10.0), 5.740917e15, rtol=1e-6)
     assert_allclose(mode.density(0.0, 10.0) * scales.d**3, 0.14955, rtol=1e-4)
-
-
-def test_mode_field_units(mode, scales):
-    grid = RadialGrid(10.0 * scales.s, 128)
-    assert mode.profile_field(grid).unit == "m^-3/2"
-    assert mode.density_field(grid, 2.0).unit == "m^-3"
 
 
 class TestEnergyShift:

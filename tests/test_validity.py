@@ -18,13 +18,13 @@ from becnlo import (
     energy_profile,
     figure_data,
     kinetic_correction,
-    kinetic_correction_fd,
     quantum_depletion,
     rescaled_kinetic,
     stored_self_energy,
+    tf_density_at,
     validity_report,
 )
-from reference import kinetic_crossing_radius
+from reference import kinetic_correction_fd, kinetic_crossing_radius
 
 
 class TestKineticCorrection:
@@ -46,6 +46,10 @@ class TestKineticCorrection:
         assert np.all(np.diff(k) > 0.0)
 
     def test_rejects_edge(self, config, scales, host):
+        # the last two spacings of the 4,096-point grid over 1.5*R: r >= 0.99927*R
+        kinetic_correction(config, host, 0.9992 * host.radius)
+        with pytest.raises(GridError):
+            kinetic_correction(config, host, 0.9993 * host.radius)
         with pytest.raises(GridError):
             kinetic_correction(config, host, host.radius)
         with pytest.raises(GridError):
@@ -113,7 +117,7 @@ def test_center_ratio_magnitude(config, scales, host):
 
 class TestDepletion:
     def test_central_fraction(self, config, scales, host):
-        n0 = host.density.values[0]
+        n0 = tf_density_at(config, scales, host.mu, 0.0)
         frac = quantum_depletion(config, scales, host.mu, 0.0) / n0
         assert_allclose(frac, 1.8766e-3, rtol=1e-4)
 
@@ -240,7 +244,7 @@ class TestValidityReport:
         decoupled = SystemConfig(
             species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
         )
-        report = validity_report(decoupled, grid_points=1024)
+        report = validity_report(decoupled)
         assert report.two_tf_ratio == 0.0
         assert report.two_component_tf_ok
 
@@ -256,15 +260,7 @@ class TestValidityReport:
         stiff = SystemConfig(
             species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
         )
-        report = validity_report(stiff, grid_points=1024)
+        report = validity_report(stiff)
         assert report.two_component_tf_ok
-        assert not validity_report(config, grid_points=1024).two_component_tf_ok
+        assert not validity_report(config).two_component_tf_ok
 
-    def test_grid_doubling_stable(self, config):
-        a = validity_report(config, grid_points=4096)
-        b = validity_report(config, grid_points=8192)
-        for x, y in zip(a.to_dict().values(), b.to_dict().values()):
-            if isinstance(x, dict):
-                for key, value in x.items():
-                    if key != "ok":
-                        assert_allclose(y[key], value, rtol=1e-4)
