@@ -15,6 +15,8 @@ WAVEFUNCTION = "m^-3/2"
 ENERGY = "J"
 
 MIN_POINTS = 16
+# a table or an oracle solve holds about 0.6-0.75 KB per point, so this keeps either under about 0.8 GB
+MAX_POINTS = 2**20
 
 
 def _all_finite(values) -> bool:
@@ -50,6 +52,8 @@ class RadialGrid:
             raise GridError(f"r_max must be positive, got {self.r_max}")
         if self.n_points < MIN_POINTS:
             raise GridError(f"need at least {MIN_POINTS} grid points, got {self.n_points}")
+        if self.n_points > MAX_POINTS:
+            raise GridError(f"at most {MAX_POINTS} grid points are allowed, got {self.n_points}")
         if not self.spacing > 0:
             raise GridError(f"grid spacing underflows: r_max={self.r_max:g} m")
 

@@ -77,7 +77,8 @@ def tf_density_with_back_action(
     stored component is too dense for this linear response and we refuse.
     """
     grid = stored_density.grid
-    raw = _pointwise(lambda x, n2: (mu - config.trap_potential(x) - scales.u12 * n2) / scales.u11,
+    k = config.trap_potential(1.0)  # V(r) = k*r^2, as in tf_density_at
+    raw = _pointwise(lambda x, n2: (mu - k * (x * x) - scales.u12 * n2) / scales.u11,
                      grid.r, stored_density.values)
     if raw[0] < 0.0:
         raise ValidationError(

@@ -97,7 +97,7 @@ class SystemConfig:
             raise ValidationError(f"hbar must be positive, got {self.hbar}")
 
     def trap_potential(self, r):
-        """V(r) = m*omega^2*r^2/2 in J at one radius, or elementwise on an array of radii."""
+        """V(r) = m*omega^2*r^2/2 in J at one radius r, a float (r * r refuses a tuple of radii)."""
         return 0.5 * self.species.mass * self.trap.omega**2 * (r * r)
 
 

@@ -11,6 +11,10 @@ Two levels are probed, each at two points:
   self-interaction U22_tilde*n*phi^2, and the host's density fluctuations in
   a cell are to be compared with the stored density itself.
 
+validity_report gives the four verdicts over 0 <= r <= R/2; figure_data
+gives the energy and density budgets (the paper's Figs. 2-4) as table
+columns.  Both evaluate the pointwise closed forms below directly.
+
 For the clipped parabola the kinetic correction has the closed form
 K(r) = 3*hbar^2*omega^2/(4*f) + hbar^2*m*omega^4*r^2/(8*f^2),  f = mu - V(r),
 which diverges at the cloud edge; evaluation is refused inside the last two
@@ -25,7 +29,7 @@ import math
 
 from ._record import record
 from .errors import GridError, ValidationError
-from .grids import MIN_POINTS, RadialGrid, _pointwise
+from .grids import MAX_POINTS, MIN_POINTS, RadialGrid, _pointwise
 from .host_tf import TfSolution, tf_density_at, tf_host
 from .params import DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
@@ -112,69 +116,6 @@ def density_std(
     return _fluctuation(cell, n1, _depletion(config.species.a11, n1))
 
 
-@record
-class EnergyProfile:
-    """Per-atom energy curves sampled on a grid (all J)."""
-
-    grid: RadialGrid
-    trap_e: tuple  # V(r)
-    host_coll_e: tuple  # U11*n1
-    cross_coll_e: tuple  # U12*n2, felt by a host atom
-    kinetic_e: tuple  # K(r)
-    rescaled_kinetic_e: tuple  # K*U12/U11, felt by a stored atom
-    stored_self_e: tuple  # U22_tilde*n2
-
-
-def energy_profile(
-    config: SystemConfig, scales: DerivedScales, host: TfSolution, grid: RadialGrid
-) -> EnergyProfile:
-    """Energy curves for a full stored mode of n_stored_max atoms."""
-    n = config.n_stored_max
-    r = grid.r
-    n2 = StoredMode.from_scales(scales).density(r, n)
-    kin = kinetic_correction(config, host, r)
-    k = config.trap_potential(1.0)  # V(r) = k*r^2
-    return EnergyProfile(
-        grid=grid,
-        trap_e=_pointwise(lambda x: k * (x * x), r),
-        host_coll_e=_pointwise(lambda n1: scales.u11 * n1, tf_density_at(config, scales, host.mu, r)),
-        cross_coll_e=_pointwise(lambda x: scales.u12 * x, n2),
-        kinetic_e=kin,
-        rescaled_kinetic_e=rescaled_kinetic(kin, scales),
-        stored_self_e=_pointwise(lambda x: scales.u22_tilde * x, n2),
-    )
-
-
-@record
-class DensityProfile:
-    """Host, stored, depletion, and fluctuation densities on a grid (all m^-3).
-
-    The fluctuations are coarse-grained over a cell of d^3.
-    """
-
-    grid: RadialGrid
-    host_density: tuple
-    stored_density: tuple
-    depletion_density: tuple
-    density_std: tuple
-
-
-def density_profile(
-    config: SystemConfig, scales: DerivedScales, host: TfSolution, grid: RadialGrid
-) -> DensityProfile:
-    """Density curves for a full stored mode of n_stored_max atoms."""
-    r = grid.r
-    n1 = tf_density_at(config, scales, host.mu, r)
-    n_dep = _depletion(config.species.a11, n1)
-    return DensityProfile(
-        grid=grid,
-        host_density=n1,
-        stored_density=StoredMode.from_scales(scales).density(r, config.n_stored_max),
-        depletion_density=n_dep,
-        density_std=_fluctuation(scales.d**3, n1, n_dep),
-    )
-
-
 def _log10(x: float) -> float:
     return -math.inf if x == 0.0 else math.log10(x)
 
@@ -187,30 +128,48 @@ def figure_data(
 ) -> dict:
     """Columns of the energy- or density-budget tables, keyed by name, as lists.
 
-    fig 2: per-host-atom energies; fig 3: per-stored-atom energies; fig 4:
-    densities per d^3.  Energies come out in units of hbar*omega, radii in
-    units of d, and every physical column gets a log10 companion.
+    Each table samples n_rows radii out to FIGURE_SPAN*R for a full stored
+    mode of n_stored_max atoms and computes only the columns it prints.  Radii
+    come out in units of d (r_over_d), and every physical column gets a log10_
+    companion.
+
+    * fig 2, per-host-atom energies in units of hbar*omega: trap_hw V(r),
+      host_coll_hw U11*n1, cross_coll_hw U12*n2 (felt by a host atom) and
+      kinetic_hw K(r);
+    * fig 3, per-stored-atom energies in units of hbar*omega:
+      rescaled_kinetic_hw K*U12/U11 (felt by a stored atom) and
+      stored_self_hw U22_tilde*n2;
+    * fig 4, densities in atoms per d^3: host_per_d3 n1, stored_per_d3 n2,
+      depletion_per_d3 the quantum depletion and std_per_d3 the density std,
+      coarse-grained over a cell of d^3.
     """
     if fig not in (2, 3, 4):
         raise ValidationError(f"figure must be 2, 3, or 4, got {fig!r}")
     if n_rows < MIN_POINTS:
         raise ValidationError(f"figures need at least {MIN_POINTS} rows, got {n_rows}")
+    if n_rows > MAX_POINTS:
+        raise ValidationError(f"figures take at most {MAX_POINTS} rows, got {n_rows}")
     scales = derive_scales(config)
     host = tf_host(config, scales)
-    grid = RadialGrid(FIGURE_SPAN * host.radius, n_rows)
-    cols = {"r_over_d": list(_pointwise(lambda r: r / scales.d, grid.r))}
-    if fig == 2:
-        ep = energy_profile(config, scales, host, grid)
-        physical = {"trap_hw": ep.trap_e, "host_coll_hw": ep.host_coll_e,
-                    "cross_coll_hw": ep.cross_coll_e, "kinetic_hw": ep.kinetic_e}
-    elif fig == 3:
-        ep = energy_profile(config, scales, host, grid)
-        physical = {"rescaled_kinetic_hw": ep.rescaled_kinetic_e, "stored_self_hw": ep.stored_self_e}
-    else:
-        dp = density_profile(config, scales, host, grid)
-        physical = {"host_per_d3": dp.host_density, "stored_per_d3": dp.stored_density,
-                    "depletion_per_d3": dp.depletion_density, "std_per_d3": dp.density_std}
+    r = RadialGrid(FIGURE_SPAN * host.radius, n_rows).r
+    cols = {"r_over_d": list(_pointwise(lambda x: x / scales.d, r))}
     d3 = scales.d**3
+    n2 = StoredMode.from_scales(scales).density(r, config.n_stored_max)
+    if fig == 2:
+        k = config.trap_potential(1.0)  # V(r) = k*r^2
+        n1 = tf_density_at(config, scales, host.mu, r)
+        physical = {"trap_hw": _pointwise(lambda x: k * (x * x), r),
+                    "host_coll_hw": _pointwise(lambda n: scales.u11 * n, n1),
+                    "cross_coll_hw": _pointwise(lambda n: scales.u12 * n, n2),
+                    "kinetic_hw": kinetic_correction(config, host, r)}
+    elif fig == 3:
+        physical = {"rescaled_kinetic_hw": rescaled_kinetic(kinetic_correction(config, host, r), scales),
+                    "stored_self_hw": _pointwise(lambda n: scales.u22_tilde * n, n2)}
+    else:
+        n1 = tf_density_at(config, scales, host.mu, r)
+        n_dep = _depletion(config.species.a11, n1)
+        physical = {"host_per_d3": n1, "stored_per_d3": n2,
+                    "depletion_per_d3": n_dep, "std_per_d3": _fluctuation(d3, n1, n_dep)}
     in_units = (lambda n: n * d3) if fig == 4 else (lambda e: e / scales.e_trap)
     for name, values in physical.items():
         cols[name] = list(_pointwise(in_units, values))

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import becnlo
 from becnlo import ConvergenceError, cli
+from becnlo.grids import MAX_POINTS, RadialGrid
 from conftest import REPO_ROOT
 
 
@@ -173,6 +174,39 @@ def test_figures_too_few_rows_exit_code(capsys, tmp_path, rows):
     code, _, err = run(capsys, "figures", "--fig", "2", "--rows", rows, "--out", str(path))
     assert code == 2
     assert f"at least 16 rows, got {rows}" in err
+    assert not path.exists()
+
+
+ABOVE_CAP = str(MAX_POINTS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, env, unit",
+    [
+        (["figures", "--fig", "4", "--rows", ABOVE_CAP], None, "rows"),
+        (["oracle", "--grid-points", ABOVE_CAP], None, "grid points"),
+        (["oracle"], ABOVE_CAP, "grid points"),
+    ],
+    ids=["figures-rows", "oracle-grid-points", "grid-env"],
+)
+def test_grid_above_cap_exit_code(capsys, monkeypatch, tmp_path, argv, env, unit):
+    # refused before any radius is built: a grid this size would need about 0.8 GB
+    radii = RadialGrid.__dict__["r"].func
+
+    def r(grid):
+        assert grid.n_points <= MAX_POINTS, "radii built above the cap"
+        return radii(grid)
+
+    monkeypatch.setattr(RadialGrid, "r", property(r))
+    if env is None:
+        monkeypatch.delenv("BECNLO_GRID_POINTS", raising=False)
+    else:
+        monkeypatch.setenv("BECNLO_GRID_POINTS", env)
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"at most {MAX_POINTS} {unit}" in err
     assert not path.exists()
 
 
@@ -633,17 +667,16 @@ def test_import_gpe_loads_no_numpy(tmp_path):
     assert not {"numpy", "scipy", "dataclasses"} & modules
 
 
-# the package's public names, as `from becnlo import *` exported them before
-# the namespace became lazy
+# the package's public names: those `from becnlo import *` exported before the
+# namespace became lazy, less the two profile records and their builders
 PUBLIC_NAMES = [
-    "BecnloError", "ConditionFlags", "ConvergenceError", "DENSITY", "DensityProfile",
-    "DerivedScales", "ENERGY", "EnergyProfile", "FockSuperposition", "GpeProblem",
-    "GpeSolution", "GridError", "HBAR", "LossEstimate", "LossNotConfiguredError",
-    "NsGateTimes", "RadialField", "RadialGrid", "SpeciesParams", "StoredMode",
-    "SystemConfig", "TfSolution", "TrapParams", "ValidationError", "ValidityReport",
-    "WAVEFUNCTION", "backsolve_im_a12", "check_conditions", "compare_tf_vs_gpe",
-    "config_from_dict", "coupling", "density_profile", "density_std", "derive_scales",
-    "energy_profile", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
+    "BecnloError", "ConditionFlags", "ConvergenceError", "DENSITY", "DerivedScales",
+    "ENERGY", "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
+    "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialField", "RadialGrid",
+    "SpeciesParams", "StoredMode", "SystemConfig", "TfSolution", "TrapParams",
+    "ValidationError", "ValidityReport", "WAVEFUNCTION", "backsolve_im_a12",
+    "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling", "density_std",
+    "derive_scales", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
     "gate_fidelity", "host_problem", "kinetic_correction", "lifetime_tau", "load_config",
     "loss_overlap", "mode_host_overlap", "ns_gate_target", "ns_gate_time",
     "quantum_depletion", "radial_integral", "rescaled_kinetic",

@@ -98,6 +98,10 @@ def test_back_action_dip(config, scales, mu, host, host_n1):
     mode = StoredMode.from_scales(scales)
     stored = stored_field(mode, host.grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
+    # bit for bit the formula with V from trap_potential at each radius
+    want = [max((mu - config.trap_potential(x) - scales.u12 * n2) / scales.u11, 0.0)
+            for x, n2 in zip(host.grid.r, stored.values)]
+    assert dented.values == tuple(want)
     dip = host_n1[0] - dented.values[0]
     assert_allclose(dip, 5.5322e15, rtol=1e-4)
     assert_allclose(dip / host_n1[0], 7.395e-5, rtol=1e-3)

@@ -6,16 +6,13 @@ from numpy.testing import assert_allclose
 
 from becnlo import (
     GridError,
-    RadialGrid,
     SpeciesParams,
     StoredMode,
     SystemConfig,
     TrapParams,
     ValidationError,
-    density_profile,
     density_std,
     derive_scales,
-    energy_profile,
     figure_data,
     kinetic_correction,
     quantum_depletion,
@@ -146,15 +143,29 @@ class TestDensityStd:
             density_std(config, scales, host.mu, 0.0, cell_volume=0.0)
 
 
-def test_profiles_consistent(config, scales, host):
-    grid = RadialGrid(0.9 * host.radius, 64)
-    ep = energy_profile(config, scales, host, grid)
-    dp = density_profile(config, scales, host, grid)
-    assert_allclose(ep.host_coll_e, scales.u11 * np.asarray(dp.host_density), rtol=1e-12)
-    assert_allclose(ep.cross_coll_e, scales.u12 * np.asarray(dp.stored_density), rtol=1e-12)
-    assert_allclose(ep.rescaled_kinetic_e, np.asarray(ep.kinetic_e) * scales.u12 / scales.u11, rtol=1e-12)
+def test_figure_columns_consistent(config, scales):
+    fig2, fig3, fig4 = (figure_data(config, fig, n_rows=64) for fig in (2, 3, 4))
+    d3 = scales.d**3
+    n1, n2 = np.asarray(fig4["host_per_d3"]) / d3, np.asarray(fig4["stored_per_d3"]) / d3
+    assert_allclose(np.asarray(fig2["host_coll_hw"]) * scales.e_trap, scales.u11 * n1, rtol=1e-12)
+    assert_allclose(np.asarray(fig2["cross_coll_hw"]) * scales.e_trap, scales.u12 * n2, rtol=1e-12)
+    assert_allclose(
+        fig3["rescaled_kinetic_hw"], np.asarray(fig2["kinetic_hw"]) * scales.u12 / scales.u11, rtol=1e-12
+    )
     # the depleted fraction never exceeds what is there to deplete
-    assert np.all(np.asarray(dp.depletion_density) <= np.asarray(dp.host_density))
+    assert np.all(np.asarray(fig4["depletion_per_d3"]) <= np.asarray(fig4["host_per_d3"]))
+
+
+# each table computes only the columns it prints: what another table needs is never called
+@pytest.mark.parametrize(
+    "fig, unused", [(2, "rescaled_kinetic"), (3, "tf_density_at"), (4, "kinetic_correction")]
+)
+def test_figure_skips_what_it_does_not_print(config, monkeypatch, fig, unused):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"fig {fig} prints nothing of {unused}")
+
+    monkeypatch.setattr(f"becnlo.validity.{unused}", refuse)
+    figure_data(config, fig, n_rows=32)
 
 
 class TestFigureData:
