@@ -28,8 +28,7 @@ _EXPORTS = {
     "sodium_reference_config tf_chemical_potential tf_radius",
     "stored_mode": "FockSuperposition NsGateTimes StoredMode evolve gate_fidelity "
     "ns_gate_target ns_gate_time",
-    "validity": "ValidityReport density_std figure_data kinetic_correction quantum_depletion "
-    "rescaled_kinetic stored_self_energy validity_report",
+    "validity": "ValidityReport figure_data kinetic_correction rescaled_kinetic validity_report",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 # Each cmd_* imports the layers it runs; only `oracle` loads the solver gpe, and no command loads numpy.
 from .errors import BecnloError, ConvergenceError, ValidationError
-from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: span of the host grid)
+from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: bench/worker.py reads the oracle's span)
 from .params import (
     DEFAULT_GRID_POINTS, SystemConfig, check_conditions, check_storage_time, derive_scales,
     energy_shift, load_config, sodium_reference_config, tf_chemical_potential,

@@ -456,18 +456,18 @@ def compare_tf_vs_gpe(
     config: SystemConfig,
     *,
     grid_points: int = DEFAULT_GRID_POINTS,
-    r_max_factor: float = GRID_SPAN_FACTOR,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dt: float | None = None,
 ) -> TfGpeComparison:
     """Solve the host numerically and quantify the clipped-parabola error."""
     scales = derive_scales(config)
-    host = tf_host(config, scales, grid_points, r_max_factor)
+    host = tf_host(config, scales)
+    grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
     solution = solve_ground_state(
-        host_problem(config, scales, host.grid), tol=tol, max_iters=max_iters, dt=dt
+        host_problem(config, scales, grid), tol=tol, max_iters=max_iters, dt=dt
     )
-    r = host.grid.r
+    r = grid.r
     n_tf = tf_density_at(config, scales, host.mu, r)
     central_tf = host.mu / scales.u11
     central_gpe = solution.psi[0] ** 2
@@ -500,7 +500,6 @@ def solve_stored_in_host(
     *,
     idealized: bool = False,
     grid_points: int = DEFAULT_GRID_POINTS,
-    r_max_factor: float = GRID_SPAN_FACTOR,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     dt: float | None = None,
@@ -509,11 +508,12 @@ def solve_stored_in_host(
     from .stored_mode import StoredMode  # loaded here: the host oracle does not need it
 
     scales = derive_scales(config)
-    host = tf_host(config, scales, grid_points, r_max_factor)
-    problem = stored_problem(config, scales, host.mu, host.grid, idealized=idealized)
+    host = tf_host(config, scales)
+    grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
+    problem = stored_problem(config, scales, host.mu, grid, idealized=idealized)
     solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
     mode = StoredMode.from_scales(scales)
-    r = host.grid.r
+    r = grid.r
     ov = radial_integral(r, list(map(mul, mode.profile(r), solution.psi)))
     return StoredComparison(
         overlap=ov**2 / problem.atom_count,

@@ -12,17 +12,15 @@ from __future__ import annotations
 from ._record import record
 from .errors import GridError, ValidationError
 from .grids import DENSITY, RadialField, RadialGrid, _pointwise
-from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, DerivedScales, SystemConfig
-from .params import tf_chemical_potential, tf_radius
+from .params import DerivedScales, SystemConfig, tf_chemical_potential, tf_radius
 
 
 @record
 class TfSolution:
-    """Chemical potential, cloud radius and grid of the host; tf_density_at gives its density."""
+    """Chemical potential and cloud radius of the host; tf_density_at gives its density."""
 
     mu: float  # J
     radius: float  # m
-    grid: RadialGrid
     config: SystemConfig
     scales: DerivedScales
 
@@ -42,25 +40,19 @@ def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):
 def tf_density(
     config: SystemConfig, scales: DerivedScales, mu: float, grid: RadialGrid
 ) -> TfSolution:
-    """The host profile on a grid; the grid must contain the cloud."""
+    """The host at chemical potential mu, checked against a grid that must contain the cloud."""
     radius = tf_radius(config, mu)
     if grid.r_max < radius:
         raise GridError(
             f"grid truncates the cloud: r_max={grid.r_max:g} m < R={radius:g} m"
         )
-    return TfSolution(mu=mu, radius=radius, grid=grid, config=config, scales=scales)
+    return TfSolution(mu=mu, radius=radius, config=config, scales=scales)
 
 
-def tf_host(
-    config: SystemConfig,
-    scales: DerivedScales,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    span: float = GRID_SPAN_FACTOR,
-) -> TfSolution:
-    """The closed-form host on a grid reaching `span` cloud radii."""
+def tf_host(config: SystemConfig, scales: DerivedScales) -> TfSolution:
+    """The closed-form host at the chemical potential that holds its atom number."""
     mu = tf_chemical_potential(config, scales)
-    grid = RadialGrid(span * tf_radius(config, mu), grid_points)
-    return tf_density(config, scales, mu, grid)
+    return TfSolution(mu=mu, radius=tf_radius(config, mu), config=config, scales=scales)
 
 
 def tf_density_with_back_action(

@@ -23,8 +23,8 @@ TF_RATIO_THRESHOLD = 3.0
 # Peak n*a^3 must stay below this for the contact mean field to make sense.
 DILUTENESS_THRESHOLD = 1e-3
 
-DEFAULT_GRID_POINTS = 4096  # radial points of the host grid the subcommands build
-GRID_SPAN_FACTOR = 1.5  # host grid reaches this multiple of the cloud radius
+DEFAULT_GRID_POINTS = 4096  # radial points of the oracle's solver grid
+GRID_SPAN_FACTOR = 1.5  # the oracle's solver grid reaches this multiple of the cloud radius
 
 
 @record

@@ -17,10 +17,8 @@ columns.  Both evaluate the pointwise closed forms below directly.
 
 For the clipped parabola the kinetic correction has the closed form
 K(r) = 3*hbar^2*omega^2/(4*f) + hbar^2*m*omega^4*r^2/(8*f^2),  f = mu - V(r),
-which diverges at the cloud edge; evaluation is refused inside the last two
-spacings of the host grid before R, where the parabola itself is wrong
-anyway.  The report and the figure tables build the default grid of tf_host
-(4096 points over 1.5*R), never sampled, so they refuse r >= 0.99927*R.
+which diverges at the cloud edge; evaluation is refused for
+r >= EDGE_FRACTION*R, where the parabola itself is wrong anyway.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from .host_tf import TfSolution, tf_density_at, tf_host
 from .params import DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
+EDGE_FRACTION = 0.999  # kinetic_correction refuses r >= this fraction of R
 DEPLETION_COEFF = 8.0 / (3.0 * math.sqrt(math.pi))
 RATIO_THRESHOLD = 1.0
 SCAN_POINTS = 257  # radii the validity report scans over 0 <= r <= R/2
@@ -42,7 +41,7 @@ FIGURE_SPAN = 0.95  # profiles are tabulated out to this fraction of R
 
 def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
-    limit = host.radius - 2.0 * host.grid.spacing
+    limit = EDGE_FRACTION * host.radius
     hbar = config.hbar
     k = config.trap_potential(1.0)  # V(r) = k*r^2
     # the factors that do not depend on r, once (as ValidationError if they leave double range)
@@ -66,20 +65,6 @@ def rescaled_kinetic(kinetic, scales: DerivedScales):
     return _pointwise(lambda k: k * (scales.u12 / scales.u11), kinetic)
 
 
-def stored_self_energy(
-    mode: StoredMode, n_stored: int, scales: DerivedScales, r, effective: bool = True
-):
-    """Collisional self-energy U*n2(r) = U*n*phi(r)^2 of the stored mode, J per atom.
-
-    `effective` selects the host-screened coupling U22_tilde (the one that
-    sets the phase rate); otherwise the bare U22.
-    """
-    if n_stored < 0:
-        raise ValidationError(f"n_stored must be non-negative, got {n_stored}")
-    u = scales.u22_tilde if effective else scales.u22
-    return _pointwise(lambda n2: u * n2, mode.density(r, n_stored))
-
-
 def _depletion(a11: float, n1):
     """(8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1 at one host density or a sequence."""
     return _pointwise(lambda n: DEPLETION_COEFF * math.sqrt(n * a11**3) * n, n1)
@@ -88,32 +73,6 @@ def _depletion(a11: float, n1):
 def _fluctuation(cell: float, n1, n_dep):
     """sqrt(2*N_c*N_dep)/cell with N_c = n1*cell and N_dep = n_dep*cell atoms, pointwise."""
     return _pointwise(lambda n, dep: math.sqrt(2.0 * (n * cell) * (dep * cell)) / cell, n1, n_dep)
-
-
-def quantum_depletion(config: SystemConfig, scales: DerivedScales, mu: float, r):
-    """Local-density depletion (8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1, m^-3."""
-    return _depletion(config.species.a11, tf_density_at(config, scales, mu, r))
-
-
-def density_std(
-    config: SystemConfig,
-    scales: DerivedScales,
-    mu: float,
-    r,
-    cell_volume: float | None = None,
-):
-    """Std of the host density coarse-grained over a cell, m^-3.
-
-    With N_c = n1*cell condensed and N_dep = n_dep*cell depleted atoms in the
-    cell, the particle-number variance is 2*N_c*N_dep; dividing the std by the
-    cell gives sqrt(2*n1*n_dep), so the returned density std does not depend
-    on the cell size (the default cell is d^3).
-    """
-    cell = scales.d**3 if cell_volume is None else cell_volume
-    if not cell > 0:
-        raise ValidationError(f"cell volume must be positive, got {cell}")
-    n1 = tf_density_at(config, scales, mu, r)
-    return _fluctuation(cell, n1, _depletion(config.species.a11, n1))
 
 
 def _log10(x: float) -> float:

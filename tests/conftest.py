@@ -30,6 +30,11 @@ def mu(config, scales):
 
 
 @pytest.fixture(scope="session")
-def host(config, scales, mu):
-    grid = RadialGrid(1.5 * tf_radius(config, mu), 4096)
+def grid(config, mu):
+    """The oracle's default grid: 4,096 points over 1.5 cloud radii."""
+    return RadialGrid(1.5 * tf_radius(config, mu), 4096)
+
+
+@pytest.fixture(scope="session")
+def host(config, scales, mu, grid):
     return tf_density(config, scales, mu, grid)

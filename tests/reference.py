@@ -28,6 +28,7 @@ from becnlo import (
     tf_radius,
 )
 from becnlo.grids import _pointwise
+from becnlo.validity import EDGE_FRACTION
 
 FD_STEP = 1e-4  # finite-difference step of kinetic_correction_fd, in cloud radii
 
@@ -69,7 +70,7 @@ def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
         r = x * host.radius
         return float(kinetic_correction(config, host, r) - (host.mu - config.trap_potential(r)))
 
-    hi = 1.0 - 2.001 * host.grid.spacing / host.radius
+    hi = EDGE_FRACTION * (1.0 - 1e-9)
     lo = 0.5
     if gap(lo) >= 0.0 or gap(hi) <= 0.0:
         raise ValidationError("no kinetic/collisional crossing inside (R/2, R)")
@@ -80,9 +81,9 @@ def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfS
     """K(r) by central differences on sqrt(n1): cross-check of the closed form.
 
     Uses lap(psi) = psi'' + 2*psi'/r, with the r -> 0 limit 3*psi''(0).  Like
-    the closed form, it refuses the last two spacings of the host grid before R.
+    the closed form, it refuses r >= EDGE_FRACTION*R.
     """
-    limit = host.radius - 2.0 * host.grid.spacing
+    limit = EDGE_FRACTION * host.radius
     h = FD_STEP * host.radius
 
     def psi(shift):  # sqrt(n1) at |r + shift|: the density is even in r

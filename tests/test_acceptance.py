@@ -31,7 +31,6 @@ from becnlo import (
     ns_gate_target,
     ns_gate_time,
     rescaled_kinetic,
-    stored_self_energy,
     tf_density_at,
     validity_report,
 )
@@ -136,9 +135,8 @@ def test_criterion_06_energy_ordering(config, scales, host):
 def test_criterion_07_two_component_kinetic(config, scales, host):
     r = np.linspace(0.0, 0.5 * host.radius, 401)
     mode = StoredMode.from_scales(scales)
-    ratio = np.asarray(rescaled_kinetic(kinetic_correction(config, host, r), scales)) / np.asarray(
-        stored_self_energy(mode, config.n_stored_max, scales, r)
-    )
+    stored_self = scales.u22_tilde * np.asarray(mode.density(r, config.n_stored_max))
+    ratio = np.asarray(rescaled_kinetic(kinetic_correction(config, host, r), scales)) / stored_self
     verdict(7, "rescaled kinetic exceeds stored self-interaction by > 100x", float(np.max(ratio)) > 100.0)
 
 

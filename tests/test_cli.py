@@ -668,20 +668,21 @@ def test_import_gpe_loads_no_numpy(tmp_path):
 
 
 # the package's public names: those `from becnlo import *` exported before the
-# namespace became lazy, less the two profile records and their builders
+# namespace became lazy, less the two profile records and their builders and
+# the three validity closed forms that no command ran
 PUBLIC_NAMES = [
     "BecnloError", "ConditionFlags", "ConvergenceError", "DENSITY", "DerivedScales",
     "ENERGY", "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
     "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialField", "RadialGrid",
     "SpeciesParams", "StoredMode", "SystemConfig", "TfSolution", "TrapParams",
     "ValidationError", "ValidityReport", "WAVEFUNCTION", "backsolve_im_a12",
-    "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling", "density_std",
+    "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling",
     "derive_scales", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
     "gate_fidelity", "host_problem", "kinetic_correction", "lifetime_tau", "load_config",
     "loss_overlap", "mode_host_overlap", "ns_gate_target", "ns_gate_time",
-    "quantum_depletion", "radial_integral", "rescaled_kinetic",
+    "radial_integral", "rescaled_kinetic",
     "sodium_reference_config", "solve_ground_state", "solve_stored_in_host",
-    "stored_problem", "stored_self_energy", "tf_chemical_potential", "tf_density",
+    "stored_problem", "tf_chemical_potential", "tf_density",
     "tf_density_at", "tf_density_with_back_action", "tf_host", "tf_radius",
     "validity_report", "virial_residual",
 ]

@@ -165,22 +165,27 @@ class TestHostComparison:
 
     def test_errors_shrink_with_atom_number(self, config):
         # the parabola is the large-N limit, so its error is monotone in N
-        def at(n_host, **kwargs):
-            from becnlo import SystemConfig
+        from becnlo import tf_chemical_potential, tf_radius
 
-            swept = SystemConfig(
+        def swept(n_host):
+            return SystemConfig(
                 species=config.species,
                 trap=config.trap,
                 n_host=n_host,
                 n_stored_max=config.n_stored_max,
             )
-            return compare_tf_vs_gpe(swept, grid_points=1024, **kwargs)
 
-        errs = [at(n).mu_rel_err for n in (10**5, 10**6, 10**8)]
+        errs = [compare_tf_vs_gpe(swept(n), grid_points=1024).mu_rel_err for n in (10**5, 10**6, 10**8)]
         assert errs[0] > errs[1] > errs[2]
-        # at a hundred atoms the cloud is nearly the bare oscillator state
-        # and the parabola is off by far more than a few percent
-        assert at(100, r_max_factor=8.0).mu_rel_err > 0.05
+        # at a hundred atoms the cloud is nearly the bare oscillator state, far
+        # wider than 1.5 parabola radii, and the parabola is off by far more
+        # than a few percent
+        few = swept(100)
+        few_scales = derive_scales(few)
+        mu_tf = tf_chemical_potential(few, few_scales)
+        grid = RadialGrid(8.0 * tf_radius(few, mu_tf), 1024)
+        mu_gpe = solve_ground_state(host_problem(few, few_scales, grid)).mu
+        assert abs(mu_gpe - mu_tf) / mu_tf > 0.05
 
     def test_to_dict_keys(self, config):
         payload = compare_tf_vs_gpe(config, grid_points=1024).to_dict()
@@ -387,10 +392,10 @@ def test_linear_problem_starts_from_the_guess(config, scales):
     assert sol.residual < DEFAULT_TOL
 
 
-def test_harmonic_potential_is_the_trap_potential(config, host):
+def test_harmonic_potential_is_the_trap_potential(config, grid):
     # tabulated without a method call per point, bit for bit
-    field = harmonic_potential_field(config, host.grid)
-    assert field.values == tuple(config.trap_potential(x) for x in host.grid.r)
+    field = harmonic_potential_field(config, grid)
+    assert field.values == tuple(config.trap_potential(x) for x in grid.r)
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])
@@ -487,14 +492,14 @@ def test_thomas_refuses_a_matrix_that_is_not_positive_definite(n):
     assert _thomas(-1.0, (singular + 1e-3).tolist(), rhs) is not None
 
 
-def test_stop_reason(config, scales):
+def test_stop_reason(config, scales, mu):
     # the oracle's host solve stops on tol after at least one Newton step, and
     # records which criterion stopped it; below the round-off floor only the
     # floor can stop the solve
-    from becnlo import tf_host
+    from becnlo import tf_radius
 
-    host = tf_host(config, scales, DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR)
-    problem = host_problem(config, scales, host.grid)
+    grid = RadialGrid(GRID_SPAN_FACTOR * tf_radius(config, mu), DEFAULT_GRID_POINTS)
+    problem = host_problem(config, scales, grid)
     sol = solve_ground_state(problem)
     assert sol.stop == "tol"
     assert sol.residual < DEFAULT_TOL

@@ -16,15 +16,16 @@ from becnlo import (
     tf_density,
     tf_density_at,
     tf_density_with_back_action,
+    tf_host,
     tf_radius,
 )
 from reference import tf_chemical_potential_numeric
 
 
 @pytest.fixture(scope="module")
-def host_n1(config, scales, mu, host):
-    """The clipped parabola sampled on the host grid."""
-    return tf_density_at(config, scales, mu, host.grid.r)
+def host_n1(config, scales, mu, grid):
+    """The clipped parabola sampled on the grid."""
+    return tf_density_at(config, scales, mu, grid.r)
 
 
 def stored_field(mode, grid, n_atoms):
@@ -84,8 +85,8 @@ def test_mu_scales_with_interaction_strength(config, scales, mu):
     assert_allclose(mu32 / mu, 4.0, rtol=1e-13)
 
 
-def test_density_normalizes_to_n(config, host, host_n1):
-    total = radial_integral(host.grid.r, host_n1)
+def test_density_normalizes_to_n(config, grid, host_n1):
+    total = radial_integral(grid.r, host_n1)
     assert_allclose(total, config.n_host, rtol=1e-6)
 
 
@@ -94,44 +95,50 @@ def test_grid_must_contain_cloud(config, scales, mu):
         tf_density(config, scales, mu, RadialGrid(0.5 * tf_radius(config, mu), 256))
 
 
-def test_back_action_dip(config, scales, mu, host, host_n1):
+def test_host_record_is_the_grid_free_closed_form(config, scales, mu, host):
+    # checking the cloud against a grid keeps no trace of that grid in the record
+    assert host == tf_host(config, scales)
+    assert host == tf_density(config, scales, mu, RadialGrid(1.5 * host.radius, 64))
+
+
+def test_back_action_dip(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, host.grid, n_atoms=10)
+    stored = stored_field(mode, grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
     # bit for bit the formula with V from trap_potential at each radius
     want = [max((mu - config.trap_potential(x) - scales.u12 * n2) / scales.u11, 0.0)
-            for x, n2 in zip(host.grid.r, stored.values)]
+            for x, n2 in zip(grid.r, stored.values)]
     assert dented.values == tuple(want)
     dip = host_n1[0] - dented.values[0]
     assert_allclose(dip, 5.5322e15, rtol=1e-4)
     assert_allclose(dip / host_n1[0], 7.395e-5, rtol=1e-3)
     # the dip heals where the mode ends
-    far = np.asarray(host.grid.r) > 6.0 * scales.s
+    far = np.asarray(grid.r) > 6.0 * scales.s
     assert_allclose(np.asarray(dented.values)[far], np.asarray(host_n1)[far], rtol=1e-12)
 
 
-def test_back_action_rejects_dense_mode(config, scales, mu, host):
+def test_back_action_rejects_dense_mode(config, scales, mu, grid):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, host.grid, n_atoms=2e5)
+    stored = stored_field(mode, grid, n_atoms=2e5)
     with pytest.raises(ValidationError, match="too dense"):
         tf_density_with_back_action(config, scales, mu, stored)
 
 
-def test_back_action_trivial_without_stored_atoms(config, scales, mu, host, host_n1):
+def test_back_action_trivial_without_stored_atoms(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    empty = stored_field(mode, host.grid, n_atoms=0)
+    empty = stored_field(mode, grid, n_atoms=0)
     dented = tf_density_with_back_action(config, scales, mu, empty)
     assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
 
 
-def test_back_action_never_raises_density(config, scales, mu, host, host_n1):
+def test_back_action_never_raises_density(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, host.grid, n_atoms=10)
+    stored = stored_field(mode, grid, n_atoms=10)
     dented = tf_density_with_back_action(config, scales, mu, stored)
     assert np.all(np.asarray(dented.values) <= np.asarray(host_n1))
 
 
-def test_back_action_decoupled_channel(config, mu, host, host_n1):
+def test_back_action_decoupled_channel(config, mu, grid, host_n1):
     # u12 = 0: stored atoms no longer dent the host at all
     from becnlo import SpeciesParams, SystemConfig, derive_scales
 
@@ -141,7 +148,7 @@ def test_back_action_decoupled_channel(config, mu, host, host_n1):
         species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
     )
     dscales = derive_scales(decoupled)
-    stored = stored_field(StoredMode.from_scales(dscales), host.grid, n_atoms=10)
+    stored = stored_field(StoredMode.from_scales(dscales), grid, n_atoms=10)
     dented = tf_density_with_back_action(decoupled, dscales, mu, stored)
     assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
 

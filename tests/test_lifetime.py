@@ -64,14 +64,6 @@ def test_overlap_matches_quadrature(scenario):
     assert_allclose(mode_host_overlap(mode, host), want, rtol=1e-10, atol=0.0)
 
 
-def test_closed_forms_never_sample_the_host_grid(config, scales):
-    # the overlap needs mu, R and s only: the 4,096 radii of the host grid are never built
-    host = tf_host(config, scales)
-    estimate_lifetime(config, scales, host)
-    backsolve_im_a12(config, scales, host, 2.5e-4)
-    assert "r" not in vars(host.grid)
-
-
 def test_default_lifetime(config, scales, host):
     estimate = estimate_lifetime(config, scales, host)
     assert_allclose(estimate.loss_rate_l, 2.9241e-31, rtol=1e-3)

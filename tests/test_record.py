@@ -34,12 +34,13 @@ def records():
     """One instance of each record class, built by the package's own functions."""
     config = sodium_reference_config()
     scales = derive_scales(config)
-    host = tf_host(config, scales, 64)
+    host = tf_host(config, scales)
+    grid = RadialGrid(1.5 * host.radius, 64)
     stored = solve_stored_in_host(config, grid_points=256)
-    problem = host_problem(config, scales, host.grid)
+    problem = host_problem(config, scales, grid)
     built = [
         config, config.species, config.trap, scales,
-        check_conditions(config, scales, host.mu), host, host.grid, problem.potential,
+        check_conditions(config, scales, host.mu), host, grid, problem.potential,
         estimate_lifetime(config, scales, host), StoredMode.from_scales(scales),
         FockSuperposition.normalized([1, 1, 1]), ns_gate_time(scales),
         validity_report(config),

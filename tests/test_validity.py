@@ -1,4 +1,4 @@
-"""Kinetic correction, depletion, fluctuation, and figure-table checks."""
+"""Kinetic correction, figure-table and validity-report checks."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,20 @@ from numpy.testing import assert_allclose
 
 from becnlo import (
     GridError,
+    RadialGrid,
     SpeciesParams,
-    StoredMode,
     SystemConfig,
     TrapParams,
     ValidationError,
-    density_std,
     derive_scales,
     figure_data,
     kinetic_correction,
-    quantum_depletion,
     rescaled_kinetic,
-    stored_self_energy,
-    tf_density_at,
+    tf_density,
+    tf_host,
     validity_report,
 )
+from becnlo.validity import EDGE_FRACTION
 from reference import kinetic_correction_fd, kinetic_crossing_radius
 
 
@@ -43,16 +42,23 @@ class TestKineticCorrection:
         assert np.all(np.diff(k) > 0.0)
 
     def test_rejects_edge(self, config, scales, host):
-        # the last two spacings of the 4,096-point grid over 1.5*R: r >= 0.99927*R
-        kinetic_correction(config, host, 0.9992 * host.radius)
+        edge = EDGE_FRACTION * host.radius
+        kinetic_correction(config, host, np.nextafter(edge, 0.0))
         with pytest.raises(GridError):
-            kinetic_correction(config, host, 0.9993 * host.radius)
+            kinetic_correction(config, host, edge)
         with pytest.raises(GridError):
             kinetic_correction(config, host, host.radius)
         with pytest.raises(GridError):
             kinetic_correction(config, host, -1e-6)
         with pytest.raises(GridError):
             kinetic_correction_fd(config, scales, host, host.radius)
+
+    def test_edge_does_not_depend_on_the_checked_grid(self, config, scales, mu):
+        # a 64-point grid over 1.5*R has spacings of 0.024*R; the guard is a fraction of R alone
+        closed = tf_host(config, scales)
+        coarse = tf_density(config, scales, mu, RadialGrid(1.5 * closed.radius, 64))
+        r = 0.99 * closed.radius
+        assert kinetic_correction(config, coarse, r) == kinetic_correction(config, closed, r)
 
     def test_crossing_near_edge(self, config, host):
         crossing = kinetic_crossing_radius(config, host)
@@ -93,54 +99,29 @@ def test_rescaled_kinetic_degenerate_inputs(config, scales):
     assert rescaled_kinetic(1e-31, derive_scales(decoupled)) == 0.0
 
 
-def test_stored_self_energy(scales):
-    mode = StoredMode.from_scales(scales)
-    self0 = stored_self_energy(mode, 10, scales, 0.0)
-    assert_allclose(self0 / scales.e_trap, 1.878793e-4, rtol=1e-6)
-    # bare coupling version is larger by u22/u22_tilde
-    bare = stored_self_energy(mode, 10, scales, 0.0, effective=False)
-    assert_allclose(bare / self0, scales.u22 / scales.u22_tilde, rtol=1e-12)
-    assert stored_self_energy(mode, 0, scales, 0.0) == 0.0
-    with pytest.raises(ValidationError):
-        stored_self_energy(mode, -1, scales, 0.0)
+# r = 0 is row 0 of the tables
+def test_stored_self_energy(config):
+    assert_allclose(figure_data(config, 3, n_rows=32)["stored_self_hw"][0], 1.878793e-4, rtol=1e-6)
 
 
-def test_center_ratio_magnitude(config, scales, host):
+def test_center_ratio_magnitude(config):
     # rescaled kinetic vs stored self-interaction at the center: ~169
-    k0 = rescaled_kinetic(kinetic_correction(config, host, 0.0), scales)
-    self0 = stored_self_energy(StoredMode.from_scales(scales), 10, scales, 0.0)
-    assert_allclose(k0 / self0, 169.33, rtol=1e-3)
+    cols = figure_data(config, 3, n_rows=32)
+    assert_allclose(cols["rescaled_kinetic_hw"][0] / cols["stored_self_hw"][0], 169.33, rtol=1e-3)
 
 
 class TestDepletion:
-    def test_central_fraction(self, config, scales, host):
-        n0 = tf_density_at(config, scales, host.mu, 0.0)
-        frac = quantum_depletion(config, scales, host.mu, 0.0) / n0
-        assert_allclose(frac, 1.8766e-3, rtol=1e-4)
+    def test_central_fraction(self, config):
+        cols = figure_data(config, 4, n_rows=32)
+        assert_allclose(cols["depletion_per_d3"][0] / cols["host_per_d3"][0], 1.8766e-3, rtol=1e-4)
 
-    def test_central_per_cell(self, config, scales, host):
-        dep0 = quantum_depletion(config, scales, host.mu, 0.0)
-        assert_allclose(dep0 * scales.d**3, 3.6570, rtol=1e-4)
-
-    def test_vanishes_outside(self, config, scales, host):
-        assert quantum_depletion(config, scales, host.mu, 2.0 * host.radius) == 0.0
+    def test_central_per_cell(self, config):
+        assert_allclose(figure_data(config, 4, n_rows=32)["depletion_per_d3"][0], 3.6570, rtol=1e-4)
 
 
 class TestDensityStd:
-    def test_central_value(self, config, scales, host):
-        std0 = density_std(config, scales, host.mu, 0.0)
-        assert_allclose(std0 * scales.d**3, 119.3872, rtol=1e-5)
-
-    def test_cell_independent(self, config, scales, host):
-        # sqrt(2 Nc Ndep)/cell has the cell volume cancel out
-        r = np.linspace(0.0, 0.5 * host.radius, 7)
-        a = density_std(config, scales, host.mu, r, cell_volume=scales.d**3)
-        b = density_std(config, scales, host.mu, r, cell_volume=123.0 * scales.d**3)
-        assert_allclose(a, b, rtol=1e-12)
-
-    def test_bad_cell(self, config, scales, host):
-        with pytest.raises(ValidationError):
-            density_std(config, scales, host.mu, 0.0, cell_volume=0.0)
+    def test_central_value(self, config):
+        assert_allclose(figure_data(config, 4, n_rows=32)["std_per_d3"][0], 119.3872, rtol=1e-5)
 
 
 def test_figure_columns_consistent(config, scales):
@@ -179,8 +160,6 @@ class TestFigureData:
             "std_per_d3",
         ]
         assert_allclose(cols["host_per_d3"][0], 1948.749, rtol=1e-6)
-        assert_allclose(cols["std_per_d3"][0], 119.3872, rtol=1e-5)
-        assert_allclose(cols["depletion_per_d3"][0], 3.6570, rtol=1e-4)
         assert_allclose(cols["stored_per_d3"][0], 0.14955, rtol=1e-4)
 
     def test_fig4_center_ordering(self, config):
