@@ -17,7 +17,7 @@ import importlib
 # public name -> the module that defines it, one space-separated list per module
 _EXPORTS = {
     "errors": "BecnloError ConvergenceError GridError LossNotConfiguredError ValidationError",
-    "grids": "DENSITY ENERGY WAVEFUNCTION RadialField RadialGrid radial_integral",
+    "grids": "RadialGrid radial_integral",
     "gpe": "GpeProblem GpeSolution compare_tf_vs_gpe host_problem solve_ground_state "
     "solve_stored_in_host stored_problem virial_residual",
     "host_tf": "TfSolution tf_density tf_density_at tf_density_with_back_action tf_host",

@@ -8,7 +8,6 @@ gettext and locale imports, and building its parsers, cost more than `units` com
 from __future__ import annotations
 
 import math
-import os
 import sys
 from types import SimpleNamespace
 
@@ -16,27 +15,13 @@ from types import SimpleNamespace
 from .errors import BecnloError, ConvergenceError, ValidationError
 from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: bench/worker.py reads the oracle's span)
 from .params import (
-    DEFAULT_GRID_POINTS, SystemConfig, check_conditions, check_storage_time, derive_scales,
+    DEFAULT_GRID_POINTS, HBAR, SystemConfig, check_conditions, check_storage_time, derive_scales,
     energy_shift, load_config, sodium_reference_config, tf_chemical_potential,
 )
-
-GRID_POINTS_ENV = "BECNLO_GRID_POINTS"
 
 
 def _fmt(x) -> str:
     return f"{x:.9g}"
-
-
-def _resolve_grid_points(args) -> int:
-    if args.grid_points is not None:
-        return args.grid_points
-    raw = os.environ.get(GRID_POINTS_ENV)
-    if raw is None:
-        return DEFAULT_GRID_POINTS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{GRID_POINTS_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _load(args) -> SystemConfig:
@@ -71,7 +56,9 @@ def cmd_phase(args) -> int:
     config = _load(args)
     scales = derive_scales(config)
     shift = energy_shift(args.n, scales)
-    phase = shift * check_storage_time(args.time) / scales.hbar
+    phase = shift * check_storage_time(args.time) / HBAR
+    if not math.isfinite(phase):
+        raise ValidationError(f"the phase after {args.time:g} s is out of floating-point range")
     print(f"n = {args.n}")
     print(f"delta_e = {_fmt(shift)} J")
     print(f"phase = {_fmt(phase)} rad")
@@ -160,12 +147,11 @@ def cmd_oracle(args) -> int:
     from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
 
     config = _load(args)
-    grid_points = _resolve_grid_points(args)
     if args.idealized and not args.stored:
         raise ValidationError("--idealized applies only with --stored")
     if args.stored:
         comparison = solve_stored_in_host(
-            config, idealized=args.idealized, grid_points=grid_points
+            config, idealized=args.idealized, grid_points=args.grid_points
         )
         solution = comparison.solution
         payload = {
@@ -178,7 +164,7 @@ def cmd_oracle(args) -> int:
         if args.idealized:  # the virial identity holds only in a harmonic potential
             payload["virial_residual"] = virial_residual(solution)
     else:
-        payload = compare_tf_vs_gpe(config, grid_points=grid_points).to_dict()
+        payload = compare_tf_vs_gpe(config, grid_points=args.grid_points).to_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         _write(args.out, text + "\n")
@@ -191,7 +177,6 @@ def cmd_oracle(args) -> int:
 # option -> (attribute, type (None for a flag, a tuple for a choice of ints), default or REQUIRED, help)
 REQUIRED = object()
 CONFIG_OPTION = {"--config": ("config", str, None, "JSON scenario file (default: bundled sodium)")}
-GRID_HELP = f"radial grid size (default {DEFAULT_GRID_POINTS}, or ${GRID_POINTS_ENV})"
 ALIASES = {"--t": "--time"}
 HELP = ("-h", "--help")
 
@@ -219,7 +204,9 @@ COMMANDS = {
     }),
     "oracle": (cmd_oracle, "independent ground-state solve vs the closed forms", {
         **CONFIG_OPTION,
-        "--grid-points": ("grid_points", int, None, GRID_HELP),
+        "--grid-points": (
+            "grid_points", int, DEFAULT_GRID_POINTS, f"radial grid size (default {DEFAULT_GRID_POINTS})"
+        ),
         "--stored": ("stored", None, False, "solve the stored component instead of the host"),
         "--idealized": (
             "idealized", None, False, "with --stored: drop the cloud edge, keep only the cancelled trap"

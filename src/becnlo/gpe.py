@@ -43,13 +43,12 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub, truediv
 
 from ._record import record
 from .errors import ConvergenceError, GridError, ValidationError
-from .grids import ENERGY, WAVEFUNCTION, RadialField, RadialGrid, radial_integral
+from .grids import RadialGrid, _all_finite, radial_integral
 from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
@@ -65,27 +64,32 @@ COARSE_POINTS = 640  # the coarse grid that starts a solve keeps at least this m
 
 @record
 class GpeProblem:
-    """One ground-state problem: external potential, coupling, atom number."""
+    """One ground-state problem: grid, external potential, coupling, atom number.
 
-    potential: RadialField  # J on the solver grid
+    The potential is copied into a tuple of floats, one finite value per grid point.
+    """
+
+    grid: RadialGrid
+    potential: tuple  # J at each radius of the grid
     g: float  # J*m^3, contact coupling (>= 0)
     atom_count: float
     mass: float  # kg
-    hbar: float = HBAR
 
     def __post_init__(self):
-        if self.potential.unit != ENERGY:
-            raise ValidationError(f"potential must carry unit {ENERGY!r}, got {self.potential.unit!r}")
+        potential = tuple(map(float, self.potential))
+        if len(potential) != self.grid.n_points:
+            raise ValidationError(
+                f"potential shape ({len(potential)},) does not match grid ({self.grid.n_points},)"
+            )
+        if not _all_finite(potential):
+            raise ValidationError("potential contains non-finite values")
+        object.__setattr__(self, "potential", potential)
         if self.g < 0:
             raise ValidationError(f"attractive coupling not supported, got g={self.g}")
         if not self.atom_count >= 1:
             raise ValidationError(f"atom_count must be >= 1, got {self.atom_count}")
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.potential.grid
 
 
 @record
@@ -110,10 +114,6 @@ class GpeSolution:
     def energy(self) -> float:
         return self.e_kinetic + self.e_potential + self.e_interaction
 
-    @cached_property
-    def wavefunction(self) -> RadialField:
-        return RadialField(self.grid, self.psi, WAVEFUNCTION)
-
 
 def virial_residual(solution: GpeSolution) -> float:
     """|2 E_kin - 2 E_pot + 3 E_int| / E_tot; zero for a harmonic trap."""
@@ -127,18 +127,14 @@ def _trap_values(config: SystemConfig, r) -> list:
     return [k * (x * x) for x in r]
 
 
-def harmonic_potential_field(config: SystemConfig, grid: RadialGrid) -> RadialField:
-    return RadialField(grid, _trap_values(config, grid.r), ENERGY)
-
-
 def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) -> GpeProblem:
     """The host gas: bare trap, U11, N host atoms."""
     return GpeProblem(
-        potential=harmonic_potential_field(config, grid),
+        grid=grid,
+        potential=_trap_values(config, grid.r),
         g=scales.u11,
         atom_count=float(config.n_host),
         mass=config.species.mass,
-        hbar=config.hbar,
     )
 
 
@@ -161,18 +157,18 @@ def stored_problem(
     else:
         v = [x + scales.u12 * n for x, n in zip(v, tf_density_at(config, scales, mu, grid.r))]
     return GpeProblem(
-        potential=RadialField(grid, v, ENERGY),
+        grid=grid,
+        potential=v,
         g=scales.u22,
         atom_count=float(max(config.n_stored_max, 1)),
         mass=config.species.mass,
-        hbar=config.hbar,
     )
 
 
 def _curvature_frequency(problem: GpeProblem):
     """Harmonic frequency matching the potential's curvature at the origin."""
     grid = problem.grid
-    v = problem.potential.values
+    v = problem.potential
     vpp = 2.0 * (v[1] - v[0]) / grid.spacing**2
     if vpp <= 0.0:
         return None
@@ -214,7 +210,7 @@ def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
     """Starting psi: a Gaussian of the curvature width and, for g > 0, the TF profile smoothed at the edge."""
     omega = _curvature_frequency(problem)
-    width = problem.grid.r_max / 6.0 if omega is None else math.sqrt(problem.hbar / (problem.mass * omega))
+    width = problem.grid.r_max / 6.0 if omega is None else math.sqrt(HBAR / (problem.mass * omega))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
@@ -296,8 +292,7 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     points = (n - 1) // k + 1
     last = (points - 1) * k  # the coarse grid covers [0, r[last]]
     grid = RadialGrid(problem.grid.r[last], points)
-    potential = RadialField(grid, problem.potential.values[: last + 1 : k], ENERGY)
-    coarse = GpeProblem(potential, problem.g, problem.atom_count, problem.mass, problem.hbar)
+    coarse = GpeProblem(grid, problem.potential[: last + 1 : k], problem.g, problem.atom_count, problem.mass)
     try:
         psi = _solve(coarse, tol, max_iters, dt, None).psi
     except (ConvergenceError, GridError):
@@ -309,11 +304,11 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
 
 def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_guess) -> GpeSolution:
     grid = problem.grid
-    r, dr, v = grid.r, grid.spacing, problem.potential.values
-    g, hbar, atom_count = problem.g, problem.hbar, problem.atom_count
+    r, dr, v = grid.r, grid.spacing, problem.potential
+    g, atom_count = problem.g, problem.atom_count
     dt_max = DT_GROWTH_CAP * dt
 
-    kin = hbar**2 / (2.0 * problem.mass * dr**2)
+    kin = HBAR**2 / (2.0 * problem.mass * dr**2)
     two_kin = 2.0 * kin
     r_in, v_in = r[1:-1], v[1:-1]  # the ends of u stay zero
     # the flow's matrix sees V - min V: same ground state, diagonally dominant,
@@ -355,7 +350,7 @@ def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_g
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
     def flow(s, dt):
-        lam = dt / hbar
+        lam = dt / HBAR
         flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_step, s.nonlinear)]
         solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
         return None if solved is None else state([0.0, *solved[0], 0.0])
@@ -452,21 +447,12 @@ class TfGpeComparison:
         }
 
 
-def compare_tf_vs_gpe(
-    config: SystemConfig,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    dt: float | None = None,
-) -> TfGpeComparison:
+def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> TfGpeComparison:
     """Solve the host numerically and quantify the clipped-parabola error."""
     scales = derive_scales(config)
     host = tf_host(config, scales)
     grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
-    solution = solve_ground_state(
-        host_problem(config, scales, grid), tol=tol, max_iters=max_iters, dt=dt
-    )
+    solution = solve_ground_state(host_problem(config, scales, grid))
     r = grid.r
     n_tf = tf_density_at(config, scales, host.mu, r)
     central_tf = host.mu / scales.u11
@@ -496,13 +482,7 @@ class StoredComparison:
 
 
 def solve_stored_in_host(
-    config: SystemConfig,
-    *,
-    idealized: bool = False,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    dt: float | None = None,
+    config: SystemConfig, *, idealized: bool = False, grid_points: int = DEFAULT_GRID_POINTS
 ) -> StoredComparison:
     """Ground state of the stored component and its overlap with the Gaussian."""
     from .stored_mode import StoredMode  # loaded here: the host oracle does not need it
@@ -511,7 +491,7 @@ def solve_stored_in_host(
     host = tf_host(config, scales)
     grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
     problem = stored_problem(config, scales, host.mu, grid, idealized=idealized)
-    solution = solve_ground_state(problem, tol=tol, max_iters=max_iters, dt=dt)
+    solution = solve_ground_state(problem)
     mode = StoredMode.from_scales(scales)
     r = grid.r
     ov = radial_integral(r, list(map(mul, mode.profile(r), solution.psi)))

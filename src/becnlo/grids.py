@@ -1,4 +1,4 @@
-"""Uniform radial grids, sampled radial fields, and spherical quadrature."""
+"""Uniform radial grids, spherical quadrature, and closed forms evaluated pointwise."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ from functools import cached_property
 
 from ._record import record
 from .errors import GridError, ValidationError
-
-# unit tags for RadialField
-DENSITY = "m^-3"
-WAVEFUNCTION = "m^-3/2"
-ENERGY = "J"
 
 MIN_POINTS = 16
 # a table or an oracle solve holds about 0.6-0.75 KB per point, so this keeps either under about 0.8 GB
@@ -66,31 +61,6 @@ class RadialGrid:
         """i*spacing, with the last radius exactly r_max: numpy.linspace's values."""
         step = self.spacing
         return (*[i * step for i in range(self.n_points - 1)], self.r_max)
-
-
-@record
-class RadialField:
-    """Values of a spherically symmetric quantity on a RadialGrid.
-
-    The values are copied into a tuple of floats; densities must be
-    non-negative and every entry finite.
-    """
-
-    grid: RadialGrid
-    values: tuple
-    unit: str
-
-    def __post_init__(self):
-        values = tuple(map(float, self.values))
-        if len(values) != self.grid.n_points:
-            raise ValidationError(
-                f"field shape ({len(values)},) does not match grid ({self.grid.n_points},)"
-            )
-        if not _all_finite(values):
-            raise ValidationError("field contains non-finite values")
-        if self.unit == DENSITY and min(values) < 0.0:
-            raise ValidationError("density field has negative entries")
-        object.__setattr__(self, "values", values)
 
 
 def radial_integral(r, values) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import record
 from .errors import GridError, ValidationError
-from .grids import DENSITY, RadialField, RadialGrid, _pointwise
+from .grids import RadialGrid, _pointwise
 from .params import DerivedScales, SystemConfig, tf_chemical_potential, tf_radius
 
 
@@ -55,25 +55,20 @@ def tf_host(config: SystemConfig, scales: DerivedScales) -> TfSolution:
     return TfSolution(mu=mu, radius=tf_radius(config, mu), config=config, scales=scales)
 
 
-def tf_density_with_back_action(
-    config: SystemConfig,
-    scales: DerivedScales,
-    mu: float,
-    stored_density: RadialField,
-) -> RadialField:
-    """Host profile with the stored mean field included: (mu - V - U12*n2)/U11.
+def tf_density_with_back_action(config: SystemConfig, scales: DerivedScales, mu: float, r, n2) -> tuple:
+    """Host density max((mu - V - U12*n2)/U11, 0) at the radii r, given the stored density n2 there.
 
     mu is kept at its unperturbed value since the stored component carries a
     negligible fraction of the atoms; the result shows the dip the stored
-    atoms dig into the host.  If the dip would drive the center negative the
-    stored component is too dense for this linear response and we refuse.
+    atoms dig into the host.  If the dip would drive the center (r[0]) negative
+    the stored component is too dense for this linear response and we refuse.
     """
-    grid = stored_density.grid
+    if len(n2) != len(r):
+        raise ValidationError(f"stored density has {len(n2)} values for {len(r)} radii")
     k = config.trap_potential(1.0)  # V(r) = k*r^2, as in tf_density_at
-    raw = _pointwise(lambda x, n2: (mu - k * (x * x) - scales.u12 * n2) / scales.u11,
-                     grid.r, stored_density.values)
+    raw = _pointwise(lambda x, n: (mu - k * (x * x) - scales.u12 * n) / scales.u11, r, n2)
     if raw[0] < 0.0:
         raise ValidationError(
             "stored component too dense: host density would go negative at the center"
         )
-    return RadialField(grid, [max(n1, 0.0) for n1 in raw], DENSITY)
+    return tuple(max(n1, 0.0) for n1 in raw)

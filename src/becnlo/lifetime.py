@@ -52,20 +52,20 @@ def loss_overlap(mode: StoredMode, host: TfSolution, im_u12: float) -> float:
     return abs(im_u12) * mode_host_overlap(mode, host)
 
 
-def lifetime_tau(rate: float, hbar: float = HBAR) -> float:
+def lifetime_tau(rate: float) -> float:
     """Amplitude-halving time: |exp(-rate*t/hbar)| = 1/2 at t = hbar*ln2/rate."""
     if not 0 < rate < math.inf:
         raise ValidationError(f"loss rate must be positive and finite, got {rate}")
-    return hbar * math.log(2.0) / rate
+    return HBAR * math.log(2.0) / rate
 
 
 def estimate_lifetime(
     config: SystemConfig, scales: DerivedScales, host: TfSolution
 ) -> LossEstimate:
     """Loss rate and lifetime for the configured Im(a12)."""
-    im_u12 = coupling(config.hbar, config.species.mass, config.species.im_a12)
+    im_u12 = coupling(config.species.mass, config.species.im_a12)
     rate = loss_overlap(StoredMode.from_scales(scales), host, im_u12)
-    return LossEstimate(loss_rate_l=rate, tau=lifetime_tau(rate, config.hbar))
+    return LossEstimate(loss_rate_l=rate, tau=lifetime_tau(rate))
 
 
 def backsolve_im_a12(
@@ -75,6 +75,6 @@ def backsolve_im_a12(
     if not tau_target > 0:
         raise ValidationError(f"target lifetime must be positive, got {tau_target}")
     overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
-    rate_needed = config.hbar * math.log(2.0) / tau_target
+    rate_needed = HBAR * math.log(2.0) / tau_target
     im_u12 = rate_needed / overlap
-    return -im_u12 * config.species.mass / (4.0 * math.pi * config.hbar**2)
+    return -im_u12 * config.species.mass / (4.0 * math.pi * HBAR**2)

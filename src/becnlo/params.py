@@ -78,13 +78,12 @@ class TrapParams:
 
 @record
 class SystemConfig:
-    """A complete scenario: species, trap, and atom numbers."""
+    """A complete scenario: species, trap, and atom numbers; hbar is the constant HBAR, not a setting."""
 
     species: SpeciesParams
     trap: TrapParams
     n_host: int
     n_stored_max: int
-    hbar: float = HBAR  # overridable only to make unit errors loud in tests
 
     def __post_init__(self):
         if not isinstance(self.n_host, numbers.Integral) or self.n_host < 1:
@@ -93,8 +92,6 @@ class SystemConfig:
             raise ValidationError(
                 f"n_stored_max must be a non-negative integer, got {self.n_stored_max!r}"
             )
-        if not self.hbar > 0:
-            raise ValidationError(f"hbar must be positive, got {self.hbar}")
 
     def trap_potential(self, r):
         """V(r) = m*omega^2*r^2/2 in J at one radius r, a float (r * r refuses a tuple of radii)."""
@@ -121,12 +118,11 @@ class DerivedScales:
     a22_tilde: float  # m, a22 - a12^2/a11
     u22_tilde: float  # J*m^3
     omega_nl: float  # rad/s, per-pair collisional phase rate of the stored mode
-    hbar: float  # J*s, copied from the config for convenience
 
 
-def coupling(hbar, mass, a):
+def coupling(mass, a):
     """Contact coupling U = 4*pi*hbar^2*a/m in J*m^3."""
-    return 4.0 * math.pi * hbar**2 * a / mass
+    return 4.0 * math.pi * HBAR**2 * a / mass
 
 
 def derive_scales(config: SystemConfig) -> DerivedScales:
@@ -140,29 +136,27 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
     Gaussian is hbar*omega_nl = U22_tilde/(2*(2*pi)^(3/2)*s^3).
     """
     sp = config.species
-    hbar = config.hbar
     omega = config.trap.omega
     try:
-        d = math.sqrt(hbar / (sp.mass * omega))
+        d = math.sqrt(HBAR / (sp.mass * omega))
         eff = 1.0 - sp.a12 / sp.a11
         omega_tilde = omega * math.sqrt(eff)
-        s = math.sqrt(hbar / (sp.mass * omega_tilde))
+        s = math.sqrt(HBAR / (sp.mass * omega_tilde))
         a22_tilde = sp.a22 - sp.a12**2 / sp.a11
-        u22_tilde = coupling(hbar, sp.mass, a22_tilde)
-        omega_nl = u22_tilde / (2.0 * (2.0 * math.pi) ** 1.5 * s**3 * hbar)
+        u22_tilde = coupling(sp.mass, a22_tilde)
+        omega_nl = u22_tilde / (2.0 * (2.0 * math.pi) ** 1.5 * s**3 * HBAR)
         scales = DerivedScales(
             d=d,
-            e_trap=hbar * omega,
-            u11=coupling(hbar, sp.mass, sp.a11),
-            u22=coupling(hbar, sp.mass, sp.a22),
-            u12=coupling(hbar, sp.mass, sp.a12),
+            e_trap=HBAR * omega,
+            u11=coupling(sp.mass, sp.a11),
+            u22=coupling(sp.mass, sp.a22),
+            u12=coupling(sp.mass, sp.a12),
             eff_trap_factor=eff,
             omega_tilde=omega_tilde,
             s=s,
             a22_tilde=a22_tilde,
             u22_tilde=u22_tilde,
             omega_nl=omega_nl,
-            hbar=hbar,
         )
     except _OUT_OF_RANGE as exc:
         raise ValidationError("a derived scale is out of floating-point range") from exc
@@ -194,7 +188,13 @@ def energy_shift(n: int, scales: DerivedScales) -> float:
     """DeltaE_n = (n^2 - n) * hbar * omega_nl in J."""
     if n < 0:
         raise ValidationError(f"occupation must be non-negative, got {n}")
-    return (n * n - n) * scales.hbar * scales.omega_nl
+    try:
+        shift = (n * n - n) * HBAR * scales.omega_nl
+    except _OUT_OF_RANGE as exc:  # int too large to convert to float
+        raise ValidationError("the energy shift is out of floating-point range") from exc
+    if not math.isfinite(shift):
+        raise ValidationError("the energy shift is out of floating-point range")
+    return shift
 
 
 def check_storage_time(t: float) -> float:

@@ -15,7 +15,7 @@ import math
 from ._record import record
 from .errors import ValidationError
 from .grids import _pointwise
-from .params import DerivedScales, check_storage_time, energy_shift  # noqa: F401  (energy_shift: re-exported)
+from .params import DerivedScales, check_storage_time
 
 NORM_TOL = 1e-12
 

@@ -29,7 +29,7 @@ from ._record import record
 from .errors import GridError, ValidationError
 from .grids import MAX_POINTS, MIN_POINTS, RadialGrid, _pointwise
 from .host_tf import TfSolution, tf_density_at, tf_host
-from .params import DerivedScales, SystemConfig, derive_scales
+from .params import HBAR, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode
 
 EDGE_FRACTION = 0.999  # kinetic_correction refuses r >= this fraction of R
@@ -42,11 +42,10 @@ FIGURE_SPAN = 0.95  # profiles are tabulated out to this fraction of R
 def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
     limit = EDGE_FRACTION * host.radius
-    hbar = config.hbar
     k = config.trap_potential(1.0)  # V(r) = k*r^2
     # the factors that do not depend on r, once (as ValidationError if they leave double range)
-    c1 = _pointwise(lambda omega: 3.0 * hbar**2 * omega**2, config.trap.omega)
-    c2 = _pointwise(lambda omega: hbar**2 * config.species.mass * omega**4, config.trap.omega)
+    c1 = _pointwise(lambda omega: 3.0 * HBAR**2 * omega**2, config.trap.omega)
+    c2 = _pointwise(lambda omega: HBAR**2 * config.species.mass * omega**4, config.trap.omega)
 
     def kinetic(x):
         if not 0.0 <= x < limit:

@@ -15,6 +15,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from becnlo import (
+    HBAR,
     DerivedScales,
     GpeProblem,
     GridError,
@@ -96,7 +97,7 @@ def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfS
         d2 = (pp - 2.0 * p0 + pm) / h**2
         d1 = (pp - pm) / (2.0 * h)
         lap = d2 + 2.0 * (d1 / x) if x > 0.0 else 3.0 * d2
-        return -(config.hbar**2 / (2.0 * config.species.mass)) * lap / p0
+        return -(HBAR**2 / (2.0 * config.species.mass)) * lap / p0
 
     return _pointwise(kinetic, r, psi(0.0), psi(h), psi(-h))
 
@@ -147,9 +148,9 @@ def lowest_eigenpair(problem: GpeProblem, psi):
     at the ground state the eigenvalue is mu and the overlap is 1.
     """
     grid = problem.grid
-    kin = problem.hbar**2 / (2.0 * problem.mass * grid.spacing**2)
+    kin = HBAR**2 / (2.0 * problem.mass * grid.spacing**2)
     psi = np.asarray(psi, dtype=float)[1:-1]
-    diag = 2.0 * kin + np.asarray(problem.potential.values)[1:-1] + problem.g * psi**2
+    diag = 2.0 * kin + np.asarray(problem.potential)[1:-1] + problem.g * psi**2
     values, vectors = eigh_tridiagonal(diag, np.full(diag.size - 1, -kin), select="i", select_range=(0, 0))
     u = np.asarray(grid.r)[1:-1] * psi
     return float(values[0]), abs(float(vectors[:, 0] @ u)) / float(np.linalg.norm(u))

@@ -35,7 +35,7 @@ from becnlo import (
     validity_report,
 )
 from reference import energy_shift_bruteforce, kinetic_correction_fd, kinetic_crossing_radius
-from becnlo.gpe import GpeProblem, default_time_step, harmonic_potential_field, solve_ground_state
+from becnlo.gpe import GpeProblem, default_time_step, solve_ground_state
 
 
 def verdict(num, description, ok):
@@ -168,7 +168,8 @@ def test_criterion_09_gpe_oracle(config, scales):
 
     grid = RadialGrid(8.0 * scales.d, 2048)
     linear = GpeProblem(
-        potential=harmonic_potential_field(config, grid),
+        grid=grid,
+        potential=[config.trap_potential(x) for x in grid.r],
         g=0.0,
         atom_count=1.0,
         mass=config.species.mass,
@@ -178,7 +179,7 @@ def test_criterion_09_gpe_oracle(config, scales):
         linear, initial_guess=guess, tol=1e-12, dt=100.0 * default_time_step(linear)
     )
     phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (np.asarray(grid.r) / scales.d) ** 2)
-    overlap = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * phi * sol.wavefunction.values, x=grid.r)
+    overlap = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * phi * np.asarray(sol.psi), x=grid.r)
     ok = ok and overlap**2 > 1.0 - 1e-8
     ok = ok and elapsed < 60.0
     verdict(9, "GPE oracle: TF errors in [2e-4, 5e-3], virial and g = 0 checks, < 60 s", ok)

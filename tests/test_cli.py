@@ -74,6 +74,19 @@ def test_phase_bad_time_exit_code(capsys, time):
     assert "finite and non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "n, time",
+    [(str(10**200), "1"), (str(10**100), "1e200")],
+    ids=["shift-beyond-double", "phase-beyond-double"],
+)
+def test_phase_out_of_range_exit_code(capsys, n, time):
+    # (n^2 - n) past the largest double, or a finite shift times a long storage
+    code, out, err = run(capsys, "phase", "--n", n, "--time", time)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "out of floating-point range" in err
+
+
 def test_gate_reports_both_times(capsys):
     code, out, _ = run(capsys, "gate")
     assert code == 0
@@ -181,15 +194,14 @@ ABOVE_CAP = str(MAX_POINTS + 1)
 
 
 @pytest.mark.parametrize(
-    "argv, env, unit",
+    "argv, unit",
     [
-        (["figures", "--fig", "4", "--rows", ABOVE_CAP], None, "rows"),
-        (["oracle", "--grid-points", ABOVE_CAP], None, "grid points"),
-        (["oracle"], ABOVE_CAP, "grid points"),
+        (["figures", "--fig", "4", "--rows", ABOVE_CAP], "rows"),
+        (["oracle", "--grid-points", ABOVE_CAP], "grid points"),
     ],
-    ids=["figures-rows", "oracle-grid-points", "grid-env"],
+    ids=["figures-rows", "oracle-grid-points"],
 )
-def test_grid_above_cap_exit_code(capsys, monkeypatch, tmp_path, argv, env, unit):
+def test_grid_above_cap_exit_code(capsys, monkeypatch, tmp_path, argv, unit):
     # refused before any radius is built: a grid this size would need about 0.8 GB
     radii = RadialGrid.__dict__["r"].func
 
@@ -198,10 +210,6 @@ def test_grid_above_cap_exit_code(capsys, monkeypatch, tmp_path, argv, env, unit
         return radii(grid)
 
     monkeypatch.setattr(RadialGrid, "r", property(r))
-    if env is None:
-        monkeypatch.delenv("BECNLO_GRID_POINTS", raising=False)
-    else:
-        monkeypatch.setenv("BECNLO_GRID_POINTS", env)
     path = tmp_path / "out"
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert code == 2
@@ -210,9 +218,8 @@ def test_grid_above_cap_exit_code(capsys, monkeypatch, tmp_path, argv, env, unit
     assert not path.exists()
 
 
-def test_oracle_small_grid(capsys, monkeypatch):
-    monkeypatch.setenv("BECNLO_GRID_POINTS", "512")
-    code, out, _ = run(capsys, "oracle")
+def test_oracle_small_grid(capsys):
+    code, out, _ = run(capsys, "oracle", "--grid-points", "512")
     assert code == 0
     payload = json.loads(out)
     assert 2e-4 < payload["mu_rel_err"] < 5e-3
@@ -231,8 +238,7 @@ ORACLE_RTOL = {
 
 
 @pytest.mark.parametrize("command", sorted(ORACLE_RECORDED))
-def test_oracle_matches_recorded_reports(capsys, monkeypatch, command):
-    monkeypatch.delenv("BECNLO_GRID_POINTS", raising=False)
+def test_oracle_matches_recorded_reports(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     got, want = json.loads(out), ORACLE_RECORDED[command]
@@ -276,10 +282,9 @@ def test_closed_form_outputs_match_recorded(capsys, tmp_path, command):
     assert got == want
 
 
-def test_oracle_writes_file(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BECNLO_GRID_POINTS", "512")
+def test_oracle_writes_file(capsys, tmp_path):
     path = tmp_path / "oracle.json"
-    code, out, _ = run(capsys, "oracle", "--out", str(path))
+    code, out, _ = run(capsys, "oracle", "--grid-points", "512", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text(encoding="utf-8"))["iterations"] > 0
 
@@ -336,20 +341,6 @@ def test_unknown_key_exit_code(capsys, tmp_path):
     assert "unknown config key" in err
 
 
-def test_bad_grid_env(capsys, monkeypatch):
-    monkeypatch.setenv("BECNLO_GRID_POINTS", "many")
-    code, _, err = run(capsys, "oracle")
-    assert code == 2
-    assert "BECNLO_GRID_POINTS" in err
-
-
-def test_grid_flag_beats_env(capsys, monkeypatch):
-    # a bad env value is ignored when the flag is given
-    monkeypatch.setenv("BECNLO_GRID_POINTS", "many")
-    code, _, _ = run(capsys, "oracle", "--grid-points", "512")
-    assert code == 0
-
-
 # argv and what the error line must name
 USAGE_ERRORS = [
     pytest.param([], ["command"], id="no-command"),
@@ -370,6 +361,7 @@ USAGE_ERRORS = [
     pytest.param(["oracle", "--grid", "512"], ["--grid"], id="abbreviation"),
     pytest.param(["phase", "--time", "1", "--n"], ["--n"], id="missing-value"),
     pytest.param(["phase", "--n", "two", "--time", "1"], ["--n", "'two'"], id="bad-int"),
+    pytest.param(["oracle", "--grid-points", "many"], ["--grid-points", "'many'"], id="bad-grid-points"),
     pytest.param(["phase", "--n", "2", "--time", "soon"], ["--time", "'soon'"], id="bad-float"),
     pytest.param(["figures", "--fig", "5"], ["--fig", "'5'"], id="bad-choice"),
     pytest.param(["phase", "--n", "2"], ["--time"], id="missing-required"),
@@ -545,7 +537,7 @@ sys.exit(code)
 
 
 def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE, flags=()):
-    env = {k: v for k, v in os.environ.items() if k != "BECNLO_GRID_POINTS"}
+    env = dict(os.environ)
     src = str(Path(becnlo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -668,14 +660,14 @@ def test_import_gpe_loads_no_numpy(tmp_path):
 
 
 # the package's public names: those `from becnlo import *` exported before the
-# namespace became lazy, less the two profile records and their builders and
-# the three validity closed forms that no command ran
+# namespace became lazy, less the two profile records and their builders, the
+# three validity closed forms that no command ran, and the unit-tagged field
 PUBLIC_NAMES = [
-    "BecnloError", "ConditionFlags", "ConvergenceError", "DENSITY", "DerivedScales",
-    "ENERGY", "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
-    "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialField", "RadialGrid",
+    "BecnloError", "ConditionFlags", "ConvergenceError", "DerivedScales",
+    "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
+    "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialGrid",
     "SpeciesParams", "StoredMode", "SystemConfig", "TfSolution", "TrapParams",
-    "ValidationError", "ValidityReport", "WAVEFUNCTION", "backsolve_im_a12",
+    "ValidationError", "ValidityReport", "backsolve_im_a12",
     "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling",
     "derive_scales", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
     "gate_fidelity", "host_problem", "kinetic_correction", "lifetime_tau", "load_config",

@@ -16,10 +16,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from becnlo import (
-    DENSITY,
+    HBAR,
     ConvergenceError,
     GridError,
-    RadialField,
     RadialGrid,
     SystemConfig,
     ValidationError,
@@ -36,7 +35,6 @@ from becnlo.gpe import (
     GpeProblem,
     _initial_guesses,
     default_time_step,
-    harmonic_potential_field,
     host_problem,
     solve_ground_state,
     stored_problem,
@@ -48,7 +46,8 @@ from reference import lowest_eigenpair
 def oscillator(config, scales):
     grid = RadialGrid(8.0 * scales.d, 2048)
     return GpeProblem(
-        potential=harmonic_potential_field(config, grid),
+        grid=grid,
+        potential=[config.trap_potential(x) for x in grid.r],
         g=0.0,
         atom_count=1.0,
         mass=config.species.mass,
@@ -68,7 +67,7 @@ class TestLinearOscillator:
         )
         r = np.asarray(grid.r)
         phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (r / scales.d) ** 2)
-        overlap = 4.0 * math.pi * simpson(r**2 * phi * sol.wavefunction.values, x=r)
+        overlap = 4.0 * math.pi * simpson(r**2 * phi * np.asarray(sol.psi), x=r)
         assert overlap**2 > 1.0 - 1e-8
         assert_allclose(sol.mu, 1.5 * scales.e_trap, rtol=1e-4)
         assert sol.e_interaction == 0.0
@@ -82,7 +81,8 @@ class TestLinearOscillator:
     def test_flat_potential_needs_explicit_dt(self, config):
         grid = RadialGrid(1e-5, 64)
         flat = GpeProblem(
-            potential=RadialField(grid, np.zeros(grid.n_points), "J"),
+            grid=grid,
+            potential=np.zeros(grid.n_points),
             g=0.0,
             atom_count=1.0,
             mass=config.species.mass,
@@ -95,17 +95,34 @@ class TestProblemValidation:
     def test_attractive_rejected(self, config, oscillator):
         with pytest.raises(ValidationError, match="attractive"):
             GpeProblem(
+                grid=oscillator.grid,
                 potential=oscillator.potential,
                 g=-1e-51,
                 atom_count=1.0,
                 mass=config.species.mass,
             )
 
-    def test_potential_unit_checked(self, config, oscillator):
-        grid = oscillator.grid
-        not_energy = RadialField(grid, np.zeros(grid.n_points), DENSITY)
-        with pytest.raises(ValidationError, match="unit"):
-            GpeProblem(potential=not_energy, g=0.0, atom_count=1.0, mass=config.species.mass)
+    def test_potential_shape_mismatch(self, config):
+        grid = RadialGrid(1.0, 32)
+        with pytest.raises(ValidationError, match="shape"):
+            GpeProblem(grid, np.zeros(33), 0.0, 1.0, config.species.mass)
+
+    def test_potential_rejects_nan(self, config):
+        grid = RadialGrid(1.0, 32)
+        values = np.zeros(32)
+        values[5] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            GpeProblem(grid, values, 0.0, 1.0, config.species.mass)
+
+    def test_potential_is_frozen_copy(self, config):
+        grid = RadialGrid(1.0, 32)
+        values = np.ones(32)
+        problem = GpeProblem(grid, values, 0.0, 1.0, config.species.mass)
+        values[0] = 7.0  # caller's array, not the problem's
+        assert problem.potential == (1.0,) * 32
+        assert all(type(v) is float for v in problem.potential)
+        with pytest.raises(TypeError):
+            problem.potential[0] = 2.0
 
     def test_guess_shape_checked(self, oscillator):
         with pytest.raises(ValidationError, match="shape"):
@@ -139,14 +156,15 @@ class TestHostComparison:
         assert comp.l2_density_err < 0.05
         assert comp.virial < 1e-4
 
-    def test_step_size_invariance(self, config):
-        a = compare_tf_vs_gpe(config, grid_points=1024, tol=1e-12)
-        b = compare_tf_vs_gpe(config, grid_points=1024, tol=1e-12, dt=None)
-        c = compare_tf_vs_gpe(
-            config, grid_points=1024, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.trap.omega
-        )
-        assert a.mu_gpe == b.mu_gpe  # identical inputs, identical bytes
-        assert_allclose(c.mu_gpe, a.mu_gpe, rtol=1e-12)
+    def test_step_size_invariance(self, config, scales, mu):
+        from becnlo import tf_radius
+
+        problem = host_problem(config, scales, RadialGrid(1.5 * tf_radius(config, mu), 1024))
+        a = solve_ground_state(problem, tol=1e-12)
+        b = solve_ground_state(problem, tol=1e-12, dt=None)
+        c = solve_ground_state(problem, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.trap.omega)
+        assert a.mu == b.mu  # identical inputs, identical bytes
+        assert_allclose(c.mu, a.mu, rtol=1e-12)
 
     def test_large_first_step_reaches_same_mu(self, config, scales, mu):
         # the residual stop ties the answer to the fixed point, not to dt
@@ -204,14 +222,13 @@ class TestHostComparison:
 
 class TestStoredComparison:
     def test_idealized_mode_is_gaussian(self, config, scales):
-        comp = solve_stored_in_host(config, idealized=True, grid_points=1024, dt=20e-4 * 2.0 * math.pi / scales.omega_tilde)
+        comp = solve_stored_in_host(config, idealized=True, grid_points=1024)
         assert comp.overlap > 1.0 - 5e-6
         assert comp.mode_length == scales.s
 
-    def test_edge_lowers_overlap(self, config, scales):
-        dt = 20e-4 * 2.0 * math.pi / scales.omega_tilde
-        ideal = solve_stored_in_host(config, idealized=True, grid_points=1024, dt=dt)
-        full = solve_stored_in_host(config, idealized=False, grid_points=1024, dt=dt)
+    def test_edge_lowers_overlap(self, config):
+        ideal = solve_stored_in_host(config, idealized=True, grid_points=1024)
+        full = solve_stored_in_host(config, idealized=False, grid_points=1024)
         assert full.overlap > 1.0 - 5e-4
         assert full.overlap < ideal.overlap
 
@@ -240,7 +257,7 @@ def test_virial_identity(config, scales):
     assert virial_residual(sol) < 1e-5
     assert sol.energy == sol.e_kinetic + sol.e_potential + sol.e_interaction
     # the per-step renormalization pins the atom number
-    norm = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * np.asarray(sol.wavefunction.values) ** 2, x=grid.r)
+    norm = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * np.asarray(sol.psi) ** 2, x=grid.r)
     assert_allclose(norm, config.n_host, rtol=1e-8)
 
 
@@ -250,8 +267,8 @@ def test_stored_potential_shapes(config, scales, mu):
     grid = RadialGrid(3e-5, 256)
     ideal = stored_problem(config, scales, mu, grid, idealized=True)
     full = stored_problem(config, scales, mu, grid, idealized=False)
-    v_ideal = np.asarray(ideal.potential.values)
-    v_full = np.asarray(full.potential.values)
+    v_ideal = np.asarray(ideal.potential)
+    v_full = np.asarray(full.potential)
     assert_allclose(v_ideal, scales.eff_trap_factor * config.trap_potential(np.asarray(grid.r)), rtol=1e-12)
     inside = np.asarray(grid.r) < 0.9 * math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
     offset = mu * scales.u12 / scales.u11
@@ -267,12 +284,12 @@ def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu):
     problem = host_problem(config, scales, grid)
     sol = solve_ground_state(problem, tol=1e-12)
     r = np.asarray(grid.r)
-    u = r * np.asarray(sol.wavefunction.values)
-    kin = config.hbar**2 / (2.0 * config.species.mass * grid.spacing**2)
+    u = r * np.asarray(sol.psi)
+    kin = HBAR**2 / (2.0 * config.species.mass * grid.spacing**2)
     inner = u[1:-1]
     h_u = (
         kin * (2.0 * inner - u[:-2] - u[2:])
-        + np.asarray(problem.potential.values)[1:-1] * inner
+        + np.asarray(problem.potential)[1:-1] * inner
         + problem.g * (inner / r[1:-1]) ** 2 * inner
     )
     residual = np.linalg.norm(h_u - sol.mu * inner) / np.linalg.norm(sol.mu * inner)
@@ -286,12 +303,12 @@ def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
 
     grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
     problem = stored_problem(config, scales, mu, grid)
-    v = np.asarray(problem.potential.values)
+    v = np.asarray(problem.potential)
     sol = solve_ground_state(problem)
     assert v.min() > 0.9 * sol.mu
     r = np.asarray(grid.r)
-    u = r * np.asarray(sol.wavefunction.values)
-    kin = config.hbar**2 / (2.0 * config.species.mass * grid.spacing**2)
+    u = r * np.asarray(sol.psi)
+    kin = HBAR**2 / (2.0 * config.species.mass * grid.spacing**2)
     inner = u[1:-1]
     h_u = (
         kin * (2.0 * inner - u[:-2] - u[2:])
@@ -342,7 +359,7 @@ def test_coarse_start_at_the_oracle_grid(config, scales, mu, case):
     lowest, overlap = lowest_eigenpair(problem, sol.psi)
     assert_allclose(lowest, sol.mu, rtol=1e-10)
     assert overlap > 1.0 - 1e-10
-    guess = _initial_guesses(problem, problem.grid.r, problem.potential.values)[0]
+    guess = _initial_guesses(problem, problem.grid.r, problem.potential)[0]
     from_guess = solve_ground_state(problem, initial_guess=guess)
     assert from_guess.coarse_points == 0
     assert_allclose(sol.mu, from_guess.mu, rtol=1e-9)
@@ -385,17 +402,17 @@ def test_linear_problem_starts_from_the_guess(config, scales):
     # with g = 0 only the flow steps, and from a coarse start it takes more
     # steps, not fewer
     grid = RadialGrid(8.0 * scales.d, 2 * COARSE_POINTS - 1)
-    problem = GpeProblem(harmonic_potential_field(config, grid), 0.0, 1.0, config.species.mass)
+    problem = GpeProblem(grid, [config.trap_potential(x) for x in grid.r], 0.0, 1.0, config.species.mass)
     sol = solve_ground_state(problem)
     assert sol.coarse_points == 0
     assert sol.newton_steps == 0
     assert sol.residual < DEFAULT_TOL
 
 
-def test_harmonic_potential_is_the_trap_potential(config, grid):
+def test_harmonic_potential_is_the_trap_potential(config, scales, grid):
     # tabulated without a method call per point, bit for bit
-    field = harmonic_potential_field(config, grid)
-    assert field.values == tuple(config.trap_potential(x) for x in grid.r)
+    problem = host_problem(config, scales, grid)
+    assert problem.potential == tuple(config.trap_potential(x) for x in grid.r)
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])
@@ -407,7 +424,7 @@ def test_solution_is_the_ground_state(config, scales, mu, case):
     problem = sodium_problem(config, scales, mu, case.removesuffix("-from-tf"))
     guess = None
     if case == "stored-from-tf":
-        guess = _initial_guesses(problem, problem.grid.r, problem.potential.values)[1]
+        guess = _initial_guesses(problem, problem.grid.r, problem.potential)[1]
     sol = solve_ground_state(problem, initial_guess=guess)
     lowest, overlap = lowest_eigenpair(problem, sol.psi)
     assert_allclose(lowest, sol.mu, rtol=1e-10)
@@ -428,7 +445,7 @@ def test_thomas_fermi_guess_matches_root_find(config, scales, mu, case):
         problem = host_problem(config, scales, grid)
     else:
         problem = stored_problem(config, scales, mu, grid, idealized=case == "idealized")
-    v = np.asarray(problem.potential.values)
+    v = np.asarray(problem.potential)
     e_ref = v.max() - v.min()
 
     def defect(x):  # atoms at mu = min V + x*e_ref in the solver's inner product, less N

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from becnlo import DENSITY, ENERGY, GridError, RadialField, RadialGrid, ValidationError, radial_integral
+from becnlo import GridError, RadialGrid, radial_integral
 
 
 def test_grid_basics():
@@ -24,40 +24,6 @@ def test_grid_rejects_tiny():
         RadialGrid(r_max=1.0, n_points=4)
     with pytest.raises(GridError):
         RadialGrid(r_max=-1.0, n_points=64)
-
-
-def test_field_shape_mismatch():
-    grid = RadialGrid(1.0, 32)
-    with pytest.raises(ValidationError, match="shape"):
-        RadialField(grid, np.zeros(33), ENERGY)
-
-
-def test_field_rejects_nan():
-    grid = RadialGrid(1.0, 32)
-    values = np.zeros(32)
-    values[5] = np.nan
-    with pytest.raises(ValidationError, match="non-finite"):
-        RadialField(grid, values, ENERGY)
-
-
-def test_density_must_be_nonnegative():
-    grid = RadialGrid(1.0, 32)
-    values = np.zeros(32)
-    values[3] = -1.0
-    with pytest.raises(ValidationError, match="negative"):
-        RadialField(grid, values, DENSITY)
-    # same values are fine as an energy
-    RadialField(grid, values, ENERGY)
-
-
-def test_field_is_frozen_copy():
-    grid = RadialGrid(1.0, 32)
-    values = np.ones(32)
-    field = RadialField(grid, values, ENERGY)
-    values[0] = 7.0  # caller's array, not the field's
-    assert field.values[0] == 1.0
-    with pytest.raises(TypeError):
-        field.values[0] = 2.0
 
 
 def test_radial_integral_gaussian():

@@ -5,9 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from becnlo import (
-    DENSITY,
     GridError,
-    RadialField,
     RadialGrid,
     StoredMode,
     ValidationError,
@@ -26,10 +24,6 @@ from reference import tf_chemical_potential_numeric
 def host_n1(config, scales, mu, grid):
     """The clipped parabola sampled on the grid."""
     return tf_density_at(config, scales, mu, grid.r)
-
-
-def stored_field(mode, grid, n_atoms):
-    return RadialField(grid, mode.density(grid.r, n_atoms), DENSITY)
 
 
 def test_mu_value(mu, scales):
@@ -103,39 +97,45 @@ def test_host_record_is_the_grid_free_closed_form(config, scales, mu, host):
 
 def test_back_action_dip(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, grid, n_atoms=10)
-    dented = tf_density_with_back_action(config, scales, mu, stored)
+    n2 = mode.density(grid.r, 10)
+    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
     # bit for bit the formula with V from trap_potential at each radius
-    want = [max((mu - config.trap_potential(x) - scales.u12 * n2) / scales.u11, 0.0)
-            for x, n2 in zip(grid.r, stored.values)]
-    assert dented.values == tuple(want)
-    dip = host_n1[0] - dented.values[0]
+    want = [max((mu - config.trap_potential(x) - scales.u12 * n) / scales.u11, 0.0)
+            for x, n in zip(grid.r, n2)]
+    assert dented == tuple(want)
+    dip = host_n1[0] - dented[0]
     assert_allclose(dip, 5.5322e15, rtol=1e-4)
     assert_allclose(dip / host_n1[0], 7.395e-5, rtol=1e-3)
     # the dip heals where the mode ends
     far = np.asarray(grid.r) > 6.0 * scales.s
-    assert_allclose(np.asarray(dented.values)[far], np.asarray(host_n1)[far], rtol=1e-12)
+    assert_allclose(np.asarray(dented)[far], np.asarray(host_n1)[far], rtol=1e-12)
 
 
 def test_back_action_rejects_dense_mode(config, scales, mu, grid):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, grid, n_atoms=2e5)
+    n2 = mode.density(grid.r, 2e5)
     with pytest.raises(ValidationError, match="too dense"):
-        tf_density_with_back_action(config, scales, mu, stored)
+        tf_density_with_back_action(config, scales, mu, grid.r, n2)
+
+
+def test_back_action_needs_a_density_per_radius(config, scales, mu, grid):
+    n2 = StoredMode.from_scales(scales).density(grid.r, 10)
+    with pytest.raises(ValidationError, match="values for"):
+        tf_density_with_back_action(config, scales, mu, grid.r, n2[:-1])
 
 
 def test_back_action_trivial_without_stored_atoms(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    empty = stored_field(mode, grid, n_atoms=0)
-    dented = tf_density_with_back_action(config, scales, mu, empty)
-    assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
+    n2 = mode.density(grid.r, 0)
+    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
+    assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
 
 
 def test_back_action_never_raises_density(config, scales, mu, grid, host_n1):
     mode = StoredMode.from_scales(scales)
-    stored = stored_field(mode, grid, n_atoms=10)
-    dented = tf_density_with_back_action(config, scales, mu, stored)
-    assert np.all(np.asarray(dented.values) <= np.asarray(host_n1))
+    n2 = mode.density(grid.r, 10)
+    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
+    assert np.all(np.asarray(dented) <= np.asarray(host_n1))
 
 
 def test_back_action_decoupled_channel(config, mu, grid, host_n1):
@@ -148,9 +148,9 @@ def test_back_action_decoupled_channel(config, mu, grid, host_n1):
         species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
     )
     dscales = derive_scales(decoupled)
-    stored = stored_field(StoredMode.from_scales(dscales), grid, n_atoms=10)
-    dented = tf_density_with_back_action(decoupled, dscales, mu, stored)
-    assert_allclose(dented.values, host_n1, rtol=0.0, atol=0.0)
+    n2 = StoredMode.from_scales(dscales).density(grid.r, 10)
+    dented = tf_density_with_back_action(decoupled, dscales, mu, grid.r, n2)
+    assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
 
 
 def test_normalization_survives_grid_doubling(config, scales, mu):

@@ -51,17 +51,11 @@ class TestDerivedScales:
     def test_nonlinear_rate(self, scales):
         assert_allclose(scales.omega_nl, 1.043407e-3, rtol=1e-6)
 
-    def test_hbar_scaling(self, config):
+    def test_hbar_scaling(self, config, monkeypatch):
         # d ~ sqrt(hbar), couplings ~ hbar^2: a deliberate unit sanity hook
-        doubled = SystemConfig(
-            species=config.species,
-            trap=config.trap,
-            n_host=config.n_host,
-            n_stored_max=config.n_stored_max,
-            hbar=2.0 * HBAR,
-        )
         ref = derive_scales(config)
-        out = derive_scales(doubled)
+        monkeypatch.setattr("becnlo.params.HBAR", 2.0 * HBAR)
+        out = derive_scales(config)
         assert_allclose(out.d, math.sqrt(2.0) * ref.d, rtol=1e-14)
         assert_allclose(out.u11, 4.0 * ref.u11, rtol=1e-14)
 
@@ -95,7 +89,7 @@ class TestDerivedScales:
     def test_coupling_round_trip(self, config, scales):
         m = config.species.mass
         for a, u in ((config.species.a11, scales.u11), (config.species.a22, scales.u22)):
-            assert_allclose(coupling(HBAR, m, a), u, rtol=1e-15)
+            assert_allclose(coupling(m, a), u, rtol=1e-15)
             assert_allclose(u * m / (4.0 * math.pi * HBAR**2), a, rtol=1e-15)
 
     def test_phase_rate_linear_in_screened_length(self, config, scales):

@@ -40,7 +40,7 @@ def records():
     problem = host_problem(config, scales, grid)
     built = [
         config, config.species, config.trap, scales,
-        check_conditions(config, scales, host.mu), host, grid, problem.potential,
+        check_conditions(config, scales, host.mu), host, grid,
         estimate_lifetime(config, scales, host), StoredMode.from_scales(scales),
         FockSuperposition.normalized([1, 1, 1]), ns_gate_time(scales),
         validity_report(config),
@@ -51,7 +51,7 @@ def records():
 
 
 def test_every_record_class_is_covered(records):
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
     assert set(records) == set(RECORDS)
 
 

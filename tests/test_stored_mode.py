@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from becnlo import (
+    HBAR,
     DerivedScales,
     FockSuperposition,
     StoredMode,
@@ -52,7 +53,7 @@ class TestEnergyShift:
     def test_quadratic_in_n(self, scales):
         shifts = np.array([energy_shift(n, scales) for n in range(7)])
         n = np.arange(7)
-        assert_allclose(shifts, (n**2 - n) * scales.hbar * scales.omega_nl, rtol=1e-15)
+        assert_allclose(shifts, (n**2 - n) * HBAR * scales.omega_nl, rtol=1e-15)
         assert shifts[0] == 0.0 and shifts[1] == 0.0
 
     def test_bruteforce_agreement(self, mode, scales):
@@ -73,7 +74,7 @@ class TestEnergyShift:
 
     def test_second_difference_is_pair_energy(self, scales):
         # Delta E(n+1) - 2 Delta E(n) + Delta E(n-1) = 2 hbar Omega
-        pair = 2.0 * scales.hbar * scales.omega_nl
+        pair = 2.0 * HBAR * scales.omega_nl
         for n in range(1, 9):
             second = (
                 energy_shift(n + 1, scales)
