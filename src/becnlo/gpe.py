@@ -28,9 +28,10 @@ the wall at r_max is squeezing the cloud.
 
 Without a caller's initial guess, the start for g > 0 on a grid of n points is
 a solve of the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1),
-with V sliced from the fine values, its psi interpolated linearly onto the fine
-grid (grid sequencing: Newton's step count does not depend on the mesh,
-Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
+with V sliced from the fine values, to the residual COARSE_TOL (or `tol` if
+larger), its psi interpolated linearly onto the fine grid (grid sequencing:
+Newton's step count does not depend on the mesh, Allgower, Boehmer, Potra &
+Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
 for g = 0 (the flow gains nothing from it), or if the coarse solve fails, the
 start is the lower-energy of two guesses: the smoothed Thomas-Fermi profile
@@ -60,6 +61,8 @@ EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 COARSE_POINTS = 640  # the coarse grid that starts a solve keeps at least this many points
+COARSE_TOL = 1e-8  # the coarse solve stops at this residual, or at the caller's tol if that is larger
+MIN_MODE_SPACINGS = 4.0  # the stored oracle refuses a grid whose spacing exceeds s / this
 
 
 @record
@@ -134,7 +137,7 @@ def host_problem(config: SystemConfig, scales: DerivedScales, grid: RadialGrid) 
         potential=_trap_values(config, grid.r),
         g=scales.u11,
         atom_count=float(config.n_host),
-        mass=config.species.mass,
+        mass=config.mass,
     )
 
 
@@ -161,7 +164,7 @@ def stored_problem(
         potential=v,
         g=scales.u22,
         atom_count=float(max(config.n_stored_max, 1)),
-        mass=config.species.mass,
+        mass=config.mass,
     )
 
 
@@ -280,6 +283,7 @@ def solve_ground_state(
 def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     """(points, psi): the problem solved on every k-th point, its psi interpolated onto the grid.
 
+    The coarse solve stops at max(tol, COARSE_TOL): it only supplies a start.
     (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
     g = 0, where the flow takes every step and a coarse start saves none, or if
     the coarse solve fails: an unresolved guess or the wall may stop it where
@@ -294,7 +298,7 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     grid = RadialGrid(problem.grid.r[last], points)
     coarse = GpeProblem(grid, problem.potential[: last + 1 : k], problem.g, problem.atom_count, problem.mass)
     try:
-        psi = _solve(coarse, tol, max_iters, dt, None).psi
+        psi = _solve(coarse, max(tol, COARSE_TOL), max_iters, dt, None).psi
     except (ConvergenceError, GridError):
         return 0, None
     weights = [i / k for i in range(k)]
@@ -484,12 +488,22 @@ class StoredComparison:
 def solve_stored_in_host(
     config: SystemConfig, *, idealized: bool = False, grid_points: int = DEFAULT_GRID_POINTS
 ) -> StoredComparison:
-    """Ground state of the stored component and its overlap with the Gaussian."""
+    """Ground state of the stored component and its overlap with the Gaussian.
+
+    Raises GridError before solving if the grid, which spans the host cloud,
+    resolves the mode length s with fewer than MIN_MODE_SPACINGS spacings.
+    """
     from .stored_mode import StoredMode  # loaded here: the host oracle does not need it
 
     scales = derive_scales(config)
     host = tf_host(config, scales)
     grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
+    if not scales.s >= MIN_MODE_SPACINGS * grid.spacing:
+        raise GridError(
+            f"the grid does not resolve the stored mode: s = {scales.s:g} m is "
+            f"{scales.s / grid.spacing:.3g} spacings of {grid.spacing:g} m (need at least "
+            f"{MIN_MODE_SPACINGS:g}); the host cloud is too wide for {grid_points} points"
+        )
     problem = stored_problem(config, scales, host.mu, grid, idealized=idealized)
     solution = solve_ground_state(problem)
     mode = StoredMode.from_scales(scales)

@@ -63,7 +63,7 @@ def estimate_lifetime(
     config: SystemConfig, scales: DerivedScales, host: TfSolution
 ) -> LossEstimate:
     """Loss rate and lifetime for the configured Im(a12)."""
-    im_u12 = coupling(config.species.mass, config.species.im_a12)
+    im_u12 = coupling(config.mass, config.im_a12)
     rate = loss_overlap(StoredMode.from_scales(scales), host, im_u12)
     return LossEstimate(loss_rate_l=rate, tau=lifetime_tau(rate))
 
@@ -77,4 +77,4 @@ def backsolve_im_a12(
     overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
     rate_needed = HBAR * math.log(2.0) / tau_target
     im_u12 = rate_needed / overlap
-    return -im_u12 * config.species.mass / (4.0 * math.pi * HBAR**2)
+    return -im_u12 * config.mass / (4.0 * math.pi * HBAR**2)

@@ -28,13 +28,16 @@ GRID_SPAN_FACTOR = 1.5  # the oracle's solver grid reaches this multiple of the 
 
 
 @record
-class SpeciesParams:
-    """Mass and s-wave scattering lengths of the two internal states."""
+class SystemConfig:
+    """A complete scenario, one field per key of the scenario file; hbar is the constant HBAR, not a setting."""
 
     mass: float  # kg
     a11: float  # m, host-host
     a22: float  # m, stored-stored
     a12: float  # m, inter-component (real part)
+    omega: float  # rad/s, isotropic harmonic trap V(r) = m*omega^2*r^2/2
+    n_host: int
+    n_stored_max: int
     im_a12: float = 0.0  # m, inelastic part of a12; <= 0, 0 disables losses
 
     def __post_init__(self):
@@ -63,29 +66,8 @@ class SpeciesParams:
                 "stored component would be untrapped: require a11 > a12, "
                 f"got a11={self.a11:g}, a12={self.a12:g}"
             )
-
-
-@record
-class TrapParams:
-    """Isotropic harmonic trap, V(r) = m*omega^2*r^2/2."""
-
-    omega: float  # rad/s
-
-    def __post_init__(self):
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ValidationError(f"omega must be positive and finite, got {self.omega}")
-
-
-@record
-class SystemConfig:
-    """A complete scenario: species, trap, and atom numbers; hbar is the constant HBAR, not a setting."""
-
-    species: SpeciesParams
-    trap: TrapParams
-    n_host: int
-    n_stored_max: int
-
-    def __post_init__(self):
         if not isinstance(self.n_host, numbers.Integral) or self.n_host < 1:
             raise ValidationError(f"n_host must be a positive integer, got {self.n_host!r}")
         if not isinstance(self.n_stored_max, numbers.Integral) or self.n_stored_max < 0:
@@ -95,7 +77,7 @@ class SystemConfig:
 
     def trap_potential(self, r):
         """V(r) = m*omega^2*r^2/2 in J at one radius r, a float (r * r refuses a tuple of radii)."""
-        return 0.5 * self.species.mass * self.trap.omega**2 * (r * r)
+        return 0.5 * self.mass * self.omega**2 * (r * r)
 
 
 # Python floats raise these, or quietly give inf or 0, where a closed form of an
@@ -135,22 +117,21 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
     a22_tilde = a22 - a12^2/a11, and the per-pair phase rate of the stored
     Gaussian is hbar*omega_nl = U22_tilde/(2*(2*pi)^(3/2)*s^3).
     """
-    sp = config.species
-    omega = config.trap.omega
+    omega = config.omega
     try:
-        d = math.sqrt(HBAR / (sp.mass * omega))
-        eff = 1.0 - sp.a12 / sp.a11
+        d = math.sqrt(HBAR / (config.mass * omega))
+        eff = 1.0 - config.a12 / config.a11
         omega_tilde = omega * math.sqrt(eff)
-        s = math.sqrt(HBAR / (sp.mass * omega_tilde))
-        a22_tilde = sp.a22 - sp.a12**2 / sp.a11
-        u22_tilde = coupling(sp.mass, a22_tilde)
+        s = math.sqrt(HBAR / (config.mass * omega_tilde))
+        a22_tilde = config.a22 - config.a12**2 / config.a11
+        u22_tilde = coupling(config.mass, a22_tilde)
         omega_nl = u22_tilde / (2.0 * (2.0 * math.pi) ** 1.5 * s**3 * HBAR)
         scales = DerivedScales(
             d=d,
             e_trap=HBAR * omega,
-            u11=coupling(sp.mass, sp.a11),
-            u22=coupling(sp.mass, sp.a22),
-            u12=coupling(sp.mass, sp.a12),
+            u11=coupling(config.mass, config.a11),
+            u22=coupling(config.mass, config.a22),
+            u12=coupling(config.mass, config.a12),
             eff_trap_factor=eff,
             omega_tilde=omega_tilde,
             s=s,
@@ -168,7 +149,7 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
 
 def tf_chemical_potential(config: SystemConfig, scales: DerivedScales) -> float:
     """Closed form mu = (e_trap/2)*(15*N*a11/d)^(2/5)."""
-    return 0.5 * scales.e_trap * (15.0 * config.n_host * config.species.a11 / scales.d) ** 0.4
+    return 0.5 * scales.e_trap * (15.0 * config.n_host * config.a11 / scales.d) ** 0.4
 
 
 def tf_radius(config: SystemConfig, mu: float) -> float:
@@ -176,7 +157,7 @@ def tf_radius(config: SystemConfig, mu: float) -> float:
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     try:
-        radius = math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
+        radius = math.sqrt(2.0 * mu / (config.mass * config.omega**2))
     except _OUT_OF_RANGE as exc:
         raise ValidationError("cloud radius R is out of floating-point range") from exc
     if not 0.0 < radius < math.inf:
@@ -218,7 +199,7 @@ def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> 
     """Flag whether the host is in the strong-interaction, dilute regime."""
     tf_ratio = tf_radius(config, mu) / scales.d
     try:
-        diluteness = (mu / scales.u11) * config.species.a11**3
+        diluteness = (mu / scales.u11) * config.a11**3
     except _OUT_OF_RANGE as exc:
         raise ValidationError("the diluteness is out of floating-point range") from exc
     return ConditionFlags(
@@ -229,33 +210,36 @@ def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> 
     )
 
 
-_REQUIRED_KEYS = ("mass_kg", "a11_m", "a22_m", "a12_m", "omega_rad_s", "n_host", "n_stored_max")
-_OPTIONAL_KEYS = ("im_a12_m",)
+# scenario-file key -> SystemConfig field, in the order the values are read;
+# every key but im_a12_m is required, and the two atom numbers are integers
+_FIELDS = {
+    "mass_kg": "mass", "a11_m": "a11", "a22_m": "a22", "a12_m": "a12", "im_a12_m": "im_a12",
+    "omega_rad_s": "omega", "n_host": "n_host", "n_stored_max": "n_stored_max",
+}
+_OPTIONAL_KEYS = {"im_a12_m"}
+_INTEGER_KEYS = {"n_host", "n_stored_max"}
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from a plain dict (the on-disk JSON layout)."""
     if not isinstance(data, dict):
         raise ValidationError(f"config must be a JSON object, got {type(data).__name__}")
-    allowed = set(_REQUIRED_KEYS) | set(_OPTIONAL_KEYS)
-    unknown = sorted(set(data) - allowed)
+    unknown = sorted(data.keys() - _FIELDS.keys())
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED_KEYS if k not in data)
+    missing = sorted(_FIELDS.keys() - data.keys() - _OPTIONAL_KEYS)
     if missing:
         raise ValidationError(f"missing config key(s): {', '.join(missing)}")
     for key, value in data.items():  # JSON integers are unbounded; float() would raise
         if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
             raise ValidationError(f"{key} is beyond floating-point range, got {value!r}")
 
-    def number(key, default=None):
-        value = data.get(key, default)
+    def number(key, value):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{key} must be a number, got {value!r}")
         return float(value)
 
-    def integer(key):
-        value = data[key]
+    def integer(key, value):
         if isinstance(value, bool):
             raise ValidationError(f"{key} must be an integer, got {value!r}")
         if isinstance(value, numbers.Integral):
@@ -264,20 +248,11 @@ def config_from_dict(data: dict) -> SystemConfig:
             return int(value)
         raise ValidationError(f"{key} must be an integer, got {value!r}")
 
-    species = SpeciesParams(
-        mass=number("mass_kg"),
-        a11=number("a11_m"),
-        a22=number("a22_m"),
-        a12=number("a12_m"),
-        im_a12=number("im_a12_m", 0.0),
-    )
-    trap = TrapParams(omega=number("omega_rad_s"))
-    return SystemConfig(
-        species=species,
-        trap=trap,
-        n_host=integer("n_host"),
-        n_stored_max=integer("n_stored_max"),
-    )
+    return SystemConfig(**{
+        field: (integer if key in _INTEGER_KEYS else number)(key, data[key])
+        for key, field in _FIELDS.items()
+        if key in data
+    })
 
 
 def load_config(path) -> SystemConfig:

@@ -44,8 +44,8 @@ def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     limit = EDGE_FRACTION * host.radius
     k = config.trap_potential(1.0)  # V(r) = k*r^2
     # the factors that do not depend on r, once (as ValidationError if they leave double range)
-    c1 = _pointwise(lambda omega: 3.0 * HBAR**2 * omega**2, config.trap.omega)
-    c2 = _pointwise(lambda omega: HBAR**2 * config.species.mass * omega**4, config.trap.omega)
+    c1 = _pointwise(lambda omega: 3.0 * HBAR**2 * omega**2, config.omega)
+    c2 = _pointwise(lambda omega: HBAR**2 * config.mass * omega**4, config.omega)
 
     def kinetic(x):
         if not 0.0 <= x < limit:
@@ -125,7 +125,7 @@ def figure_data(
                     "stored_self_hw": _pointwise(lambda n: scales.u22_tilde * n, n2)}
     else:
         n1 = tf_density_at(config, scales, host.mu, r)
-        n_dep = _depletion(config.species.a11, n1)
+        n_dep = _depletion(config.a11, n1)
         physical = {"host_per_d3": n1, "stored_per_d3": n2,
                     "depletion_per_d3": n_dep, "std_per_d3": _fluctuation(d3, n1, n_dep)}
     in_units = (lambda n: n * d3) if fig == 4 else (lambda e: e / scales.e_trap)
@@ -201,7 +201,7 @@ def validity_report(config: SystemConfig) -> ValidityReport:
     n1 = tf_density_at(config, scales, host.mu, r)
     kin = kinetic_correction(config, host, r)
     single_tf = _worst(kin, [scales.u11 * x for x in n1])
-    n_dep = _depletion(config.species.a11, n1)
+    n_dep = _depletion(config.a11, n1)
     single_mf = _worst(n_dep, n1)
 
     # an empty mode, or one that underflows to 0, gives inf ratios (nan if U12 is 0 too): null, flag fails

@@ -97,7 +97,7 @@ def kinetic_correction_fd(config: SystemConfig, scales: DerivedScales, host: TfS
         d2 = (pp - 2.0 * p0 + pm) / h**2
         d1 = (pp - pm) / (2.0 * h)
         lap = d2 + 2.0 * (d1 / x) if x > 0.0 else 3.0 * d2
-        return -(HBAR**2 / (2.0 * config.species.mass)) * lap / p0
+        return -(HBAR**2 / (2.0 * config.mass)) * lap / p0
 
     return _pointwise(kinetic, r, psi(0.0), psi(h), psi(-h))
 

@@ -446,6 +446,17 @@ def test_oracle_clipped_box_exit_code(capsys, tmp_path):
     assert "box wall" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--idealized"]], ids=["stored", "idealized"])
+def test_stored_oracle_unresolved_mode_exit_code(capsys, tmp_path, flags):
+    # 1e20 host atoms widen the 4,096-point grid until s spans 1.5 spacings;
+    # solved anyway, the report read an overlap of 1.08
+    path = write_config(tmp_path, "wide.json", n_host=10**20)
+    code, out, err = run(capsys, "oracle", "--stored", *flags, "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "does not resolve the stored mode" in err and "1.47 spacings" in err
+
+
 def test_validity_without_stored_atoms_is_strict_json(capsys, tmp_path):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -661,12 +672,13 @@ def test_import_gpe_loads_no_numpy(tmp_path):
 
 # the package's public names: those `from becnlo import *` exported before the
 # namespace became lazy, less the two profile records and their builders, the
-# three validity closed forms that no command ran, and the unit-tagged field
+# three validity closed forms that no command ran, the unit-tagged field, and
+# the two records the flat SystemConfig replaced
 PUBLIC_NAMES = [
     "BecnloError", "ConditionFlags", "ConvergenceError", "DerivedScales",
     "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
     "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialGrid",
-    "SpeciesParams", "StoredMode", "SystemConfig", "TfSolution", "TrapParams",
+    "StoredMode", "SystemConfig", "TfSolution",
     "ValidationError", "ValidityReport", "backsolve_im_a12",
     "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling",
     "derive_scales", "energy_shift", "estimate_lifetime", "evolve", "figure_data",

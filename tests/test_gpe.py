@@ -20,9 +20,9 @@ from becnlo import (
     ConvergenceError,
     GridError,
     RadialGrid,
-    SystemConfig,
     ValidationError,
     compare_tf_vs_gpe,
+    config_from_dict,
     derive_scales,
     solve_stored_in_host,
     virial_residual,
@@ -39,6 +39,7 @@ from becnlo.gpe import (
     solve_ground_state,
     stored_problem,
 )
+from becnlo.params import SODIUM_REFERENCE
 from reference import lowest_eigenpair
 
 
@@ -50,7 +51,7 @@ def oscillator(config, scales):
         potential=[config.trap_potential(x) for x in grid.r],
         g=0.0,
         atom_count=1.0,
-        mass=config.species.mass,
+        mass=config.mass,
     )
 
 
@@ -75,7 +76,7 @@ class TestLinearOscillator:
     def test_time_step_heuristic(self, oscillator, config):
         # curvature of the quadratic potential recovers the trap period
         assert_allclose(
-            default_time_step(oscillator), 1e-4 * 2.0 * math.pi / config.trap.omega, rtol=1e-12
+            default_time_step(oscillator), 1e-4 * 2.0 * math.pi / config.omega, rtol=1e-12
         )
 
     def test_flat_potential_needs_explicit_dt(self, config):
@@ -85,7 +86,7 @@ class TestLinearOscillator:
             potential=np.zeros(grid.n_points),
             g=0.0,
             atom_count=1.0,
-            mass=config.species.mass,
+            mass=config.mass,
         )
         with pytest.raises(ValidationError, match="flat potential"):
             solve_ground_state(flat)
@@ -99,25 +100,25 @@ class TestProblemValidation:
                 potential=oscillator.potential,
                 g=-1e-51,
                 atom_count=1.0,
-                mass=config.species.mass,
+                mass=config.mass,
             )
 
     def test_potential_shape_mismatch(self, config):
         grid = RadialGrid(1.0, 32)
         with pytest.raises(ValidationError, match="shape"):
-            GpeProblem(grid, np.zeros(33), 0.0, 1.0, config.species.mass)
+            GpeProblem(grid, np.zeros(33), 0.0, 1.0, config.mass)
 
     def test_potential_rejects_nan(self, config):
         grid = RadialGrid(1.0, 32)
         values = np.zeros(32)
         values[5] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            GpeProblem(grid, values, 0.0, 1.0, config.species.mass)
+            GpeProblem(grid, values, 0.0, 1.0, config.mass)
 
     def test_potential_is_frozen_copy(self, config):
         grid = RadialGrid(1.0, 32)
         values = np.ones(32)
-        problem = GpeProblem(grid, values, 0.0, 1.0, config.species.mass)
+        problem = GpeProblem(grid, values, 0.0, 1.0, config.mass)
         values[0] = 7.0  # caller's array, not the problem's
         assert problem.potential == (1.0,) * 32
         assert all(type(v) is float for v in problem.potential)
@@ -162,7 +163,7 @@ class TestHostComparison:
         problem = host_problem(config, scales, RadialGrid(1.5 * tf_radius(config, mu), 1024))
         a = solve_ground_state(problem, tol=1e-12)
         b = solve_ground_state(problem, tol=1e-12, dt=None)
-        c = solve_ground_state(problem, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.trap.omega)
+        c = solve_ground_state(problem, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.omega)
         assert a.mu == b.mu  # identical inputs, identical bytes
         assert_allclose(c.mu, a.mu, rtol=1e-12)
 
@@ -186,12 +187,7 @@ class TestHostComparison:
         from becnlo import tf_chemical_potential, tf_radius
 
         def swept(n_host):
-            return SystemConfig(
-                species=config.species,
-                trap=config.trap,
-                n_host=n_host,
-                n_stored_max=config.n_stored_max,
-            )
+            return config_from_dict({**SODIUM_REFERENCE, "n_host": n_host})
 
         errs = [compare_tf_vs_gpe(swept(n), grid_points=1024).mu_rel_err for n in (10**5, 10**6, 10**8)]
         assert errs[0] > errs[1] > errs[2]
@@ -235,16 +231,22 @@ class TestStoredComparison:
     def test_decoupled_mode_is_bare_oscillator(self, config):
         # with a12 = 0 the host drops out and the mode relaxes into the
         # unscreened trap, a near-Gaussian of width d
-        from becnlo import SpeciesParams, SystemConfig, derive_scales
-
-        sp = config.species
-        species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
-        decoupled = SystemConfig(
-            species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
-        )
+        decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
         comp = solve_stored_in_host(decoupled, grid_points=1024)
         assert comp.mode_length == derive_scales(decoupled).d
         assert comp.overlap > 1.0 - 1e-3  # 10 atoms of self-repulsion widen it a bit
+
+
+def test_stored_mode_must_span_grid_spacings(config, scales, mu):
+    # 16 points over 1.5 R put 3.4 spacings in s, below MIN_MODE_SPACINGS
+    from becnlo import tf_radius
+    from becnlo.gpe import MIN_MODE_SPACINGS
+
+    grid = RadialGrid(GRID_SPAN_FACTOR * tf_radius(config, mu), 16)
+    assert scales.s < MIN_MODE_SPACINGS * grid.spacing
+    for idealized in (False, True):
+        with pytest.raises(GridError, match=r"does not resolve the stored mode: s = 6\.78836e-06 m"):
+            solve_stored_in_host(config, idealized=idealized, grid_points=16)
 
 
 def test_virial_identity(config, scales):
@@ -270,7 +272,7 @@ def test_stored_potential_shapes(config, scales, mu):
     v_ideal = np.asarray(ideal.potential)
     v_full = np.asarray(full.potential)
     assert_allclose(v_ideal, scales.eff_trap_factor * config.trap_potential(np.asarray(grid.r)), rtol=1e-12)
-    inside = np.asarray(grid.r) < 0.9 * math.sqrt(2.0 * mu / (config.species.mass * config.trap.omega**2))
+    inside = np.asarray(grid.r) < 0.9 * math.sqrt(2.0 * mu / (config.mass * config.omega**2))
     offset = mu * scales.u12 / scales.u11
     assert_allclose(v_full[inside] - v_ideal[inside], offset, rtol=1e-10)
 
@@ -285,7 +287,7 @@ def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu):
     sol = solve_ground_state(problem, tol=1e-12)
     r = np.asarray(grid.r)
     u = r * np.asarray(sol.psi)
-    kin = HBAR**2 / (2.0 * config.species.mass * grid.spacing**2)
+    kin = HBAR**2 / (2.0 * config.mass * grid.spacing**2)
     inner = u[1:-1]
     h_u = (
         kin * (2.0 * inner - u[:-2] - u[2:])
@@ -308,7 +310,7 @@ def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
     assert v.min() > 0.9 * sol.mu
     r = np.asarray(grid.r)
     u = r * np.asarray(sol.psi)
-    kin = HBAR**2 / (2.0 * config.species.mass * grid.spacing**2)
+    kin = HBAR**2 / (2.0 * config.mass * grid.spacing**2)
     inner = u[1:-1]
     h_u = (
         kin * (2.0 * inner - u[:-2] - u[2:])
@@ -321,12 +323,10 @@ def test_mu_is_eigenvalue_of_stepped_operator_stored(config, scales, mu):
 
 def sodium_problem(config, scales, mu, case, points=1024):
     """The host, stored, idealized or decoupled (a12 = 0, ten atoms) problem, by default on 1,024 points."""
-    from becnlo import SpeciesParams, tf_radius
+    from becnlo import tf_radius
 
     if case == "decoupled":
-        sp = config.species
-        species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
-        config = SystemConfig(species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10)
+        config = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
         scales = derive_scales(config)
     grid = RadialGrid(1.5 * tf_radius(config, mu), points)
     if case == "host":
@@ -402,7 +402,7 @@ def test_linear_problem_starts_from_the_guess(config, scales):
     # with g = 0 only the flow steps, and from a coarse start it takes more
     # steps, not fewer
     grid = RadialGrid(8.0 * scales.d, 2 * COARSE_POINTS - 1)
-    problem = GpeProblem(grid, [config.trap_potential(x) for x in grid.r], 0.0, 1.0, config.species.mass)
+    problem = GpeProblem(grid, [config.trap_potential(x) for x in grid.r], 0.0, 1.0, config.mass)
     sol = solve_ground_state(problem)
     assert sol.coarse_points == 0
     assert sol.newton_steps == 0
@@ -531,10 +531,6 @@ def test_stop_reason(config, scales, mu):
 def test_clipped_box_refused(config):
     # a hundred atoms spread far beyond the parabola's radius: a box of
     # 1.5 R_TF squeezes the cloud against the wall
-    from becnlo import SystemConfig
-
-    small = SystemConfig(
-        species=config.species, trap=config.trap, n_host=100, n_stored_max=config.n_stored_max
-    )
+    small = config_from_dict({**SODIUM_REFERENCE, "n_host": 100})
     with pytest.raises(GridError, match="box wall"):
         compare_tf_vs_gpe(small, grid_points=512)

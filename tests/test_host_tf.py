@@ -68,13 +68,10 @@ def test_density_monotone_decreasing(config, scales, mu):
 
 def test_mu_scales_with_interaction_strength(config, scales, mu):
     # mu ~ (N*a11)^(2/5): scaling a11 by 32 multiplies mu by 4
-    from becnlo import SpeciesParams, SystemConfig, derive_scales
+    from becnlo import config_from_dict, derive_scales
+    from becnlo.params import SODIUM_REFERENCE
 
-    sp = config.species
-    species = SpeciesParams(mass=sp.mass, a11=32.0 * sp.a11, a22=sp.a22, a12=sp.a12)
-    strong = SystemConfig(
-        species=species, trap=config.trap, n_host=config.n_host, n_stored_max=1
-    )
+    strong = config_from_dict({**SODIUM_REFERENCE, "a11_m": 32.0 * config.a11, "n_stored_max": 1})
     mu32 = tf_chemical_potential(strong, derive_scales(strong))
     assert_allclose(mu32 / mu, 4.0, rtol=1e-13)
 
@@ -140,13 +137,10 @@ def test_back_action_never_raises_density(config, scales, mu, grid, host_n1):
 
 def test_back_action_decoupled_channel(config, mu, grid, host_n1):
     # u12 = 0: stored atoms no longer dent the host at all
-    from becnlo import SpeciesParams, SystemConfig, derive_scales
+    from becnlo import config_from_dict, derive_scales
+    from becnlo.params import SODIUM_REFERENCE
 
-    sp = config.species
-    species = SpeciesParams(mass=sp.mass, a11=sp.a11, a22=sp.a22, a12=0.0)
-    decoupled = SystemConfig(
-        species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
-    )
+    decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
     dscales = derive_scales(decoupled)
     n2 = StoredMode.from_scales(dscales).density(grid.r, 10)
     dented = tf_density_with_back_action(decoupled, dscales, mu, grid.r, n2)

@@ -6,9 +6,7 @@ from numpy.testing import assert_allclose
 
 from becnlo import (
     LossNotConfiguredError,
-    SpeciesParams,
     StoredMode,
-    SystemConfig,
     ValidationError,
     backsolve_im_a12,
     config_from_dict,
@@ -20,6 +18,7 @@ from becnlo import (
     sodium_reference_config,
     tf_host,
 )
+from becnlo.params import SODIUM_REFERENCE
 from reference import mode_host_overlap_quad
 
 
@@ -74,19 +73,7 @@ def test_lifetime_inverse_in_loss(config, scales, host):
     # tau * |Im a12| is an exact invariant across a 100x sweep
     base = estimate_lifetime(config, scales, host)
     for factor in (0.1, 0.5, 2.0, 10.0):
-        species = SpeciesParams(
-            mass=config.species.mass,
-            a11=config.species.a11,
-            a22=config.species.a22,
-            a12=config.species.a12,
-            im_a12=config.species.im_a12 * factor,
-        )
-        scaled = SystemConfig(
-            species=species,
-            trap=config.trap,
-            n_host=config.n_host,
-            n_stored_max=config.n_stored_max,
-        )
+        scaled = config_from_dict({**SODIUM_REFERENCE, "im_a12_m": config.im_a12 * factor})
         estimate = estimate_lifetime(scaled, derive_scales(scaled), host)
         assert_allclose(estimate.tau * factor, base.tau, rtol=1e-12)
 
@@ -97,17 +84,7 @@ def test_loss_requires_im_a12(config, scales, host):
 
 
 def test_estimate_requires_im_a12(config, scales, host):
-    lossless = SystemConfig(
-        species=SpeciesParams(
-            mass=config.species.mass,
-            a11=config.species.a11,
-            a22=config.species.a22,
-            a12=config.species.a12,
-        ),
-        trap=config.trap,
-        n_host=config.n_host,
-        n_stored_max=config.n_stored_max,
-    )
+    lossless = config_from_dict({k: v for k, v in SODIUM_REFERENCE.items() if k != "im_a12_m"})
     with pytest.raises(LossNotConfiguredError):
         estimate_lifetime(lossless, scales, host)
 
@@ -121,19 +98,7 @@ def test_backsolve_round_trip(config, scales, host):
     target = 7.7e-4
     im = backsolve_im_a12(config, scales, host, target)
     assert im < 0.0
-    species = SpeciesParams(
-        mass=config.species.mass,
-        a11=config.species.a11,
-        a22=config.species.a22,
-        a12=config.species.a12,
-        im_a12=im,
-    )
-    tuned = SystemConfig(
-        species=species,
-        trap=config.trap,
-        n_host=config.n_host,
-        n_stored_max=config.n_stored_max,
-    )
+    tuned = config_from_dict({**SODIUM_REFERENCE, "im_a12_m": im})
     estimate = estimate_lifetime(tuned, derive_scales(tuned), host)
     assert_allclose(estimate.tau, target, rtol=1e-12)
 
@@ -141,7 +106,7 @@ def test_backsolve_round_trip(config, scales, host):
 def test_backsolve_matches_shipped_default(config, scales, host):
     # the bundled config's im_a12 is the back-solved value for tau = 0.25 ms
     im = backsolve_im_a12(config, scales, host, 2.5e-4)
-    assert_allclose(im, config.species.im_a12, rtol=1e-4)
+    assert_allclose(im, config.im_a12, rtol=1e-4)
     assert_allclose(im, -1.291883e-9, rtol=1e-3)
 
 

@@ -7,9 +7,7 @@ from numpy.testing import assert_allclose
 
 from becnlo import (
     HBAR,
-    SpeciesParams,
     SystemConfig,
-    TrapParams,
     ValidationError,
     check_conditions,
     config_from_dict,
@@ -19,6 +17,7 @@ from becnlo import (
     sodium_reference_config,
     tf_chemical_potential,
 )
+from becnlo.params import SODIUM_REFERENCE
 from conftest import REPO_ROOT
 
 
@@ -60,26 +59,18 @@ class TestDerivedScales:
         assert_allclose(out.u11, 4.0 * ref.u11, rtol=1e-14)
 
     def test_decoupled_limit(self, config):
-        species = SpeciesParams(
-            mass=config.species.mass, a11=config.species.a11, a22=config.species.a22, a12=0.0
-        )
         out = derive_scales(
-            SystemConfig(species=species, trap=config.trap, n_host=10, n_stored_max=1)
+            config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0, "n_host": 10, "n_stored_max": 1})
         )
         assert out.eff_trap_factor == 1.0
         assert_allclose(out.s, out.d, rtol=1e-15)
-        assert_allclose(out.omega_tilde, config.trap.omega, rtol=1e-15)
+        assert_allclose(out.omega_tilde, config.omega, rtol=1e-15)
         assert_allclose(out.u22_tilde, out.u22, rtol=1e-15)
 
     def test_trap_frequency_covariance(self, config, scales):
         # omega x4: e_trap x4, lengths halve, and the phase rate picks up
         # the s^-3 from the mode volume, omega_nl ~ omega^(3/2)
-        stiff = SystemConfig(
-            species=config.species,
-            trap=TrapParams(omega=4.0 * config.trap.omega),
-            n_host=config.n_host,
-            n_stored_max=config.n_stored_max,
-        )
+        stiff = config_from_dict({**SODIUM_REFERENCE, "omega_rad_s": 4.0 * config.omega})
         out = derive_scales(stiff)
         assert_allclose(out.e_trap, 4.0 * scales.e_trap, rtol=1e-14)
         assert_allclose(out.d, 0.5 * scales.d, rtol=1e-14)
@@ -87,58 +78,65 @@ class TestDerivedScales:
         assert_allclose(out.omega_nl, 8.0 * scales.omega_nl, rtol=1e-14)
 
     def test_coupling_round_trip(self, config, scales):
-        m = config.species.mass
-        for a, u in ((config.species.a11, scales.u11), (config.species.a22, scales.u22)):
+        m = config.mass
+        for a, u in ((config.a11, scales.u11), (config.a22, scales.u22)):
             assert_allclose(coupling(m, a), u, rtol=1e-15)
             assert_allclose(u * m / (4.0 * math.pi * HBAR**2), a, rtol=1e-15)
 
     def test_phase_rate_linear_in_screened_length(self, config, scales):
         # choosing a22 so that a22 - a12^2/a11 doubles leaves s untouched
         # and doubles omega_nl
-        sp = config.species
-        species = SpeciesParams(
-            mass=sp.mass, a11=sp.a11, a22=2.0 * sp.a22 - sp.a12**2 / sp.a11, a12=sp.a12
-        )
-        out = derive_scales(
-            SystemConfig(
-                species=species,
-                trap=config.trap,
-                n_host=config.n_host,
-                n_stored_max=config.n_stored_max,
-            )
-        )
+        a22 = 2.0 * config.a22 - config.a12**2 / config.a11
+        out = derive_scales(config_from_dict({**SODIUM_REFERENCE, "a22_m": a22}))
         assert_allclose(out.a22_tilde, 2.0 * scales.a22_tilde, rtol=1e-13)
         assert_allclose(out.s, scales.s, rtol=1e-15)
         assert_allclose(out.omega_nl, 2.0 * scales.omega_nl, rtol=1e-13)
 
 
+# the sodium scenario as SystemConfig keywords; each validation case changes one or two
+SODIUM_FIELDS = dict(
+    mass=3.82e-26, a11=2.75e-9, a22=2.85e-9, a12=2.65e-9, omega=100.0 * math.pi,
+    n_host=1_000_000, n_stored_max=10, im_a12=-1.291883e-9,
+)
+
+
 class TestValidation:
     def test_negative_mass(self):
         with pytest.raises(ValidationError, match="mass"):
-            SpeciesParams(mass=-1e-26, a11=1e-9, a22=1e-9, a12=0.0)
+            SystemConfig(**{**SODIUM_FIELDS, "mass": -1e-26})
 
     def test_phase_separation(self):
         with pytest.raises(ValidationError, match="phase-separate"):
-            SpeciesParams(mass=3.82e-26, a11=2.0e-9, a22=2.0e-9, a12=2.5e-9)
+            SystemConfig(**{**SODIUM_FIELDS, "a11": 2.0e-9, "a22": 2.0e-9, "a12": 2.5e-9})
 
     def test_untrapped_stored(self):
         # a11*a22 > a12^2 can hold while a12 > a11, which untraps the mode
         with pytest.raises(ValidationError, match="untrapped"):
-            SpeciesParams(mass=3.82e-26, a11=2.0e-9, a22=4.0e-9, a12=2.5e-9)
+            SystemConfig(**{**SODIUM_FIELDS, "a11": 2.0e-9, "a22": 4.0e-9, "a12": 2.5e-9})
 
     def test_positive_im_a12(self):
         with pytest.raises(ValidationError, match="im_a12"):
-            SpeciesParams(mass=3.82e-26, a11=2.75e-9, a22=2.85e-9, a12=2.65e-9, im_a12=1e-10)
+            SystemConfig(**{**SODIUM_FIELDS, "im_a12": 1e-10})
 
     def test_bad_omega(self):
         with pytest.raises(ValidationError, match="omega"):
-            TrapParams(omega=0.0)
+            SystemConfig(**{**SODIUM_FIELDS, "omega": 0.0})
 
-    def test_bad_atom_numbers(self, config):
+    def test_bad_atom_numbers(self):
         with pytest.raises(ValidationError, match="n_host"):
-            SystemConfig(species=config.species, trap=config.trap, n_host=0, n_stored_max=1)
+            SystemConfig(**{**SODIUM_FIELDS, "n_host": 0})
         with pytest.raises(ValidationError, match="n_stored_max"):
-            SystemConfig(species=config.species, trap=config.trap, n_host=10, n_stored_max=-1)
+            SystemConfig(**{**SODIUM_FIELDS, "n_stored_max": -1})
+
+    def test_checks_run_in_order(self):
+        # the species checks come first, then the trap, then the atom numbers
+        with pytest.raises(ValidationError, match="mass must be positive"):
+            SystemConfig(**{**SODIUM_FIELDS, "mass": -1.0, "omega": 0.0, "n_host": 0})
+        with pytest.raises(ValidationError, match="omega"):
+            SystemConfig(**{**SODIUM_FIELDS, "omega": 0.0, "n_host": 0})
+
+    def test_sodium_fields_are_the_reference(self):
+        assert SystemConfig(**SODIUM_FIELDS) == sodium_reference_config()
 
 
 class TestConfigIO:
@@ -158,7 +156,7 @@ class TestConfigIO:
         data = dict(sodium_reference_config_dict())
         del data["im_a12_m"]
         config = config_from_dict(data)
-        assert config.species.im_a12 == 0.0
+        assert config.im_a12 == 0.0
 
     def test_non_numeric(self):
         data = dict(sodium_reference_config_dict())
@@ -183,6 +181,20 @@ class TestConfigIO:
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_config(p)
 
+    @pytest.mark.parametrize("source", ["module", "file"])
+    def test_each_key_is_one_field(self, source):
+        data = SODIUM_REFERENCE if source == "module" else sodium_reference_config_dict()
+        field_of = {
+            "mass_kg": "mass", "a11_m": "a11", "a22_m": "a22", "a12_m": "a12",
+            "im_a12_m": "im_a12", "omega_rad_s": "omega",
+            "n_host": "n_host", "n_stored_max": "n_stored_max",
+        }
+        assert sorted(data) == sorted(field_of)
+        assert tuple(SystemConfig.__annotations__) == (
+            "mass", "a11", "a22", "a12", "omega", "n_host", "n_stored_max", "im_a12"
+        )
+        assert vars(config_from_dict(data)) == {field_of[key]: value for key, value in data.items()}
+
     def test_bundled_file_matches_module_defaults(self):
         from_file = load_config(REPO_ROOT / "paper_sodium.json")
         assert from_file == sodium_reference_config()
@@ -201,9 +213,7 @@ def test_condition_flags(config, scales, mu):
 
 def test_condition_flags_small_cloud(config):
     # with 100 atoms the cloud is not deep in the strong-interaction regime
-    small = SystemConfig(
-        species=config.species, trap=config.trap, n_host=100, n_stored_max=1
-    )
+    small = config_from_dict({**SODIUM_REFERENCE, "n_host": 100, "n_stored_max": 1})
     scales = derive_scales(small)
     flags = check_conditions(small, scales, tf_chemical_potential(small, scales))
     assert not flags.tf_ok
@@ -211,9 +221,7 @@ def test_condition_flags_small_cloud(config):
 
 def test_condition_flags_single_atom(config):
     # one atom: the cloud is smaller than the oscillator length
-    single = SystemConfig(
-        species=config.species, trap=config.trap, n_host=1, n_stored_max=1
-    )
+    single = config_from_dict({**SODIUM_REFERENCE, "n_host": 1, "n_stored_max": 1})
     scales = derive_scales(single)
     flags = check_conditions(single, scales, tf_chemical_potential(single, scales))
     assert flags.tf_ratio < 1.0
@@ -222,11 +230,6 @@ def test_condition_flags_single_atom(config):
 
 def test_mu_atom_number_scaling(config, scales, mu):
     # mu ~ N^(2/5) exactly in the closed form
-    doubled = SystemConfig(
-        species=config.species,
-        trap=config.trap,
-        n_host=2 * config.n_host,
-        n_stored_max=config.n_stored_max,
-    )
+    doubled = config_from_dict({**SODIUM_REFERENCE, "n_host": 2 * config.n_host})
     mu2 = tf_chemical_potential(doubled, scales)
     assert_allclose(mu2 / mu, 2.0**0.4, rtol=1e-13)

@@ -39,7 +39,7 @@ def records():
     stored = solve_stored_in_host(config, grid_points=256)
     problem = host_problem(config, scales, grid)
     built = [
-        config, config.species, config.trap, scales,
+        config, scales,
         check_conditions(config, scales, host.mu), host, grid,
         estimate_lifetime(config, scales, host), StoredMode.from_scales(scales),
         FockSuperposition.normalized([1, 1, 1]), ns_gate_time(scales),
@@ -51,7 +51,7 @@ def records():
 
 
 def test_every_record_class_is_covered(records):
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 14
     assert set(records) == set(RECORDS)
 
 

@@ -7,10 +7,8 @@ from numpy.testing import assert_allclose
 from becnlo import (
     GridError,
     RadialGrid,
-    SpeciesParams,
-    SystemConfig,
-    TrapParams,
     ValidationError,
+    config_from_dict,
     derive_scales,
     figure_data,
     kinetic_correction,
@@ -19,6 +17,7 @@ from becnlo import (
     tf_host,
     validity_report,
 )
+from becnlo.params import SODIUM_REFERENCE
 from becnlo.validity import EDGE_FRACTION
 from reference import kinetic_correction_fd, kinetic_crossing_radius
 
@@ -69,12 +68,7 @@ class TestKineticCorrection:
     def test_flat_trap_limit(self, config, host):
         # K(0) = 3 hbar^2 omega^2 / (4 mu): softening the trap at fixed mu
         # kills the correction quadratically
-        soft = SystemConfig(
-            species=config.species,
-            trap=TrapParams(omega=config.trap.omega / 10.0),
-            n_host=config.n_host,
-            n_stored_max=config.n_stored_max,
-        )
+        soft = config_from_dict({**SODIUM_REFERENCE, "omega_rad_s": config.omega / 10.0})
         k_soft = kinetic_correction(soft, host, 0.0)
         k_full = kinetic_correction(config, host, 0.0)
         assert_allclose(k_soft / k_full, 1e-2, rtol=1e-12)
@@ -87,15 +81,7 @@ def test_rescaled_kinetic(config, scales, host):
 
 def test_rescaled_kinetic_degenerate_inputs(config, scales):
     assert rescaled_kinetic(0.0, scales) == 0.0
-    species = SpeciesParams(
-        mass=config.species.mass,
-        a11=config.species.a11,
-        a22=config.species.a22,
-        a12=0.0,
-    )
-    decoupled = SystemConfig(
-        species=species, trap=config.trap, n_host=config.n_host, n_stored_max=1
-    )
+    decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0, "n_stored_max": 1})
     assert rescaled_kinetic(1e-31, derive_scales(decoupled)) == 0.0
 
 
@@ -214,26 +200,14 @@ class TestValidityReport:
         assert payload["n_stored"] == config.n_stored_max
 
     def test_empty_mode_is_degenerate(self, config):
-        from becnlo import SystemConfig
-
-        empty = SystemConfig(
-            species=config.species, trap=config.trap, n_host=config.n_host, n_stored_max=0
-        )
+        empty = config_from_dict({**SODIUM_REFERENCE, "n_stored_max": 0})
         report = validity_report(empty)
         assert report.two_tf_ratio == np.inf
         assert not report.two_component_tf_ok
 
     def test_no_cross_coupling_passes_two_tf(self, config):
         # a12 = 0 decouples the stored mode from host corrections entirely
-        species = SpeciesParams(
-            mass=config.species.mass,
-            a11=config.species.a11,
-            a22=config.species.a22,
-            a12=0.0,
-        )
-        decoupled = SystemConfig(
-            species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
-        )
+        decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
         report = validity_report(decoupled)
         assert report.two_tf_ratio == 0.0
         assert report.two_component_tf_ok
@@ -241,15 +215,7 @@ class TestValidityReport:
     def test_inflated_self_interaction_passes_two_tf(self, config):
         # raising a22 by 1e4 lifts the stored self-energy above the
         # transferred kinetic correction, so that check flips to pass
-        species = SpeciesParams(
-            mass=config.species.mass,
-            a11=config.species.a11,
-            a22=1e4 * config.species.a22,
-            a12=config.species.a12,
-        )
-        stiff = SystemConfig(
-            species=species, trap=config.trap, n_host=config.n_host, n_stored_max=10
-        )
+        stiff = config_from_dict({**SODIUM_REFERENCE, "a22_m": 1e4 * config.a22})
         report = validity_report(stiff)
         assert report.two_component_tf_ok
         assert not validity_report(config).two_component_tf_ok
