@@ -21,8 +21,7 @@ _EXPORTS = {
     "gpe": "GpeProblem GpeSolution compare_tf_vs_gpe host_problem solve_ground_state "
     "solve_stored_in_host stored_problem virial_residual",
     "host_tf": "TfSolution tf_density tf_density_at tf_density_with_back_action tf_host",
-    "lifetime": "LossEstimate backsolve_im_a12 estimate_lifetime lifetime_tau loss_overlap "
-    "mode_host_overlap",
+    "lifetime": "LossEstimate estimate_lifetime mode_host_overlap",
     "params": "HBAR ConditionFlags DerivedScales SystemConfig "
     "check_conditions config_from_dict coupling derive_scales energy_shift load_config "
     "sodium_reference_config tf_chemical_potential tf_radius",

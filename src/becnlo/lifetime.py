@@ -2,8 +2,8 @@
 
 A negative Im(a12) makes U12 complex; the stored mode then sees the
 anti-Hermitian energy -i*|Im U12| * <phi|n1|phi>, so its amplitude decays as
-exp(-L*t/hbar) with L the loss rate below.  tau is the time at which the
-amplitude has halved.
+exp(-L*t/hbar) with L the loss rate below.  tau = hbar*ln2/L is the time at
+which the amplitude has halved.
 """
 
 from __future__ import annotations
@@ -45,36 +45,14 @@ def mode_host_overlap(mode: StoredMode, host: TfSolution) -> float:
     return _pointwise(overlap, host.radius / s)
 
 
-def loss_overlap(mode: StoredMode, host: TfSolution, im_u12: float) -> float:
-    """|Im U12| weighted by the host density the mode actually samples."""
-    if im_u12 == 0.0:
-        raise LossNotConfiguredError("loss channel not configured: im_a12 is zero")
-    return abs(im_u12) * mode_host_overlap(mode, host)
-
-
-def lifetime_tau(rate: float) -> float:
-    """Amplitude-halving time: |exp(-rate*t/hbar)| = 1/2 at t = hbar*ln2/rate."""
-    if not 0 < rate < math.inf:
-        raise ValidationError(f"loss rate must be positive and finite, got {rate}")
-    return HBAR * math.log(2.0) / rate
-
-
 def estimate_lifetime(
     config: SystemConfig, scales: DerivedScales, host: TfSolution
 ) -> LossEstimate:
     """Loss rate and lifetime for the configured Im(a12)."""
     im_u12 = coupling(config.mass, config.im_a12)
-    rate = loss_overlap(StoredMode.from_scales(scales), host, im_u12)
-    return LossEstimate(loss_rate_l=rate, tau=lifetime_tau(rate))
-
-
-def backsolve_im_a12(
-    config: SystemConfig, scales: DerivedScales, host: TfSolution, tau_target: float
-) -> float:
-    """Im(a12) (negative, in m) that reproduces a target lifetime."""
-    if not tau_target > 0:
-        raise ValidationError(f"target lifetime must be positive, got {tau_target}")
-    overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
-    rate_needed = HBAR * math.log(2.0) / tau_target
-    im_u12 = rate_needed / overlap
-    return -im_u12 * config.mass / (4.0 * math.pi * HBAR**2)
+    if im_u12 == 0.0:
+        raise LossNotConfiguredError("loss channel not configured: im_a12 is zero")
+    rate = abs(im_u12) * mode_host_overlap(StoredMode(scales.s), host)
+    if not 0 < rate < math.inf:
+        raise ValidationError(f"loss rate must be positive and finite, got {rate}")
+    return LossEstimate(loss_rate_l=rate, tau=HBAR * math.log(2.0) / rate)

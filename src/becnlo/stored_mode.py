@@ -30,10 +30,6 @@ class StoredMode:
         if not self.s > 0:
             raise ValidationError(f"mode width must be positive, got {self.s}")
 
-    @classmethod
-    def from_scales(cls, scales: DerivedScales) -> "StoredMode":
-        return cls(s=scales.s)
-
     def _phi(self):
         s = self.s
         amplitude = math.pi**-0.75 * s**-1.5
@@ -66,7 +62,7 @@ def _norm(amps) -> float:
 
 @record
 class FockSuperposition:
-    """Amplitudes c_0..c_nmax of a photon-number superposition; must be normalized."""
+    """Amplitudes c_0, c_1, ... of a photon-number superposition; must be normalized."""
 
     amps: tuple
 
@@ -86,10 +82,6 @@ class FockSuperposition:
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         return cls([c / norm for c in amps])
-
-    @property
-    def nmax(self) -> int:
-        return len(self.amps) - 1
 
 
 def evolve(state: FockSuperposition, t: float, scales: DerivedScales) -> FockSuperposition:

@@ -112,7 +112,7 @@ def figure_data(
     r = RadialGrid(FIGURE_SPAN * host.radius, n_rows).r
     cols = {"r_over_d": list(_pointwise(lambda x: x / scales.d, r))}
     d3 = scales.d**3
-    n2 = StoredMode.from_scales(scales).density(r, config.n_stored_max)
+    n2 = StoredMode(scales.s).density(r, config.n_stored_max)
     if fig == 2:
         k = config.trap_potential(1.0)  # V(r) = k*r^2
         n1 = tf_density_at(config, scales, host.mu, r)
@@ -140,9 +140,13 @@ def _json_ratio(ratio: float):
     return ratio if math.isfinite(ratio) else None
 
 
+def _check(ratio: float) -> dict:
+    return {"ratio": _json_ratio(ratio), "ok": ratio < RATIO_THRESHOLD}
+
+
 @record
 class ValidityReport:
-    """Worst-case ratios over 0 <= r <= R/2 and their pass flags (ratio < 1).
+    """Worst-case ratios over 0 <= r <= R/2; a check passes where its ratio is below 1.
 
     The two-component mean-field check has two diagnostics (depletion and
     density std, each against the stored density) and passes only if both do.
@@ -153,32 +157,20 @@ class ValidityReport:
     two_tf_ratio: float  # K*U12/U11 / (U22_tilde*n*phi^2)
     two_mf_depletion_ratio: float  # n_dep / n2
     two_mf_std_ratio: float  # density std per cell / n2
-    single_component_tf_ok: bool
-    single_component_mf_ok: bool
-    two_component_tf_ok: bool
-    two_component_mf_ok: bool
     scan_radius: float  # m
     n_stored: int
 
-    @property
-    def flags(self) -> tuple:
-        return (
-            self.single_component_tf_ok,
-            self.single_component_mf_ok,
-            self.two_component_tf_ok,
-            self.two_component_mf_ok,
-        )
-
     def to_dict(self) -> dict:
-        """Plain JSON: a ratio that is not finite (an empty or underflowing mode) becomes None."""
+        """Plain JSON: a ratio that is not finite (an empty or underflowing mode) becomes None and fails."""
+        dep, std = self.two_mf_depletion_ratio, self.two_mf_std_ratio
         return {
-            "single_tf": {"ratio": _json_ratio(self.single_tf_ratio), "ok": self.single_component_tf_ok},
-            "single_mf": {"ratio": _json_ratio(self.single_mf_ratio), "ok": self.single_component_mf_ok},
-            "two_tf": {"ratio": _json_ratio(self.two_tf_ratio), "ok": self.two_component_tf_ok},
+            "single_tf": _check(self.single_tf_ratio),
+            "single_mf": _check(self.single_mf_ratio),
+            "two_tf": _check(self.two_tf_ratio),
             "two_mf": {
-                "depletion_ratio": _json_ratio(self.two_mf_depletion_ratio),
-                "std_ratio": _json_ratio(self.two_mf_std_ratio),
-                "ok": self.two_component_mf_ok,
+                "depletion_ratio": _json_ratio(dep),
+                "std_ratio": _json_ratio(std),
+                "ok": dep < RATIO_THRESHOLD and std < RATIO_THRESHOLD,
             },
             "scan_radius_m": self.scan_radius,
             "n_stored": self.n_stored,
@@ -205,7 +197,7 @@ def validity_report(config: SystemConfig) -> ValidityReport:
     single_mf = _worst(n_dep, n1)
 
     # an empty mode, or one that underflows to 0, gives inf ratios (nan if U12 is 0 too): null, flag fails
-    n2 = StoredMode.from_scales(scales).density(r, n)
+    n2 = StoredMode(scales.s).density(r, n)
     two_tf = _worst(rescaled_kinetic(kin, scales), _pointwise(lambda x: scales.u22_tilde * x, n2))
     two_mf_dep = _worst(n_dep, n2)
     two_mf_std = _worst(_fluctuation(scales.d**3, n1, n_dep), n2)
@@ -216,10 +208,6 @@ def validity_report(config: SystemConfig) -> ValidityReport:
         two_tf_ratio=two_tf,
         two_mf_depletion_ratio=two_mf_dep,
         two_mf_std_ratio=two_mf_std,
-        single_component_tf_ok=single_tf < RATIO_THRESHOLD,
-        single_component_mf_ok=single_mf < RATIO_THRESHOLD,
-        two_component_tf_ok=two_tf < RATIO_THRESHOLD,
-        two_component_mf_ok=two_mf_dep < RATIO_THRESHOLD and two_mf_std < RATIO_THRESHOLD,
         scan_radius=r[-1],
         n_stored=n,
     )

@@ -74,7 +74,7 @@ def test_criterion_03_lifetime(config, scales, host):
 
 
 def test_criterion_04_shift_oracle(scales):
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     ok = True
     for n in range(7):
         closed = energy_shift(n, scales)
@@ -122,7 +122,7 @@ def test_criterion_06_energy_ordering(config, scales, host):
 
 def test_criterion_07_two_component_kinetic(config, scales, host):
     r = np.linspace(0.0, 0.5 * host.radius, 401)
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     stored_self = scales.u22_tilde * np.asarray(mode.density(r, config.n_stored_max))
     ratio = np.asarray(rescaled_kinetic(kinetic_correction(config, host, r), scales)) / stored_self
     verdict(7, "rescaled kinetic exceeds stored self-interaction by > 100x", float(np.max(ratio)) > 100.0)
@@ -142,7 +142,9 @@ def test_criterion_08_density_budget(config):
         and host0 > std0 > dep0 > stored0
     )
     report = validity_report(config)
-    ok = ok and report.flags == (True, True, False, False)
+    payload = report.to_dict()
+    verdicts = tuple(payload[check]["ok"] for check in ("single_tf", "single_mf", "two_tf", "two_mf"))
+    ok = ok and verdicts == (True, True, False, False)
     verdict(8, "central densities per d^3 at quoted values; verdicts (pass, pass, fail, fail)", ok)
 
 
@@ -150,8 +152,9 @@ def test_criterion_09_gpe_oracle(config, scales):
     start = time.perf_counter()
     comp = compare_tf_vs_gpe(config)
     elapsed = time.perf_counter() - start
-    ok = 2e-4 <= comp.mu_rel_err <= 5e-3
-    ok = ok and 2e-4 <= comp.central_density_rel_err <= 5e-3
+    payload = comp.to_dict()
+    ok = 2e-4 <= payload["mu_rel_err"] <= 5e-3
+    ok = ok and 2e-4 <= payload["central_density_rel_err"] <= 5e-3
     ok = ok and comp.virial < 1e-4
 
     grid = RadialGrid(8.0 * scales.d, 2048)

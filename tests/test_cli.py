@@ -672,18 +672,19 @@ def test_import_gpe_loads_no_numpy(tmp_path):
 
 # the package's public names: those `from becnlo import *` exported before the
 # namespace became lazy, less the two profile records and their builders, the
-# three validity closed forms that no command ran, the unit-tagged field, and
-# the two records the flat SystemConfig replaced
+# three validity closed forms that no command ran, the unit-tagged field, the
+# two records the flat SystemConfig replaced, the Im(a12) back-solver, and the
+# two loss layers folded into estimate_lifetime
 PUBLIC_NAMES = [
     "BecnloError", "ConditionFlags", "ConvergenceError", "DerivedScales",
     "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
     "LossEstimate", "LossNotConfiguredError", "NsGateTimes", "RadialGrid",
     "StoredMode", "SystemConfig", "TfSolution",
-    "ValidationError", "ValidityReport", "backsolve_im_a12",
+    "ValidationError", "ValidityReport",
     "check_conditions", "compare_tf_vs_gpe", "config_from_dict", "coupling",
     "derive_scales", "energy_shift", "estimate_lifetime", "evolve", "figure_data",
-    "gate_fidelity", "host_problem", "kinetic_correction", "lifetime_tau", "load_config",
-    "loss_overlap", "mode_host_overlap", "ns_gate_target", "ns_gate_time",
+    "gate_fidelity", "host_problem", "kinetic_correction", "load_config",
+    "mode_host_overlap", "ns_gate_target", "ns_gate_time",
     "radial_integral", "rescaled_kinetic",
     "sodium_reference_config", "solve_ground_state", "solve_stored_in_host",
     "stored_problem", "tf_chemical_potential", "tf_density",

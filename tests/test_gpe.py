@@ -33,6 +33,7 @@ from becnlo.gpe import (
     DEFAULT_TOL,
     GRID_SPAN_FACTOR,
     GpeProblem,
+    TfGpeComparison,
     _initial_guesses,
     default_time_step,
     host_problem,
@@ -150,9 +151,10 @@ class TestProblemValidation:
 class TestHostComparison:
     def test_parabola_accuracy(self, config):
         comp = compare_tf_vs_gpe(config, grid_points=1024)
+        payload = comp.to_dict()
         # "one part in a thousand": both errors sit between 2e-4 and 5e-3
-        assert 2e-4 < comp.mu_rel_err < 5e-3
-        assert 2e-4 < comp.central_density_rel_err < 5e-3
+        assert 2e-4 < payload["mu_rel_err"] < 5e-3
+        assert 2e-4 < payload["central_density_rel_err"] < 5e-3
         assert comp.mu_gpe > comp.mu_tf  # kinetic pressure raises mu
         assert comp.l2_density_err < 0.05
         assert comp.virial < 1e-4
@@ -189,7 +191,8 @@ class TestHostComparison:
         def swept(n_host):
             return config_from_dict({**SODIUM_REFERENCE, "n_host": n_host})
 
-        errs = [compare_tf_vs_gpe(swept(n), grid_points=1024).mu_rel_err for n in (10**5, 10**6, 10**8)]
+        reports = [compare_tf_vs_gpe(swept(n), grid_points=1024).to_dict() for n in (10**5, 10**6, 10**8)]
+        errs = [report["mu_rel_err"] for report in reports]
         assert errs[0] > errs[1] > errs[2]
         # at a hundred atoms the cloud is nearly the bare oscillator state, far
         # wider than 1.5 parabola radii, and the parabola is off by far more
@@ -214,6 +217,16 @@ class TestHostComparison:
             "virial_residual",
             "iterations",
         }
+
+    @pytest.mark.parametrize("mu_gpe, central_gpe", [(2.5, 3.0), (1.5, 5.0)])
+    def test_to_dict_derives_relative_errors(self, mu_gpe, central_gpe):
+        comp = TfGpeComparison(
+            mu_tf=2.0, mu_gpe=mu_gpe, central_density_tf=4.0, central_density_gpe=central_gpe,
+            l2_density_err=0.1, virial=1e-9, iterations=3,
+        )
+        payload = comp.to_dict()
+        assert payload["mu_rel_err"] == abs(mu_gpe - 2.0) / 2.0 == 0.25
+        assert payload["central_density_rel_err"] == abs(central_gpe - 4.0) / 4.0 == 0.25
 
 
 class TestStoredComparison:

@@ -93,7 +93,7 @@ def test_host_record_is_the_grid_free_closed_form(config, scales, mu, host):
 
 
 def test_back_action_dip(config, scales, mu, grid, host_n1):
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     n2 = mode.density(grid.r, 10)
     dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
     # bit for bit the formula with V from trap_potential at each radius
@@ -109,27 +109,27 @@ def test_back_action_dip(config, scales, mu, grid, host_n1):
 
 
 def test_back_action_rejects_dense_mode(config, scales, mu, grid):
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     n2 = mode.density(grid.r, 2e5)
     with pytest.raises(ValidationError, match="too dense"):
         tf_density_with_back_action(config, scales, mu, grid.r, n2)
 
 
 def test_back_action_needs_a_density_per_radius(config, scales, mu, grid):
-    n2 = StoredMode.from_scales(scales).density(grid.r, 10)
+    n2 = StoredMode(scales.s).density(grid.r, 10)
     with pytest.raises(ValidationError, match="values for"):
         tf_density_with_back_action(config, scales, mu, grid.r, n2[:-1])
 
 
 def test_back_action_trivial_without_stored_atoms(config, scales, mu, grid, host_n1):
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     n2 = mode.density(grid.r, 0)
     dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
     assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
 
 
 def test_back_action_never_raises_density(config, scales, mu, grid, host_n1):
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     n2 = mode.density(grid.r, 10)
     dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
     assert np.all(np.asarray(dented) <= np.asarray(host_n1))
@@ -142,7 +142,7 @@ def test_back_action_decoupled_channel(config, mu, grid, host_n1):
 
     decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
     dscales = derive_scales(decoupled)
-    n2 = StoredMode.from_scales(dscales).density(grid.r, 10)
+    n2 = StoredMode(dscales.s).density(grid.r, 10)
     dented = tf_density_with_back_action(decoupled, dscales, mu, grid.r, n2)
     assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
 

@@ -8,12 +8,9 @@ from becnlo import (
     LossNotConfiguredError,
     StoredMode,
     ValidationError,
-    backsolve_im_a12,
     config_from_dict,
     derive_scales,
     estimate_lifetime,
-    lifetime_tau,
-    loss_overlap,
     mode_host_overlap,
     sodium_reference_config,
     tf_host,
@@ -24,7 +21,7 @@ from reference import mode_host_overlap_quad
 
 def test_overlap_value(scales, host):
     # 4*pi int r^2 phi^2 n1 dr: the host density the mode samples
-    overlap = mode_host_overlap(StoredMode.from_scales(scales), host)
+    overlap = mode_host_overlap(StoredMode(scales.s), host)
     assert_allclose(overlap, 6.186424e19, rtol=1e-4)
 
 
@@ -58,7 +55,7 @@ OVERLAP_CONFIGS = [sodium_reference_config(), *scan_configs(14, 24)]
 def test_overlap_matches_quadrature(scenario):
     scales = derive_scales(scenario)
     host = tf_host(scenario, scales)
-    mode = StoredMode.from_scales(scales)
+    mode = StoredMode(scales.s)
     want = mode_host_overlap_quad(scenario, scales, host.mu, mode)
     assert_allclose(mode_host_overlap(mode, host), want, rtol=1e-10, atol=0.0)
 
@@ -78,9 +75,11 @@ def test_lifetime_inverse_in_loss(config, scales, host):
         assert_allclose(estimate.tau * factor, base.tau, rtol=1e-12)
 
 
-def test_loss_requires_im_a12(config, scales, host):
+def test_loss_requires_im_a12(scales, host):
+    # the guard reads the computed Im U12: an im_a12 of -1e-300 underflows to 0 there
+    faint = config_from_dict({**SODIUM_REFERENCE, "im_a12_m": -1e-300})
     with pytest.raises(LossNotConfiguredError):
-        loss_overlap(StoredMode.from_scales(scales), host, 0.0)
+        estimate_lifetime(faint, scales, host)
 
 
 def test_estimate_requires_im_a12(config, scales, host):
@@ -89,27 +88,8 @@ def test_estimate_requires_im_a12(config, scales, host):
         estimate_lifetime(lossless, scales, host)
 
 
-def test_tau_validation():
-    with pytest.raises(ValidationError):
-        lifetime_tau(0.0)
+def test_tau_validation(monkeypatch, config, scales, host):
+    monkeypatch.setattr("becnlo.lifetime.mode_host_overlap", lambda mode, host: math.inf)
+    with pytest.raises(ValidationError, match="loss rate must be positive and finite"):
+        estimate_lifetime(config, scales, host)
 
-
-def test_backsolve_round_trip(config, scales, host):
-    target = 7.7e-4
-    im = backsolve_im_a12(config, scales, host, target)
-    assert im < 0.0
-    tuned = config_from_dict({**SODIUM_REFERENCE, "im_a12_m": im})
-    estimate = estimate_lifetime(tuned, derive_scales(tuned), host)
-    assert_allclose(estimate.tau, target, rtol=1e-12)
-
-
-def test_backsolve_matches_shipped_default(config, scales, host):
-    # the bundled config's im_a12 is the back-solved value for tau = 0.25 ms
-    im = backsolve_im_a12(config, scales, host, 2.5e-4)
-    assert_allclose(im, config.im_a12, rtol=1e-4)
-    assert_allclose(im, -1.291883e-9, rtol=1e-3)
-
-
-def test_backsolve_rejects_bad_target(config, scales, host):
-    with pytest.raises(ValidationError):
-        backsolve_im_a12(config, scales, host, -1.0)

@@ -41,7 +41,7 @@ def records():
     built = [
         config, scales,
         check_conditions(config, scales, host.mu), host, grid,
-        estimate_lifetime(config, scales, host), StoredMode.from_scales(scales),
+        estimate_lifetime(config, scales, host), StoredMode(scales.s),
         FockSuperposition.normalized([1, 1, 1]), ns_gate_time(scales),
         validity_report(config),
         problem, stored, stored.solution,

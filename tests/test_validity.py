@@ -8,6 +8,7 @@ from becnlo import (
     GridError,
     RadialGrid,
     ValidationError,
+    ValidityReport,
     config_from_dict,
     derive_scales,
     figure_data,
@@ -20,6 +21,21 @@ from becnlo import (
 from becnlo.params import SODIUM_REFERENCE
 from becnlo.validity import EDGE_FRACTION
 from reference import kinetic_correction_fd, kinetic_crossing_radius
+
+CHECKS = ("single_tf", "single_mf", "two_tf", "two_mf")
+
+
+def verdicts(report):
+    payload = report.to_dict()
+    return tuple(payload[check]["ok"] for check in CHECKS)
+
+
+RATIOS = ("single_tf_ratio", "single_mf_ratio", "two_tf_ratio", "two_mf_depletion_ratio", "two_mf_std_ratio")
+
+
+def passing_report(**ratios):
+    """A report built directly, every ratio 0.5 unless given."""
+    return ValidityReport(**{**dict.fromkeys(RATIOS, 0.5), **ratios}, scan_radius=1e-5, n_stored=10)
 
 
 class TestKineticCorrection:
@@ -181,7 +197,7 @@ class TestFigureData:
 class TestValidityReport:
     def test_verdicts(self, config):
         report = validity_report(config)
-        assert report.flags == (True, True, False, False)
+        assert verdicts(report) == (True, True, False, False)
 
     def test_ratios(self, config):
         report = validity_report(config)
@@ -199,24 +215,46 @@ class TestValidityReport:
         assert payload["two_mf"]["ok"] is False
         assert payload["n_stored"] == config.n_stored_max
 
+    def test_ratio_of_one_fails(self):
+        payload = passing_report(single_tf_ratio=1.0).to_dict()
+        assert payload["single_tf"] == {"ratio": 1.0, "ok": False}
+        assert verdicts(passing_report(two_tf_ratio=1.0)) == (True, True, False, True)
+        assert verdicts(passing_report()) == (True, True, True, True)
+
+    @pytest.mark.parametrize("ratio", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_ratio_is_null_and_fails(self, ratio):
+        payload = passing_report(**dict.fromkeys(RATIOS, ratio)).to_dict()
+        for check in ("single_tf", "single_mf", "two_tf"):
+            assert payload[check] == {"ratio": None, "ok": False}
+        assert payload["two_mf"] == {"depletion_ratio": None, "std_ratio": None, "ok": False}
+
+    @pytest.mark.parametrize(
+        "depletion, std, ok",
+        [(0.5, 0.5, True), (0.5, 1.0, False), (1.0, 0.5, False), (np.nan, 0.5, False), (0.5, np.inf, False)],
+    )
+    def test_two_mf_needs_both_ratios(self, depletion, std, ok):
+        report = passing_report(two_mf_depletion_ratio=depletion, two_mf_std_ratio=std)
+        assert report.to_dict()["two_mf"]["ok"] is ok
+        assert verdicts(report)[:3] == (True, True, True)
+
     def test_empty_mode_is_degenerate(self, config):
         empty = config_from_dict({**SODIUM_REFERENCE, "n_stored_max": 0})
         report = validity_report(empty)
         assert report.two_tf_ratio == np.inf
-        assert not report.two_component_tf_ok
+        assert report.to_dict()["two_tf"] == {"ratio": None, "ok": False}
 
     def test_no_cross_coupling_passes_two_tf(self, config):
         # a12 = 0 decouples the stored mode from host corrections entirely
         decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
         report = validity_report(decoupled)
         assert report.two_tf_ratio == 0.0
-        assert report.two_component_tf_ok
+        assert report.to_dict()["two_tf"]["ok"] is True
 
     def test_inflated_self_interaction_passes_two_tf(self, config):
         # raising a22 by 1e4 lifts the stored self-energy above the
         # transferred kinetic correction, so that check flips to pass
         stiff = config_from_dict({**SODIUM_REFERENCE, "a22_m": 1e4 * config.a22})
         report = validity_report(stiff)
-        assert report.two_component_tf_ok
-        assert not validity_report(config).two_component_tf_ok
+        assert report.to_dict()["two_tf"]["ok"] is True
+        assert validity_report(config).to_dict()["two_tf"]["ok"] is False
 
