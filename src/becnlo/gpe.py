@@ -22,9 +22,9 @@ times that, and the energy must not rise.  With g = 0, K is never positive
 definite, so linear problems run on the flow alone.  Both steps factor their
 matrix by the Thomas algorithm.  The loop stops when the stationary residual
 ||H[u] u - mu u||/||mu u|| falls below `tol`, or below its round-off floor
-eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A state whose density in
-the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
-the wall at r_max is squeezing the cloud.
+eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A solution whose density
+in the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
+the wall at r_max is squeezing the cloud.  Only the caller's grid is checked.
 
 Without a caller's initial guess, the start for g > 0 on a grid of n points is
 a solve of the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1),
@@ -33,9 +33,9 @@ larger), its psi interpolated linearly onto the fine grid (grid sequencing:
 Newton's step count does not depend on the mesh, Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
-for g = 0 (the flow gains nothing from it), or if the coarse solve fails, the
-start is the lower-energy of two guesses: the smoothed Thomas-Fermi profile
-and the Gaussian of the potential's curvature.
+for g = 0 (the flow gains nothing from it), or if the coarse solve does not
+converge, the start is the lower-energy of two guesses: the smoothed
+Thomas-Fermi profile and the Gaussian of the potential's curvature.
 """
 
 from __future__ import annotations
@@ -269,14 +269,23 @@ def solve_ground_state(
     energy).  The solution's step counts are this grid's only.  Raises
     ConvergenceError if the iteration budget runs out or a flow step breaks
     down or raises the energy by more than round-off, and GridError if the
-    cloud reaches the wall.
+    solution reaches the wall of this grid.
     """
     if not tol > 0:
         raise ValidationError(f"tol must be positive, got {tol}")
     dt = default_time_step(problem) if dt is None else dt
     if not dt > 0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    return _solve(problem, tol, max_iters, dt, initial_guess)
+    solution = _solve(problem, tol, max_iters, dt, initial_guess)
+    grid, psi = problem.grid, solution.psi
+    edge = (max(map(abs, psi[bisect_left(grid.r, 0.9 * grid.r_max) :])) / max(map(abs, psi))) ** 2
+    if edge > CLIP_DENSITY:
+        raise GridError(
+            f"the ground state reaches the box wall: density in the outer tenth of "
+            f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
+            "enlarge the box"
+        )
+    return solution
 
 
 def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
@@ -285,8 +294,8 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     The coarse solve stops at max(tol, COARSE_TOL): it only supplies a start.
     (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
     g = 0, where the flow takes every step and a coarse start saves none, or if
-    the coarse solve fails: an unresolved guess or the wall may stop it where
-    the fine grid converges.
+    the coarse solve does not converge: an unresolved guess may stop it where
+    the fine grid converges.  The wall is not checked here: a start is not an answer.
     """
     n = problem.grid.n_points
     k = (n - 1) // (COARSE_POINTS - 1)
@@ -298,7 +307,7 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     coarse = GpeProblem(grid, problem.potential[: last + 1 : k], problem.g, problem.atom_count, problem.mass)
     try:
         psi = _solve(coarse, max(tol, COARSE_TOL), max_iters, dt, None).psi
-    except (ConvergenceError, GridError):
+    except ConvergenceError:
         return 0, None
     weights = [i / k for i in range(k)]
     fine = [a + w * (b - a) for a, b in zip(psi, psi[1:]) for w in weights]
@@ -401,13 +410,6 @@ def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_g
 
     psi = list(map(truediv, current.u[1:], r[1:]))
     psi = ((4.0 * psi[0] - psi[1]) / 3.0, *psi)
-    edge = (max(map(abs, psi[bisect_left(r, 0.9 * grid.r_max) :])) / max(map(abs, psi))) ** 2
-    if edge > CLIP_DENSITY:
-        raise GridError(
-            f"the ground state reaches the box wall: density in the outer tenth of "
-            f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
-            "enlarge the box"
-        )
     return GpeSolution(
         psi=psi,
         mu=current.mu,
@@ -456,15 +458,13 @@ def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_P
     solution = solve_ground_state(host_problem(config, scales, grid))
     r = grid.r
     n_tf = tf_density_at(config, scales, host.mu, r)
-    central_tf = host.mu / scales.u11
-    central_gpe = solution.psi[0] ** 2
     diff2 = radial_integral(r, [(p * p - n) ** 2 for p, n in zip(solution.psi, n_tf)])
     ref2 = radial_integral(r, [n * n for n in n_tf])
     return TfGpeComparison(
         mu_tf=host.mu,
         mu_gpe=solution.mu,
-        central_density_tf=central_tf,
-        central_density_gpe=central_gpe,
+        central_density_tf=n_tf[0],  # mu/U11: V(0) = 0
+        central_density_gpe=solution.psi[0] ** 2,
         l2_density_err=math.sqrt(diff2 / ref2),
         virial=virial_residual(solution),
         iterations=solution.iterations,

@@ -11,9 +11,10 @@ Two levels are probed, each at two points:
   self-interaction U22_tilde*n*phi^2, and the host's density fluctuations in
   a cell are to be compared with the stored density itself.
 
-validity_report gives the four verdicts over 0 <= r <= R/2; figure_data
-gives the energy and density budgets (the paper's Figs. 2-4) as table
-columns.  Both evaluate the pointwise closed forms below directly.
+figure_data gives the energy and density budgets (the paper's Figs. 2-4) as
+table columns; validity_report's five ratios are ratios of the same columns
+over 0 <= r <= R/2, where it draws the four verdicts.  Both evaluate the
+pointwise closed forms below directly.
 
 For the clipped parabola the kinetic correction has the closed form
 K(r) = 3*hbar^2*omega^2/(4*f) + hbar^2*m*omega^4*r^2/(8*f^2),  f = mu - V(r),
@@ -64,14 +65,31 @@ def rescaled_kinetic(kinetic, scales: DerivedScales):
     return _pointwise(lambda k: k * (scales.u12 / scales.u11), kinetic)
 
 
-def _depletion(a11: float, n1):
-    """(8/(3*sqrt(pi))) * sqrt(n1*a11^3) * n1 at one host density or a sequence."""
-    return _pointwise(lambda n: DEPLETION_COEFF * math.sqrt(n * a11**3) * n, n1)
+def _budget(config: SystemConfig, scales: DerivedScales, host: TfSolution, r, figs) -> dict:
+    """Columns of the tables in figs (see figure_data) at the radii r, in SI units, without unit suffixes.
 
-
-def _fluctuation(cell: float, n1, n_dep):
-    """sqrt(2*N_c*N_dep)/cell with N_c = n1*cell and N_dep = n_dep*cell atoms, pointwise."""
-    return _pointwise(lambda n, dep: math.sqrt(2.0 * (n * cell) * (dep * cell)) / cell, n1, n_dep)
+    Each of n1, n2 and K is computed once, and only if a table in figs needs it.
+    """
+    n2 = StoredMode(scales.s).density(r, config.n_stored_max)
+    n1 = tf_density_at(config, scales, host.mu, r) if figs & {2, 4} else None
+    kin = kinetic_correction(config, host, r) if figs & {2, 3} else None
+    cols = {}
+    if 2 in figs:
+        k = config.trap_potential(1.0)  # V(r) = k*r^2
+        cols.update(trap=_pointwise(lambda x: k * (x * x), r),
+                    host_coll=_pointwise(lambda n: scales.u11 * n, n1),
+                    cross_coll=_pointwise(lambda n: scales.u12 * n, n2),
+                    kinetic=kin)
+    if 3 in figs:
+        cols.update(rescaled_kinetic=rescaled_kinetic(kin, scales),
+                    stored_self=_pointwise(lambda n: scales.u22_tilde * n, n2))
+    if 4 in figs:
+        # depletion (8/(3*sqrt(pi)))*sqrt(n1*a11^3)*n1; std sqrt(2*N_c*N_dep)/cell for the atoms in a cell
+        cell = scales.d**3
+        n_dep = _pointwise(lambda n: DEPLETION_COEFF * math.sqrt(n * config.a11**3) * n, n1)
+        std = _pointwise(lambda n, dep: math.sqrt(2.0 * (n * cell) * (dep * cell)) / cell, n1, n_dep)
+        cols.update(host=n1, stored=n2, depletion=n_dep, std=std)
+    return cols
 
 
 def _log10(x: float) -> float:
@@ -110,30 +128,14 @@ def figure_data(
     scales = derive_scales(config)
     host = tf_host(config, scales)
     r = RadialGrid(FIGURE_SPAN * host.radius, n_rows).r
-    cols = {"r_over_d": list(_pointwise(lambda x: x / scales.d, r))}
+    r_over_d = list(_pointwise(lambda x: x / scales.d, r))
     d3 = scales.d**3
-    n2 = StoredMode(scales.s).density(r, config.n_stored_max)
-    if fig == 2:
-        k = config.trap_potential(1.0)  # V(r) = k*r^2
-        n1 = tf_density_at(config, scales, host.mu, r)
-        physical = {"trap_hw": _pointwise(lambda x: k * (x * x), r),
-                    "host_coll_hw": _pointwise(lambda n: scales.u11 * n, n1),
-                    "cross_coll_hw": _pointwise(lambda n: scales.u12 * n, n2),
-                    "kinetic_hw": kinetic_correction(config, host, r)}
-    elif fig == 3:
-        physical = {"rescaled_kinetic_hw": rescaled_kinetic(kinetic_correction(config, host, r), scales),
-                    "stored_self_hw": _pointwise(lambda n: scales.u22_tilde * n, n2)}
-    else:
-        n1 = tf_density_at(config, scales, host.mu, r)
-        n_dep = _depletion(config.a11, n1)
-        physical = {"host_per_d3": n1, "stored_per_d3": n2,
-                    "depletion_per_d3": n_dep, "std_per_d3": _fluctuation(d3, n1, n_dep)}
     in_units = (lambda n: n * d3) if fig == 4 else (lambda e: e / scales.e_trap)
-    for name, values in physical.items():
-        cols[name] = list(_pointwise(in_units, values))
-    for name in physical:
-        cols["log10_" + name] = [_log10(x) for x in cols[name]]
-    return cols
+    suffix = "_per_d3" if fig == 4 else "_hw"
+    physical = {name + suffix: list(_pointwise(in_units, values))
+                for name, values in _budget(config, scales, host, r, {fig}).items()}
+    logs = {"log10_" + name: [_log10(x) for x in values] for name, values in physical.items()}
+    return {"r_over_d": r_over_d, **physical, **logs}
 
 
 def _json_ratio(ratio: float):
@@ -187,27 +189,15 @@ def validity_report(config: SystemConfig) -> ValidityReport:
     """Evaluate all four checks where the stored mode lives (r up to R/2)."""
     scales = derive_scales(config)
     host = tf_host(config, scales)
-    n = config.n_stored_max
     r = RadialGrid(0.5 * host.radius, SCAN_POINTS).r
-
-    n1 = tf_density_at(config, scales, host.mu, r)
-    kin = kinetic_correction(config, host, r)
-    single_tf = _worst(kin, [scales.u11 * x for x in n1])
-    n_dep = _depletion(config.a11, n1)
-    single_mf = _worst(n_dep, n1)
-
+    cols = _budget(config, scales, host, r, {2, 3, 4})
     # an empty mode, or one that underflows to 0, gives inf ratios (nan if U12 is 0 too): null, flag fails
-    n2 = StoredMode(scales.s).density(r, n)
-    two_tf = _worst(rescaled_kinetic(kin, scales), _pointwise(lambda x: scales.u22_tilde * x, n2))
-    two_mf_dep = _worst(n_dep, n2)
-    two_mf_std = _worst(_fluctuation(scales.d**3, n1, n_dep), n2)
-
     return ValidityReport(
-        single_tf_ratio=single_tf,
-        single_mf_ratio=single_mf,
-        two_tf_ratio=two_tf,
-        two_mf_depletion_ratio=two_mf_dep,
-        two_mf_std_ratio=two_mf_std,
+        single_tf_ratio=_worst(cols["kinetic"], cols["host_coll"]),
+        single_mf_ratio=_worst(cols["depletion"], cols["host"]),
+        two_tf_ratio=_worst(cols["rescaled_kinetic"], cols["stored_self"]),
+        two_mf_depletion_ratio=_worst(cols["depletion"], cols["stored"]),
+        two_mf_std_ratio=_worst(cols["std"], cols["stored"]),
         scan_radius=r[-1],
-        n_stored=n,
+        n_stored=config.n_stored_max,
     )

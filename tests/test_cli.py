@@ -257,20 +257,33 @@ def test_oracle_matches_recorded_reports(capsys, command):
 
 # the stdout of lifetime and validity and each table's CSV at the default 512
 # rows, as the commands printed them when the loss overlap was integrated by
-# Simpson's rule on the 4,096-point host grid
+# Simpson's rule on the 4,096-point host grid; a word key=value changes the
+# bundled config.  The degenerate configs were recorded when the validity
+# report still built its own budgets: an empty mode gives null ratios, and
+# a12 = 0 a two_tf ratio of 0.0 (null as well once the host is dilute)
 CLOSED_FORM_RECORDED = {
     "lifetime": "lifetime.txt",
     "validity": "validity.json",
     "figures --fig 2": "fig2.csv",
     "figures --fig 3": "fig3.csv",
     "figures --fig 4": "fig4.csv",
+    "validity n_stored_max=0": "validity_empty_mode.json",
+    "validity a12_m=0": "validity_a12_zero.json",
+    "validity a12_m=0 n_host=1e14": "validity_a12_zero_dilute.json",
+    "figures --fig 2 --rows 64 a12_m=0": "fig2_a12_zero.csv",
+    "figures --fig 3 --rows 64 a12_m=0": "fig3_a12_zero.csv",
+    "figures --fig 4 --rows 64 a12_m=0": "fig4_a12_zero.csv",
 }
 
 
 @pytest.mark.parametrize("command", CLOSED_FORM_RECORDED)
 def test_closed_form_outputs_match_recorded(capsys, tmp_path, command):
     want = (REPO_ROOT / "tests" / "golden" / CLOSED_FORM_RECORDED[command]).read_bytes()
-    argv = command.split()
+    words = command.split()
+    argv = [word for word in words if "=" not in word]
+    changes = {key: json.loads(value) for key, value in (word.split("=") for word in words if "=" in word)}
+    if changes:
+        argv += ["--config", write_config(tmp_path, "config.json", **changes)]
     if argv[0] == "figures":
         path = tmp_path / "table.csv"
         code, _, _ = run(capsys, *argv, "--out", str(path))

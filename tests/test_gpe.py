@@ -25,6 +25,7 @@ from becnlo import (
     config_from_dict,
     derive_scales,
     solve_stored_in_host,
+    tf_host,
     virial_residual,
 )
 from becnlo.gpe import (
@@ -388,10 +389,9 @@ def test_coarse_level_needs_two_fine_intervals_per_coarse_one(config, scales, mu
     assert sol.residual < DEFAULT_TOL
 
 
-@pytest.mark.parametrize("error", [ConvergenceError, GridError])
-def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch, error):
-    # an unresolved start or the wall can stop the coarse level where the fine
-    # grid converges; the fine grid then starts from its own guesses
+def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch):
+    # an unresolved start can keep the coarse level from converging where the
+    # fine grid converges; the fine grid then starts from its own guesses
     import becnlo.gpe as gpe
 
     problem = sodium_problem(config, scales, mu, "host", DEFAULT_GRID_POINTS)
@@ -400,7 +400,7 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
 
     def failing_coarse(coarse, *args):
         if coarse.grid.n_points < problem.grid.n_points:
-            raise error("the coarse level failed")
+            raise ConvergenceError("the coarse level failed")
         return solve(coarse, *args)
 
     monkeypatch.setattr(gpe, "_solve", failing_coarse)
@@ -547,3 +547,24 @@ def test_clipped_box_refused(config):
     small = config_from_dict({**SODIUM_REFERENCE, "n_host": 100})
     with pytest.raises(GridError, match="box wall"):
         compare_tf_vs_gpe(small, grid_points=512)
+
+
+def test_wall_is_checked_on_the_answer_only(monkeypatch):
+    # the coarse level of a box too small for the cloud reaches its wall too, but
+    # its psi is only a start: the fine grid solves from it, not from the guesses,
+    # and the error names the fine grid's r_max
+    import becnlo.gpe as gpe
+
+    small = config_from_dict({**SODIUM_REFERENCE, "n_host": 100})
+    scales = derive_scales(small)
+    r_max = RadialGrid(GRID_SPAN_FACTOR * tf_host(small, scales).radius, DEFAULT_GRID_POINTS).r_max
+    calls = []
+
+    def counted(problem, *args):
+        calls.append(problem.grid.n_points)
+        return _initial_guesses(problem, *args)
+
+    monkeypatch.setattr(gpe, "_initial_guesses", counted)
+    with pytest.raises(GridError, match=f"box wall: density in the outer tenth of r_max={r_max:g} m "):
+        compare_tf_vs_gpe(small)
+    assert calls == [683]  # the coarse level's guesses, not the fine grid's

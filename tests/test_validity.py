@@ -151,6 +151,26 @@ def test_figure_skips_what_it_does_not_print(config, monkeypatch, fig, unused):
     figure_data(config, fig, n_rows=32)
 
 
+def test_report_computes_each_profile_once(config, monkeypatch):
+    # the five ratios read one set of columns: n1, K and n2 are each computed once
+    import becnlo.validity as validity
+
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(validity, "tf_density_at", counted("n1", validity.tf_density_at))
+    monkeypatch.setattr(validity, "kinetic_correction", counted("K", validity.kinetic_correction))
+    monkeypatch.setattr(validity.StoredMode, "density", counted("n2", validity.StoredMode.density))
+    validity_report(config)
+    assert sorted(calls) == ["K", "n1", "n2"]
+
+
 class TestFigureData:
     def test_fig4_columns_and_center(self, config):
         cols = figure_data(config, 4, n_rows=64)
