@@ -21,21 +21,23 @@ starts at `default_time_step` and doubles each flow step up to DT_GROWTH_CAP
 times that, and the energy must not rise.  With g = 0, K is never positive
 definite, so linear problems run on the flow alone.  Both steps factor their
 matrix by the Thomas algorithm.  The loop stops when the stationary residual
-||H[u] u - mu u||/||mu u|| falls below `tol`, or below its round-off floor
+||H[u] u - mu u||/||mu u|| falls below DEFAULT_TOL, or below its round-off floor
 eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A solution whose density
 in the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
 the wall at r_max is squeezing the cloud.  Only the caller's grid is checked.
 
-Without a caller's initial guess, the start for g > 0 on a grid of n points is
-a solve of the same problem on every k-th point, k = (n - 1) // (COARSE_POINTS - 1),
-with V sliced from the fine values, to the residual COARSE_TOL (or `tol` if
-larger), its psi interpolated linearly onto the fine grid (grid sequencing:
-Newton's step count does not depend on the mesh, Allgower, Boehmer, Potra &
-Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
+The start for g > 0 on a grid of n points is a solve of the same problem on
+every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V sliced from the
+fine values, to the residual COARSE_TOL, its psi interpolated linearly onto the
+fine grid (grid sequencing: Newton's step count does not depend on the mesh,
+Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
 for g = 0 (the flow gains nothing from it), or if the coarse solve does not
 converge, the start is the lower-energy of two guesses: the smoothed
-Thomas-Fermi profile and the Gaussian of the potential's curvature.
+Thomas-Fermi profile and the Gaussian of the potential's curvature.  If the
+fine grid refuses its first Newton step from the coarse start, it restarts from
+the guesses: the flow from that start crawls (800 steps for a sodium host of
+1e16 atoms, where the guesses take 10 Newton steps).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 COARSE_POINTS = 640  # the coarse grid that starts a solve keeps at least this many points
-COARSE_TOL = 1e-8  # the coarse solve stops at this residual, or at the caller's tol if that is larger
+COARSE_TOL = 1e-8  # the coarse solve stops at this residual
 MIN_MODE_SPACINGS = 4.0  # the stored oracle refuses a grid whose spacing exceeds s / this
 
 
@@ -104,13 +106,16 @@ class GpeSolution:
     e_kinetic: float  # J (total, not per atom)
     e_potential: float  # J
     e_interaction: float  # J
-    iterations: int  # newton_steps + flow_steps, on this grid only (the coarse start's steps not counted)
     residual: float  # ||H[u] u - mu u|| / ||mu u|| at the returned state
     stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
     floor: float  # the round-off floor of the residual at the returned state
-    newton_steps: int
+    newton_steps: int  # on this grid only, as are flow_steps: the coarse start's steps are not counted
     flow_steps: int
     coarse_points: int  # points of the coarse grid the start was solved on, 0 if it was a guess
+
+    @property
+    def iterations(self) -> int:
+        return self.newton_steps + self.flow_steps
 
     @property
     def energy(self) -> float:
@@ -181,9 +186,7 @@ def default_time_step(problem: GpeProblem) -> float:
     """DT_TRAP_PERIODS trap periods of the curvature-matched frequency."""
     omega = _curvature_frequency(problem)
     if omega is None:
-        raise ValidationError(
-            "cannot infer a time step from a flat potential; pass dt explicitly"
-        )
+        raise ValidationError("cannot infer a time step from a flat potential")
     return DT_TRAP_PERIODS * 2.0 * math.pi / omega
 
 
@@ -254,29 +257,15 @@ def _thomas(off: float, diag, *rhs):
 _State = namedtuple("_State", "u nonlinear stationary mu e_kinetic e_potential e_interaction energy residual")
 
 
-def solve_ground_state(
-    problem: GpeProblem,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    dt: float | None = None,
-    initial_guess=None,
-) -> GpeSolution:
-    """Newton or flow steps until ||H[u] u - mu u||/||mu u|| < max(tol, floor).
+def solve_ground_state(problem: GpeProblem) -> GpeSolution:
+    """Newton or flow steps until ||H[u] u - mu u||/||mu u|| < max(DEFAULT_TOL, floor).
 
-    `dt` is the first flow step (default `default_time_step`), `initial_guess`
-    psi on the grid (default: the coarse grid's solution, or the guess of lower
-    energy).  The solution's step counts are this grid's only.  Raises
-    ConvergenceError if the iteration budget runs out or a flow step breaks
-    down or raises the energy by more than round-off, and GridError if the
-    solution reaches the wall of this grid.
+    The solution's step counts are this grid's only.  Raises ConvergenceError
+    if DEFAULT_MAX_ITERS steps do not converge or a flow step breaks down or
+    raises the energy by more than round-off, and GridError if the solution
+    reaches the wall of this grid.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    dt = default_time_step(problem) if dt is None else dt
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    solution = _solve(problem, tol, max_iters, dt, initial_guess)
+    solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
     edge = (max(map(abs, psi[bisect_left(grid.r, 0.9 * grid.r_max) :])) / max(map(abs, psi))) ** 2
     if edge > CLIP_DENSITY:
@@ -288,10 +277,10 @@ def solve_ground_state(
     return solution
 
 
-def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
+def _coarse_start(problem: GpeProblem):
     """(points, psi): the problem solved on every k-th point, its psi interpolated onto the grid.
 
-    The coarse solve stops at max(tol, COARSE_TOL): it only supplies a start.
+    The coarse solve stops at COARSE_TOL: it only supplies a start.
     (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
     g = 0, where the flow takes every step and a coarse start saves none, or if
     the coarse solve does not converge: an unresolved guess may stop it where
@@ -306,7 +295,7 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     grid = RadialGrid(problem.grid.r[last], points)
     coarse = GpeProblem(grid, problem.potential[: last + 1 : k], problem.g, problem.atom_count, problem.mass)
     try:
-        psi = _solve(coarse, max(tol, COARSE_TOL), max_iters, dt, None).psi
+        psi = _solve(coarse, COARSE_TOL).psi
     except ConvergenceError:
         return 0, None
     weights = [i / k for i in range(k)]
@@ -314,10 +303,11 @@ def _coarse_start(problem: GpeProblem, tol: float, max_iters: int, dt: float):
     return points, fine + [0.0] * (n - last)  # psi is 0 at the coarse wall and beyond
 
 
-def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_guess) -> GpeSolution:
+def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     grid = problem.grid
     r, dr, v = grid.r, grid.spacing, problem.potential
     g, atom_count = problem.g, problem.atom_count
+    dt = default_time_step(problem)
     dt_max = DT_GROWTH_CAP * dt
 
     kin = HBAR**2 / (2.0 * problem.mass * dr**2)
@@ -367,33 +357,33 @@ def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_g
         solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
         return None if solved is None else state([0.0, *solved[0], 0.0])
 
-    coarse_points = 0
-    if initial_guess is not None:
-        guesses = [list(map(float, initial_guess))]
-    else:
-        coarse_points, psi = _coarse_start(problem, tol, max_iters, dt)
-        guesses = [psi] if coarse_points else _initial_guesses(problem, r, v)
-    if len(guesses[-1]) != grid.n_points:
-        raise ValidationError(f"initial guess shape {len(guesses[-1])} does not match grid {grid.n_points}")
-    starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
-    if not starts:
-        raise ValidationError("the initial guess has no finite, nonzero norm on the grid")
-    current = min(starts, key=lambda s: s.energy)
+    def start(guesses):
+        """The lower-energy state of the guesses for psi."""
+        starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
+        if not starts:
+            raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
+        return min(starts, key=lambda s: s.energy)
+
+    coarse_points, psi = _coarse_start(problem)
+    current = start([psi] if coarse_points else _initial_guesses(problem, r, v))
 
     iterations = newton_steps = flow_steps = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, DEFAULT_MAX_ITERS + 1):
         candidate = newton(current)
         if candidate is not None and candidate.residual < current.residual:
             current = candidate
             newton_steps += 1
+        elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
+            current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
             stepped, e_prev = flow(current, dt), current.energy
             if stepped is None or not stepped.energy <= e_prev + abs(e_prev) * ENERGY_SLACK:  # nan too
                 fault = "a pivot not positive or no finite, nonzero norm" if stepped is None else (
                     f"energy rose from {e_prev:.12e} to {stepped.energy:.12e} J"
                 )
-                message = f"{fault} at step {iterations}; reduce dt"
-                raise ConvergenceError(message, residual=current.residual, iterations=iterations)
+                raise ConvergenceError(
+                    f"{fault} at step {iterations}", residual=current.residual, iterations=iterations
+                )
             current = stepped
             flow_steps += 1
             dt = min(2.0 * dt, dt_max)
@@ -416,7 +406,6 @@ def _solve(problem: GpeProblem, tol: float, max_iters: int, dt: float, initial_g
         e_kinetic=current.e_kinetic,
         e_potential=current.e_potential,
         e_interaction=current.e_interaction,
-        iterations=iterations,
         residual=current.residual,
         stop="tol" if current.residual < tol else "floor", floor=floor,
         newton_steps=newton_steps, flow_steps=flow_steps, coarse_points=coarse_points,

@@ -34,7 +34,8 @@ from becnlo import (
     validity_report,
 )
 from reference import energy_shift_bruteforce, kinetic_correction_fd, kinetic_crossing_radius
-from becnlo.gpe import GpeProblem, default_time_step, solve_ground_state
+import becnlo.gpe as gpe
+from becnlo.gpe import GpeProblem, solve_ground_state
 from becnlo.params import SODIUM_REFERENCE
 
 
@@ -148,7 +149,7 @@ def test_criterion_08_density_budget(config):
     verdict(8, "central densities per d^3 at quoted values; verdicts (pass, pass, fail, fail)", ok)
 
 
-def test_criterion_09_gpe_oracle(config, scales):
+def test_criterion_09_gpe_oracle(config, scales, monkeypatch):
     start = time.perf_counter()
     comp = compare_tf_vs_gpe(config)
     elapsed = time.perf_counter() - start
@@ -166,9 +167,10 @@ def test_criterion_09_gpe_oracle(config, scales):
         mass=config.mass,
     )
     guess = np.exp(-0.25 * (np.asarray(grid.r) / (2.0 * scales.d)) ** 2)
-    sol = solve_ground_state(
-        linear, initial_guess=guess, tol=1e-12, dt=100.0 * default_time_step(linear)
-    )
+    monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [guess])
+    monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
+    monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 100.0 * gpe.DT_TRAP_PERIODS)
+    sol = solve_ground_state(linear)
     phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (np.asarray(grid.r) / scales.d) ** 2)
     overlap = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * phi * np.asarray(sol.psi), x=grid.r)
     ok = ok and overlap**2 > 1.0 - 1e-8

@@ -8,6 +8,7 @@ independently, and a dense eigensolver certifies that the state found is the
 ground state, not an excited one.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from becnlo import (
     tf_host,
     virial_residual,
 )
+import becnlo.gpe as gpe
 from becnlo.gpe import (
     COARSE_POINTS,
     DEFAULT_GRID_POINTS,
@@ -57,17 +59,20 @@ def oscillator(config, scales):
     )
 
 
+def test_problem_is_the_only_parameter():
+    # the tolerance, the budget, the first step and the start are the module's, not the caller's
+    assert list(inspect.signature(solve_ground_state).parameters) == ["problem"]
+
+
 class TestLinearOscillator:
-    def test_gaussian_ground_state(self, oscillator, scales):
+    def test_gaussian_ground_state(self, oscillator, scales, monkeypatch):
         # start from a deliberately wrong width so convergence is earned
         grid = oscillator.grid
         guess = np.exp(-0.25 * (np.asarray(grid.r) / (2.0 * scales.d)) ** 2)
-        sol = solve_ground_state(
-            oscillator,
-            initial_guess=guess,
-            tol=1e-12,
-            dt=100.0 * default_time_step(oscillator),
-        )
+        monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [guess])
+        monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
+        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 100.0 * gpe.DT_TRAP_PERIODS)
+        sol = solve_ground_state(oscillator)
         r = np.asarray(grid.r)
         phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (r / scales.d) ** 2)
         overlap = 4.0 * math.pi * simpson(r**2 * phi * np.asarray(sol.psi), x=r)
@@ -81,7 +86,7 @@ class TestLinearOscillator:
             default_time_step(oscillator), 1e-4 * 2.0 * math.pi / config.omega, rtol=1e-12
         )
 
-    def test_flat_potential_needs_explicit_dt(self, config):
+    def test_flat_potential_is_refused(self, config):
         grid = RadialGrid(1e-5, 64)
         flat = GpeProblem(
             grid=grid,
@@ -127,25 +132,25 @@ class TestProblemValidation:
         with pytest.raises(TypeError):
             problem.potential[0] = 2.0
 
-    def test_guess_shape_checked(self, oscillator):
-        with pytest.raises(ValidationError, match="shape"):
-            solve_ground_state(oscillator, initial_guess=np.ones(7))
-
-    def test_iteration_budget(self, oscillator):
+    def test_iteration_budget(self, oscillator, monkeypatch):
+        monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 3)
+        monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-16)
         with pytest.raises(ConvergenceError) as err:
-            solve_ground_state(oscillator, max_iters=3, tol=1e-16)
+            solve_ground_state(oscillator)
         assert err.value.iterations == 3
         assert err.value.residual is not None
+        monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 0)
         with pytest.raises(ConvergenceError) as err:  # no step at all
-            solve_ground_state(oscillator, max_iters=0)
+            solve_ground_state(oscillator)
         assert err.value.iterations == 0
 
     @pytest.mark.parametrize("dt", [1e200, 1e308])
-    def test_broken_flow_step_is_a_convergence_error(self, oscillator, dt):
+    def test_broken_flow_step_is_a_convergence_error(self, oscillator, dt, monkeypatch):
         # with g = 0 every step is a flow step; a step this large leaves double
         # range (a pivot that is not positive, or a state whose norm underflows)
+        monkeypatch.setattr(gpe, "default_time_step", lambda problem: dt)
         with pytest.raises(ConvergenceError, match="pivot not positive") as err:
-            solve_ground_state(oscillator, dt=dt)
+            solve_ground_state(oscillator)
         assert err.value.iterations == 1
 
 
@@ -160,24 +165,27 @@ class TestHostComparison:
         assert comp.l2_density_err < 0.05
         assert comp.virial < 1e-4
 
-    def test_step_size_invariance(self, config, scales, mu):
+    def test_step_size_invariance(self, config, scales, mu, monkeypatch):
         from becnlo import tf_radius
 
         problem = host_problem(config, scales, RadialGrid(1.5 * tf_radius(config, mu), 1024))
-        a = solve_ground_state(problem, tol=1e-12)
-        b = solve_ground_state(problem, tol=1e-12, dt=None)
-        c = solve_ground_state(problem, tol=1e-12, dt=3.0 * 1e-4 * 2.0 * math.pi / config.omega)
+        monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
+        a = solve_ground_state(problem)
+        b = solve_ground_state(problem)
+        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 3.0 * gpe.DT_TRAP_PERIODS)
+        c = solve_ground_state(problem)
         assert a.mu == b.mu  # identical inputs, identical bytes
         assert_allclose(c.mu, a.mu, rtol=1e-12)
 
-    def test_large_first_step_reaches_same_mu(self, config, scales, mu):
+    def test_large_first_step_reaches_same_mu(self, config, scales, mu, monkeypatch):
         # the residual stop ties the answer to the fixed point, not to dt
         from becnlo import tf_radius
 
         grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
         problem = host_problem(config, scales, grid)
         ref = solve_ground_state(problem)
-        big = solve_ground_state(problem, dt=1e4 * default_time_step(problem))
+        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 1e4 * gpe.DT_TRAP_PERIODS)
+        big = solve_ground_state(problem)
         assert_allclose(big.mu, ref.mu, rtol=1e-10)
 
     def test_grid_refinement_stable(self, config):
@@ -261,15 +269,25 @@ def test_stored_mode_must_span_grid_spacings(config, scales, mu):
     for idealized in (False, True):
         with pytest.raises(GridError, match=r"does not resolve the stored mode: s = 6\.78836e-06 m"):
             solve_stored_in_host(config, idealized=idealized, grid_points=16)
+    # a mode a third of a spacing wide at 256 points and two thirds at 512: the
+    # curvature Gaussian, one of the stored problem's starts, is as narrow
+    wide = config_from_dict(
+        {**SODIUM_REFERENCE, "a11_m": 6e-9, "a12_m": 3e-9, "a22_m": 3.9e-7, "n_host": 3e15, "n_stored_max": 640}
+    )
+    for points, spacings in ((256, "0.326"), (512, "0.654")):
+        for idealized in (False, True):
+            with pytest.raises(GridError, match=rf"stored mode: s = 3\.52524e-06 m is {spacings} spacings"):
+                solve_stored_in_host(wide, idealized=idealized, grid_points=points)
 
 
-def test_virial_identity(config, scales):
+def test_virial_identity(config, scales, monkeypatch):
     # solve a small host problem and check 2Ek - 2Ep + 3Ei directly
     from becnlo import tf_chemical_potential, tf_radius
 
     mu = tf_chemical_potential(config, scales)
     grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
-    sol = solve_ground_state(host_problem(config, scales, grid), tol=1e-11)
+    monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-11)
+    sol = solve_ground_state(host_problem(config, scales, grid))
     assert virial_residual(sol) < 1e-5
     assert sol.energy == sol.e_kinetic + sol.e_potential + sol.e_interaction
     # the per-step renormalization pins the atom number
@@ -291,14 +309,15 @@ def test_stored_potential_shapes(config, scales, mu):
     assert_allclose(v_full[inside] - v_ideal[inside], offset, rtol=1e-10)
 
 
-def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu):
+def test_mu_is_eigenvalue_of_stepped_operator(config, scales, mu, monkeypatch):
     # rebuild H[u] with an independent three-point stencil: at the fixed
     # point the reported mu must be its eigenvalue, not a quadrature of it
     from becnlo import tf_radius
 
     grid = RadialGrid(1.5 * tf_radius(config, mu), 512)
     problem = host_problem(config, scales, grid)
-    sol = solve_ground_state(problem, tol=1e-12)
+    monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
+    sol = solve_ground_state(problem)
     r = np.asarray(grid.r)
     u = r * np.asarray(sol.psi)
     kin = HBAR**2 / (2.0 * config.mass * grid.spacing**2)
@@ -361,7 +380,7 @@ def test_iteration_count(config, scales, mu, case):
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
-def test_coarse_start_at_the_oracle_grid(config, scales, mu, case):
+def test_coarse_start_at_the_oracle_grid(config, scales, mu, case, monkeypatch):
     # at 4,096 points the start is the same problem solved on every k-th point,
     # so the fine grid takes one or two Newton steps; the answer is still the
     # fine grid's ground state, and the fixed point the guesses lead to
@@ -373,8 +392,10 @@ def test_coarse_start_at_the_oracle_grid(config, scales, mu, case):
     lowest, overlap = lowest_eigenpair(problem, sol.psi)
     assert_allclose(lowest, sol.mu, rtol=1e-10)
     assert overlap > 1.0 - 1e-10
-    guess = _initial_guesses(problem, problem.grid.r, problem.potential)[0]
-    from_guess = solve_ground_state(problem, initial_guess=guess)
+    gaussian = _initial_guesses(problem, problem.grid.r, problem.potential)[0]
+    monkeypatch.setattr(gpe, "_coarse_start", lambda problem: (0, None))
+    monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [gaussian])
+    from_guess = solve_ground_state(problem)
     assert from_guess.coarse_points == 0
     assert_allclose(sol.mu, from_guess.mu, rtol=1e-9)
 
@@ -392,8 +413,6 @@ def test_coarse_level_needs_two_fine_intervals_per_coarse_one(config, scales, mu
 def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch):
     # an unresolved start can keep the coarse level from converging where the
     # fine grid converges; the fine grid then starts from its own guesses
-    import becnlo.gpe as gpe
-
     problem = sodium_problem(config, scales, mu, "host", DEFAULT_GRID_POINTS)
     reference = solve_ground_state(problem)
     solve = gpe._solve
@@ -409,6 +428,20 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
     assert sol.residual < DEFAULT_TOL
     assert sol.iterations > reference.iterations
     assert_allclose(sol.mu, reference.mu, rtol=1e-9)
+
+
+def test_large_host_restarts_from_the_guesses(monkeypatch):
+    # from n_host 1e16 the fine grid's Newton step refuses the interpolated coarse
+    # solution; from there the flow crawled for 799 steps, while from the guesses
+    # Newton's step converges well inside a budget of 30
+    large = config_from_dict({**SODIUM_REFERENCE, "n_host": 1e16})
+    scales = derive_scales(large)
+    grid = RadialGrid(GRID_SPAN_FACTOR * tf_host(large, scales).radius, DEFAULT_GRID_POINTS)
+    monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 30)
+    sol = solve_ground_state(host_problem(large, scales, grid))
+    assert sol.flow_steps == 0
+    assert sol.coarse_points == 0
+    assert sol.residual < DEFAULT_TOL
 
 
 def test_linear_problem_starts_from_the_guess(config, scales):
@@ -429,16 +462,16 @@ def test_harmonic_potential_is_the_trap_potential(config, scales, grid):
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])
-def test_solution_is_the_ground_state(config, scales, mu, case):
+def test_solution_is_the_ground_state(config, scales, mu, case, monkeypatch):
     # freeze the solved density and diagonalize H[u]: mu must be its lowest
     # eigenvalue, with u as the eigenvector.  "stored-from-tf" starts the ten
     # stored atoms from the smoothed Thomas-Fermi profile, a start from which an
     # unguarded Newton iteration converges to an excited state
     problem = sodium_problem(config, scales, mu, case.removesuffix("-from-tf"))
-    guess = None
     if case == "stored-from-tf":
-        guess = _initial_guesses(problem, problem.grid.r, problem.potential)[1]
-    sol = solve_ground_state(problem, initial_guess=guess)
+        tf_profile = _initial_guesses(problem, problem.grid.r, problem.potential)[1]
+        monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [tf_profile])
+    sol = solve_ground_state(problem)
     lowest, overlap = lowest_eigenpair(problem, sol.psi)
     assert_allclose(lowest, sol.mu, rtol=1e-10)
     assert overlap > 1.0 - 1e-10
@@ -522,7 +555,7 @@ def test_thomas_refuses_a_matrix_that_is_not_positive_definite(n):
     assert _thomas(-1.0, (singular + 1e-3).tolist(), rhs) is not None
 
 
-def test_stop_reason(config, scales, mu):
+def test_stop_reason(config, scales, mu, monkeypatch):
     # the oracle's host solve stops on tol after at least one Newton step, and
     # records which criterion stopped it; below the round-off floor only the
     # floor can stop the solve
@@ -536,7 +569,8 @@ def test_stop_reason(config, scales, mu):
     assert sol.newton_steps >= 1
     assert sol.newton_steps + sol.flow_steps == sol.iterations
     assert 0.0 < sol.floor < DEFAULT_TOL
-    tight = solve_ground_state(problem, tol=1e-16)
+    monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-16)
+    tight = solve_ground_state(problem)
     assert tight.stop == "floor"
     assert tight.residual < tight.floor
 
@@ -553,8 +587,6 @@ def test_wall_is_checked_on_the_answer_only(monkeypatch):
     # the coarse level of a box too small for the cloud reaches its wall too, but
     # its psi is only a start: the fine grid solves from it, not from the guesses,
     # and the error names the fine grid's r_max
-    import becnlo.gpe as gpe
-
     small = config_from_dict({**SODIUM_REFERENCE, "n_host": 100})
     scales = derive_scales(small)
     r_max = RadialGrid(GRID_SPAN_FACTOR * tf_host(small, scales).radius, DEFAULT_GRID_POINTS).r_max
