@@ -20,7 +20,7 @@ _EXPORTS = {
     "grids": "RadialGrid radial_integral",
     "gpe": "GpeProblem GpeSolution compare_tf_vs_gpe host_problem solve_ground_state "
     "solve_stored_in_host stored_problem virial_residual",
-    "host_tf": "TfSolution tf_density tf_density_at tf_density_with_back_action tf_host",
+    "host_tf": "TfSolution tf_density tf_density_at tf_host",
     "lifetime": "LossEstimate estimate_lifetime mode_host_overlap",
     "params": "HBAR ConditionFlags DerivedScales SystemConfig "
     "check_conditions config_from_dict coupling derive_scales energy_shift load_config "

@@ -144,28 +144,16 @@ def cmd_figures(args) -> int:
 def cmd_oracle(args) -> int:
     import json
 
-    from .gpe import compare_tf_vs_gpe, solve_stored_in_host, virial_residual
+    from .gpe import compare_tf_vs_gpe, solve_stored_in_host
 
     config = _load(args)
     if args.idealized and not args.stored:
         raise ValidationError("--idealized applies only with --stored")
     if args.stored:
-        comparison = solve_stored_in_host(
-            config, idealized=args.idealized, grid_points=args.grid_points
-        )
-        solution = comparison.solution
-        payload = {
-            "overlap": comparison.overlap,
-            "mode_length_m": comparison.mode_length,
-            "mu_J": solution.mu,
-            "residual": solution.residual,
-            "iterations": solution.iterations,
-        }
-        if args.idealized:  # the virial identity holds only in a harmonic potential
-            payload["virial_residual"] = virial_residual(solution)
+        report = solve_stored_in_host(config, idealized=args.idealized, grid_points=args.grid_points)
     else:
-        payload = compare_tf_vs_gpe(config, grid_points=args.grid_points).to_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+        report = compare_tf_vs_gpe(config, grid_points=args.grid_points)
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         _write(args.out, text + "\n")
         print(f"wrote {args.out}")

@@ -212,6 +212,10 @@ def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
     return v0 + (target + moment[k]) / weight[k]
 
 
+def _mean_field_out_of_range(problem: GpeProblem) -> ValidationError:
+    return ValidationError(f"the mean field of {problem.atom_count:g} atoms is out of floating-point range")
+
+
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
     """Starting psi: a Gaussian of the curvature width and, for g > 0, the TF profile smoothed at the edge."""
     omega = _curvature_frequency(problem)
@@ -219,7 +223,10 @@ def _initial_guesses(problem: GpeProblem, r, v) -> list:
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
-        eps2 = (0.05 * (mu_guess - min(v))) ** 2
+        try:
+            eps2 = (0.05 * (mu_guess - min(v))) ** 2
+        except OverflowError as exc:
+            raise _mean_field_out_of_range(problem) from exc
         two_g = 2.0 * problem.g
         guesses.append([math.sqrt((f + math.sqrt(f * f + eps2)) / two_g) for f in (mu_guess - x for x in v)])
     return guesses
@@ -262,8 +269,9 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
 
     The solution's step counts are this grid's only.  Raises ConvergenceError
     if DEFAULT_MAX_ITERS steps do not converge or a flow step breaks down or
-    raises the energy by more than round-off, and GridError if the solution
-    reaches the wall of this grid.
+    raises the energy by more than round-off, GridError if the solution
+    reaches the wall of this grid, and ValidationError if the start's mean
+    field is out of floating-point range.
     """
     solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
@@ -358,11 +366,17 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return None if solved is None else state([0.0, *solved[0], 0.0])
 
     def start(guesses):
-        """The lower-energy state of the guesses for psi."""
+        """The lower-energy state of the guesses for psi, refused if its residual is not finite.
+
+        A mean field out of range makes the residual inf or nan, and no step would lower it.
+        """
         starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
         if not starts:
             raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
-        return min(starts, key=lambda s: s.energy)
+        best = min(starts, key=lambda s: s.energy)
+        if not best.residual < math.inf:
+            raise _mean_field_out_of_range(problem)
+        return best
 
     coarse_points, psi = _coarse_start(problem)
     current = start([psi] if coarse_points else _initial_guesses(problem, r, v))
@@ -439,11 +453,16 @@ class TfGpeComparison:
         }
 
 
-def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> TfGpeComparison:
-    """Solve the host numerically and quantify the clipped-parabola error."""
+def _oracle_setup(config: SystemConfig, grid_points: int):
+    """(scales, host, grid): the closed-form host and the oracle's grid over GRID_SPAN_FACTOR radii."""
     scales = derive_scales(config)
     host = tf_host(config, scales)
-    grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
+    return scales, host, RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
+
+
+def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_POINTS) -> TfGpeComparison:
+    """Solve the host numerically and quantify the clipped-parabola error."""
+    scales, host, grid = _oracle_setup(config, grid_points)
     solution = solve_ground_state(host_problem(config, scales, grid))
     r = grid.r
     n_tf = tf_density_at(config, scales, host.mu, r)
@@ -467,6 +486,15 @@ class StoredComparison:
     overlap: float  # |<phi|psi>|^2 with both normalized to one
     mode_length: float  # m, the Gaussian width s
     solution: GpeSolution
+    idealized: bool  # solved in the cancelled harmonic trap alone, with no cloud edge
+
+    def to_dict(self) -> dict:
+        sol = self.solution
+        payload = {"overlap": self.overlap, "mode_length_m": self.mode_length,
+                   "mu_J": sol.mu, "residual": sol.residual, "iterations": sol.iterations}
+        if self.idealized:  # the virial identity holds only in a harmonic potential
+            payload["virial_residual"] = virial_residual(sol)
+        return payload
 
 
 def solve_stored_in_host(
@@ -479,9 +507,7 @@ def solve_stored_in_host(
     """
     from .stored_mode import StoredMode  # loaded here: the host oracle does not need it
 
-    scales = derive_scales(config)
-    host = tf_host(config, scales)
-    grid = RadialGrid(GRID_SPAN_FACTOR * host.radius, grid_points)
+    scales, host, grid = _oracle_setup(config, grid_points)
     if not scales.s >= MIN_MODE_SPACINGS * grid.spacing:
         raise GridError(
             f"the grid does not resolve the stored mode: s = {scales.s:g} m is "
@@ -497,4 +523,5 @@ def solve_stored_in_host(
         overlap=ov**2 / problem.atom_count,
         mode_length=scales.s,
         solution=solution,
+        idealized=idealized,
     )

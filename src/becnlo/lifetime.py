@@ -15,17 +15,20 @@ from .errors import LossNotConfiguredError, ValidationError
 from .grids import _pointwise
 from .host_tf import TfSolution
 from .params import HBAR, DerivedScales, SystemConfig, coupling
-from .stored_mode import StoredMode
 
 
 @record
 class LossEstimate:
     loss_rate_l: float  # J, |Im U12| * 4*pi*int r^2 phi^2 n1 dr
-    tau: float  # s
+
+    @property
+    def tau(self) -> float:
+        """s, the time at which the stored amplitude has halved."""
+        return HBAR * math.log(2.0) / self.loss_rate_l
 
 
-def mode_host_overlap(mode: StoredMode, host: TfSolution) -> float:
-    """4*pi*int_0^R r^2 phi(r)^2 n1(r) dr in m^-3, in closed form.
+def mode_host_overlap(config: SystemConfig, scales: DerivedScales, host: TfSolution) -> float:
+    """4*pi*int_0^R r^2 phi(r)^2 n1(r) dr in m^-3, in closed form, for the Gaussian mode of width s.
 
     With x = r/s, X = R/s and V(r) = k*r^2, phi^2 = pi^-3/2 s^-3 exp(-x^2) and
     n1 = (mu - k*s^2*x^2)/U11, so the integral is
@@ -33,14 +36,14 @@ def mode_host_overlap(mode: StoredMode, host: TfSolution) -> float:
     J2 = int_0^X x^2 exp(-x^2) dx = sqrt(pi)/4 erf(X) - X exp(-X^2)/2 and
     J4 = int_0^X x^4 exp(-x^2) dx = 3/2 J2 - X^3 exp(-X^2)/2.
     """
-    s = mode.s
-    k = host.config.trap_potential(1.0)
+    s, u11 = scales.s, scales.u11
+    k = config.trap_potential(1.0)
 
     def overlap(x):
         xg = x * math.exp(-(x * x))  # X^3 exp(-X^2) as xg*X*X: 0, not inf*0, for a large X
         j2 = 0.25 * math.sqrt(math.pi) * math.erf(x) - 0.5 * xg
         j4 = 1.5 * j2 - 0.5 * xg * x * x
-        return 4.0 / math.sqrt(math.pi) / host.scales.u11 * (host.mu * j2 - k * s * s * j4)
+        return 4.0 / math.sqrt(math.pi) / u11 * (host.mu * j2 - k * s * s * j4)
 
     return _pointwise(overlap, host.radius / s)
 
@@ -52,7 +55,7 @@ def estimate_lifetime(
     im_u12 = coupling(config.mass, config.im_a12)
     if im_u12 == 0.0:
         raise LossNotConfiguredError("loss channel not configured: im_a12 is zero")
-    rate = abs(im_u12) * mode_host_overlap(StoredMode(scales.s), host)
+    rate = abs(im_u12) * mode_host_overlap(config, scales, host)
     if not 0 < rate < math.inf:
         raise ValidationError(f"loss rate must be positive and finite, got {rate}")
-    return LossEstimate(loss_rate_l=rate, tau=HBAR * math.log(2.0) / rate)
+    return LossEstimate(loss_rate_l=rate)

@@ -191,8 +191,14 @@ class ConditionFlags:
 
     tf_ratio: float  # R/d
     diluteness: float  # peak n1*a11^3
-    tf_ok: bool
-    dilute_ok: bool
+
+    @property
+    def tf_ok(self) -> bool:
+        return self.tf_ratio > TF_RATIO_THRESHOLD
+
+    @property
+    def dilute_ok(self) -> bool:
+        return self.diluteness < DILUTENESS_THRESHOLD
 
 
 def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> ConditionFlags:
@@ -202,12 +208,7 @@ def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> 
         diluteness = (mu / scales.u11) * config.a11**3
     except _OUT_OF_RANGE as exc:
         raise ValidationError("the diluteness is out of floating-point range") from exc
-    return ConditionFlags(
-        tf_ratio=tf_ratio,
-        diluteness=diluteness,
-        tf_ok=tf_ratio > TF_RATIO_THRESHOLD,
-        dilute_ok=diluteness < DILUTENESS_THRESHOLD,
-    )
+    return ConditionFlags(tf_ratio=tf_ratio, diluteness=diluteness)
 
 
 # scenario-file key -> SystemConfig field, in the order the values are read;

@@ -260,8 +260,16 @@ def test_oracle_matches_recorded_reports(capsys, command):
 # Simpson's rule on the 4,096-point host grid; a word key=value changes the
 # bundled config.  The degenerate configs were recorded when the validity
 # report still built its own budgets: an empty mode gives null ratios, and
-# a12 = 0 a two_tf ratio of 0.0 (null as well once the host is dilute)
+# a12 = 0 a two_tf ratio of 0.0 (null as well once the host is dilute).  The
+# units, phase and gate outputs were recorded when the regime flags and the
+# lifetime were still stored fields: 100 host atoms fail the tf_ratio check,
+# 1e14 the diluteness check
 CLOSED_FORM_RECORDED = {
+    "units": "units.txt",
+    "units n_host=100": "units_small_host.txt",
+    "units n_host=1e14": "units_dense_host.txt",
+    "phase --n 2 --time 1505.4": "phase.txt",
+    "gate --amps 1,1,1": "gate.txt",
     "lifetime": "lifetime.txt",
     "validity": "validity.json",
     "figures --fig 2": "fig2.csv",
@@ -533,6 +541,30 @@ def test_validity_underflowing_mode_warns_nothing(capsys, tmp_path):
     assert payload["two_mf"] == {"depletion_ratio": None, "ok": False, "std_ratio": None}
 
 
+@pytest.mark.parametrize("flags", [[], ["--idealized"]], ids=["stored", "idealized"])
+@pytest.mark.parametrize("n_stored", [10**150, 10**200], ids=["1e150", "1e200"])
+def test_stored_oracle_mean_field_out_of_range_exit_code(capsys, tmp_path, flags, n_stored):
+    # 1e150 atoms overflow the start's residual, 1e200 the square of the guess's mean field;
+    # either is refused before the first step
+    path = write_config(tmp_path, "crowded.json", n_stored_max=n_stored)
+    code, out, err = run(capsys, "oracle", "--stored", *flags, "--config", path, "--grid-points", "64")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "out of floating-point range" in err
+
+
+STORED_REPORT_KEYS = ["overlap", "mode_length_m", "mu_J", "residual", "iterations", "virial_residual"]
+
+
+def test_stored_report_is_built_by_the_solver_module():
+    # the CLI prints the report's own to_dict and names none of its keys
+    package = Path(becnlo.__file__).parent
+    gpe, cli_source = ((package / name).read_text(encoding="utf-8") for name in ("gpe.py", "cli.py"))
+    for key in STORED_REPORT_KEYS:
+        assert f'"{key}"' in gpe
+        assert key not in cli_source
+
+
 def test_stored_oracle_report_keys(capsys):
     # the virial identity holds only in the harmonic idealized trap; both
     # reports carry the stationary residual the solver stops on
@@ -618,6 +650,13 @@ def test_units_and_phase_load_only_errors_and_params(closed_form_modules, argv):
     }
 
 
+def test_lifetime_does_not_load_stored_mode(closed_form_modules):
+    # the loss overlap reads the mode width from the derived scales
+    modules = closed_form_modules["lifetime"]
+    assert {"becnlo.host_tf", "becnlo.lifetime"} <= modules
+    assert "becnlo.stored_mode" not in modules
+
+
 def test_gate_does_not_load_host_profile(closed_form_modules):
     modules = closed_form_modules["gate --amps 1,1,1"]
     assert {"becnlo.grids", "becnlo.stored_mode"} <= modules
@@ -686,8 +725,9 @@ def test_import_gpe_loads_no_numpy(tmp_path):
 # the package's public names: those `from becnlo import *` exported before the
 # namespace became lazy, less the two profile records and their builders, the
 # three validity closed forms that no command ran, the unit-tagged field, the
-# two records the flat SystemConfig replaced, the Im(a12) back-solver, and the
-# two loss layers folded into estimate_lifetime
+# two records the flat SystemConfig replaced, the Im(a12) back-solver, the
+# two loss layers folded into estimate_lifetime, and the host profile with the
+# stored atoms' back-action that no command reached
 PUBLIC_NAMES = [
     "BecnloError", "ConditionFlags", "ConvergenceError", "DerivedScales",
     "FockSuperposition", "GpeProblem", "GpeSolution", "GridError", "HBAR",
@@ -701,12 +741,13 @@ PUBLIC_NAMES = [
     "radial_integral", "rescaled_kinetic",
     "sodium_reference_config", "solve_ground_state", "solve_stored_in_host",
     "stored_problem", "tf_chemical_potential", "tf_density",
-    "tf_density_at", "tf_density_with_back_action", "tf_host", "tf_radius",
+    "tf_density_at", "tf_host", "tf_radius",
     "validity_report", "virial_residual",
 ]
 
 
 def test_public_names_resolve():
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(becnlo.__all__) == PUBLIC_NAMES
     for name in becnlo.__all__:
         getattr(becnlo, name)

@@ -1,4 +1,4 @@
-"""Closed-form host profile: chemical potential, radius, density, back-action."""
+"""Closed-form host profile: chemical potential, radius, density."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose
 from becnlo import (
     GridError,
     RadialGrid,
-    StoredMode,
     ValidationError,
     radial_integral,
     tf_chemical_potential,
     tf_density,
     tf_density_at,
-    tf_density_with_back_action,
     tf_host,
     tf_radius,
 )
@@ -90,61 +88,6 @@ def test_host_record_is_the_grid_free_closed_form(config, scales, mu, host):
     # checking the cloud against a grid keeps no trace of that grid in the record
     assert host == tf_host(config, scales)
     assert host == tf_density(config, scales, mu, RadialGrid(1.5 * host.radius, 64))
-
-
-def test_back_action_dip(config, scales, mu, grid, host_n1):
-    mode = StoredMode(scales.s)
-    n2 = mode.density(grid.r, 10)
-    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
-    # bit for bit the formula with V from trap_potential at each radius
-    want = [max((mu - config.trap_potential(x) - scales.u12 * n) / scales.u11, 0.0)
-            for x, n in zip(grid.r, n2)]
-    assert dented == tuple(want)
-    dip = host_n1[0] - dented[0]
-    assert_allclose(dip, 5.5322e15, rtol=1e-4)
-    assert_allclose(dip / host_n1[0], 7.395e-5, rtol=1e-3)
-    # the dip heals where the mode ends
-    far = np.asarray(grid.r) > 6.0 * scales.s
-    assert_allclose(np.asarray(dented)[far], np.asarray(host_n1)[far], rtol=1e-12)
-
-
-def test_back_action_rejects_dense_mode(config, scales, mu, grid):
-    mode = StoredMode(scales.s)
-    n2 = mode.density(grid.r, 2e5)
-    with pytest.raises(ValidationError, match="too dense"):
-        tf_density_with_back_action(config, scales, mu, grid.r, n2)
-
-
-def test_back_action_needs_a_density_per_radius(config, scales, mu, grid):
-    n2 = StoredMode(scales.s).density(grid.r, 10)
-    with pytest.raises(ValidationError, match="values for"):
-        tf_density_with_back_action(config, scales, mu, grid.r, n2[:-1])
-
-
-def test_back_action_trivial_without_stored_atoms(config, scales, mu, grid, host_n1):
-    mode = StoredMode(scales.s)
-    n2 = mode.density(grid.r, 0)
-    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
-    assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
-
-
-def test_back_action_never_raises_density(config, scales, mu, grid, host_n1):
-    mode = StoredMode(scales.s)
-    n2 = mode.density(grid.r, 10)
-    dented = tf_density_with_back_action(config, scales, mu, grid.r, n2)
-    assert np.all(np.asarray(dented) <= np.asarray(host_n1))
-
-
-def test_back_action_decoupled_channel(config, mu, grid, host_n1):
-    # u12 = 0: stored atoms no longer dent the host at all
-    from becnlo import config_from_dict, derive_scales
-    from becnlo.params import SODIUM_REFERENCE
-
-    decoupled = config_from_dict({**SODIUM_REFERENCE, "a12_m": 0.0})
-    dscales = derive_scales(decoupled)
-    n2 = StoredMode(dscales.s).density(grid.r, 10)
-    dented = tf_density_with_back_action(decoupled, dscales, mu, grid.r, n2)
-    assert_allclose(dented, host_n1, rtol=0.0, atol=0.0)
 
 
 def test_normalization_survives_grid_doubling(config, scales, mu):

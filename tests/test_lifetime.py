@@ -19,9 +19,9 @@ from becnlo.params import SODIUM_REFERENCE
 from reference import mode_host_overlap_quad
 
 
-def test_overlap_value(scales, host):
+def test_overlap_value(config, scales, host):
     # 4*pi int r^2 phi^2 n1 dr: the host density the mode samples
-    overlap = mode_host_overlap(StoredMode(scales.s), host)
+    overlap = mode_host_overlap(config, scales, host)
     assert_allclose(overlap, 6.186424e19, rtol=1e-4)
 
 
@@ -57,7 +57,7 @@ def test_overlap_matches_quadrature(scenario):
     host = tf_host(scenario, scales)
     mode = StoredMode(scales.s)
     want = mode_host_overlap_quad(scenario, scales, host.mu, mode)
-    assert_allclose(mode_host_overlap(mode, host), want, rtol=1e-10, atol=0.0)
+    assert_allclose(mode_host_overlap(scenario, scales, host), want, rtol=1e-10, atol=0.0)
 
 
 def test_default_lifetime(config, scales, host):
@@ -89,7 +89,7 @@ def test_estimate_requires_im_a12(config, scales, host):
 
 
 def test_tau_validation(monkeypatch, config, scales, host):
-    monkeypatch.setattr("becnlo.lifetime.mode_host_overlap", lambda mode, host: math.inf)
+    monkeypatch.setattr("becnlo.lifetime.mode_host_overlap", lambda config, scales, host: math.inf)
     with pytest.raises(ValidationError, match="loss rate must be positive and finite"):
         estimate_lifetime(config, scales, host)
 

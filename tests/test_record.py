@@ -94,6 +94,16 @@ def test_record_contract(records, cls):
             cls(*args, **extra)
 
 
+def test_results_store_only_what_they_compute():
+    # the host is (mu, R); the regime verdicts and the lifetime are properties of the stored values
+    results = (becnlo.TfSolution, becnlo.ConditionFlags, becnlo.LossEstimate)
+    assert {cls: tuple(cls.__annotations__) for cls in results} == {
+        becnlo.TfSolution: ("mu", "radius"),
+        becnlo.ConditionFlags: ("tf_ratio", "diluteness"),
+        becnlo.LossEstimate: ("loss_rate_l",),
+    }
+
+
 def test_post_init_still_validates():
     with pytest.raises(GridError):
         RadialGrid(1.0, 3)
