@@ -30,8 +30,7 @@ def _load(args) -> SystemConfig:
     return load_config(args.config)
 
 
-def cmd_units(args) -> int:
-    config = _load(args)
+def cmd_units(config, args) -> int:
     scales = derive_scales(config)
     mu = tf_chemical_potential(config, scales)
     flags = check_conditions(config, scales, mu)
@@ -52,8 +51,7 @@ def cmd_units(args) -> int:
     return 0
 
 
-def cmd_phase(args) -> int:
-    config = _load(args)
+def cmd_phase(config, args) -> int:
     scales = derive_scales(config)
     shift = energy_shift(args.n, scales)
     phase = shift * check_storage_time(args.time) / HBAR
@@ -76,10 +74,9 @@ def _parse_amps(text: str) -> list:
     return values
 
 
-def cmd_gate(args) -> int:
+def cmd_gate(config, args) -> int:
     from .stored_mode import FockSuperposition, evolve, gate_fidelity, ns_gate_target, ns_gate_time
 
-    config = _load(args)
     scales = derive_scales(config)
     state = FockSuperposition.normalized(_parse_amps(args.amps))
     times = ns_gate_time(scales)
@@ -91,11 +88,10 @@ def cmd_gate(args) -> int:
     return 0
 
 
-def cmd_lifetime(args) -> int:
+def cmd_lifetime(config, args) -> int:
     from .host_tf import tf_host
     from .lifetime import estimate_lifetime
 
-    config = _load(args)
     scales = derive_scales(config)
     host = tf_host(config, scales)
     estimate = estimate_lifetime(config, scales, host)
@@ -104,12 +100,11 @@ def cmd_lifetime(args) -> int:
     return 0
 
 
-def cmd_validity(args) -> int:
+def cmd_validity(config, args) -> int:
     import json
 
     from .validity import validity_report
 
-    config = _load(args)
     report = validity_report(config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -130,10 +125,9 @@ def _write_csv(path, columns) -> int:
     return len(rows)
 
 
-def cmd_figures(args) -> int:
+def cmd_figures(config, args) -> int:
     from .validity import figure_data
 
-    config = _load(args)
     columns = figure_data(config, args.fig, n_rows=args.rows)
     out = args.out if args.out else f"fig{args.fig}.csv"
     rows = _write_csv(out, columns)
@@ -141,12 +135,11 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(config, args) -> int:
     import json
 
     from .gpe import compare_tf_vs_gpe, solve_stored_in_host
 
-    config = _load(args)
     if args.idealized and not args.stored:
         raise ValidationError("--idealized applies only with --stored")
     if args.stored:
@@ -168,30 +161,26 @@ CONFIG_OPTION = {"--config": ("config", str, None, "JSON scenario file (default:
 ALIASES = {"--t": "--time"}
 HELP = ("-h", "--help")
 
-# subcommand -> (handler, help, options)
+# subcommand -> (handler, help, its own options; every command also takes CONFIG_OPTION)
 COMMANDS = {
-    "units": (cmd_units, "derived scales and regime checks", CONFIG_OPTION),
+    "units": (cmd_units, "derived scales and regime checks", {}),
     "phase": (cmd_phase, "Fock-state energy shift and phase after storage", {
-        **CONFIG_OPTION,
         "--n": ("n", int, REQUIRED, "occupation number"),
         "--time": ("time", float, REQUIRED, "storage time in s"),
     }),
     "gate": (cmd_gate, "sign-gate times and fidelity for c0,c1,c2", {
-        **CONFIG_OPTION,
         "--amps": (
             "amps", str, "1,1,1", "comma-separated complex amplitudes, normalized for you (default 1,1,1)"
         ),
     }),
-    "lifetime": (cmd_lifetime, "loss rate and lifetime of the stored mode", CONFIG_OPTION),
-    "validity": (cmd_validity, "approximation checks as JSON", CONFIG_OPTION),
+    "lifetime": (cmd_lifetime, "loss rate and lifetime of the stored mode", {}),
+    "validity": (cmd_validity, "approximation checks as JSON", {}),
     "figures": (cmd_figures, "energy/density budget tables as CSV", {
-        **CONFIG_OPTION,
         "--fig": ("fig", (2, 3, 4), REQUIRED, "which table"),
         "--rows": ("rows", int, 512, "number of radii (default 512)"),
         "--out": ("out", str, None, "output file (default fig<N>.csv)"),
     }),
     "oracle": (cmd_oracle, "independent ground-state solve vs the closed forms", {
-        **CONFIG_OPTION,
         "--grid-points": (
             "grid_points", int, DEFAULT_GRID_POINTS, f"radial grid size (default {DEFAULT_GRID_POINTS})"
         ),
@@ -204,6 +193,10 @@ COMMANDS = {
 }
 
 
+def _options(command) -> dict:
+    return {**CONFIG_OPTION, **COMMANDS[command][2]}
+
+
 def _with_metavar(name, attr, kind) -> str:
     if isinstance(kind, tuple):
         return name + " {" + ",".join(map(str, kind)) + "}"
@@ -214,7 +207,7 @@ def _usage(command) -> str:
     if command is None:
         return "usage: becnlo [-h] {" + ",".join(COMMANDS) + "} ..."
     words = ["usage: becnlo", command, "[-h]"]
-    for option, (attr, kind, default, _) in COMMANDS[command][2].items():
+    for option, (attr, kind, default, _) in _options(command).items():
         word = _with_metavar(option, attr, kind)
         words.append(word if default is REQUIRED else f"[{word}]")
     return " ".join(words)
@@ -233,7 +226,7 @@ def _help(command):
     else:
         summary, heading = COMMANDS[command][1], "options:"
         rows = [(", ".join(HELP), "show this help and exit")]
-        for option, (attr, kind, _, text) in COMMANDS[command][2].items():
+        for option, (attr, kind, _, text) in _options(command).items():
             names = [option, *(alias for alias, target in ALIASES.items() if target == option)]
             rows.append((", ".join(_with_metavar(name, attr, kind) for name in names), text))
     width = max(len(left) for left, _ in rows) + 2
@@ -255,7 +248,7 @@ def parse_args(argv):
         _help(None)
     if command not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(COMMANDS)})")
-    handler, _, options = COMMANDS[command]
+    handler, options = COMMANDS[command][0], _options(command)
     values = {attr: default for attr, _, default, _ in options.values()}
     tokens = iter(rest)
     for token in tokens:
@@ -293,7 +286,7 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return args.func(_load(args), args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

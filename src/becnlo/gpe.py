@@ -15,16 +15,17 @@ K du - u dmu = -(H[u] u - mu u), <u, du> = 0, with K = H[u] - mu + 2g*diag((u/r)
 and keeps the renormalized u + du if every pivot of K is positive and the
 residual falls.  Otherwise it takes a step of the backward-Euler normalized
 gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)),
-(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n, renormalized: the shift by min V
-keeps the ground state and makes the matrix strictly diagonally dominant, dt
-starts at `default_time_step` and doubles each flow step up to DT_GROWTH_CAP
-times that, and the energy must not rise.  With g = 0, K is never positive
-definite, so linear problems run on the flow alone.  Both steps factor their
-matrix by the Thomas algorithm.  The loop stops when the stationary residual
-||H[u] u - mu u||/||mu u|| falls below DEFAULT_TOL, or below its round-off floor
-eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A solution whose density
-in the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
-the wall at r_max is squeezing the cloud.  Only the caller's grid is checked.
+(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n, renormalized, with one fixed step
+dt = `default_time_step`: the shift by min V keeps the ground state and makes the
+matrix strictly diagonally dominant, and the energy must not rise.  The step is
+inverse iteration with the fixed shift min V - hbar/dt.  With g = 0, K is never
+positive definite, so linear problems run on the flow alone.  Both steps factor
+their matrix by the Thomas algorithm.  The loop stops when the stationary
+residual ||H[u] u - mu u||/||mu u|| falls below DEFAULT_TOL, or below its
+round-off floor eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A
+solution whose density in the outer tenth of the box exceeds CLIP_DENSITY of its
+peak raises GridError: the wall at r_max is squeezing the cloud.  Only the
+caller's grid is checked.
 
 The start for g > 0 on a grid of n points is a solve of the same problem on
 every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V sliced from the
@@ -57,8 +58,7 @@ from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, 
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 5_000  # ~5x the slowest converging solve known: 1,026 flow steps, sodium at n_host 1e20
-DT_TRAP_PERIODS = 1e-4  # default first imaginary-time step, in curvature periods
-DT_GROWTH_CAP = 1e3  # the step doubles each flow step up to this multiple of the first
+DT_TRAP_PERIODS = 0.1  # the imaginary-time step, in curvature periods
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
@@ -172,22 +172,18 @@ def stored_problem(
     )
 
 
-def _curvature_frequency(problem: GpeProblem):
-    """Harmonic frequency matching the potential's curvature at the origin."""
-    grid = problem.grid
+def _curvature_frequency(problem: GpeProblem) -> float:
+    """Harmonic frequency matching the potential's curvature at the origin; a flat potential is refused."""
     v = problem.potential
-    vpp = 2.0 * (v[1] - v[0]) / grid.spacing**2
+    vpp = 2.0 * (v[1] - v[0]) / problem.grid.spacing**2
     if vpp <= 0.0:
-        return None
+        raise ValidationError("cannot infer a time step from a flat potential")
     return math.sqrt(vpp / problem.mass)
 
 
 def default_time_step(problem: GpeProblem) -> float:
     """DT_TRAP_PERIODS trap periods of the curvature-matched frequency."""
-    omega = _curvature_frequency(problem)
-    if omega is None:
-        raise ValidationError("cannot infer a time step from a flat potential")
-    return DT_TRAP_PERIODS * 2.0 * math.pi / omega
+    return DT_TRAP_PERIODS * 2.0 * math.pi / _curvature_frequency(problem)
 
 
 def _inner(dr, a, b) -> float:
@@ -218,8 +214,7 @@ def _mean_field_out_of_range(problem: GpeProblem) -> ValidationError:
 
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
     """Starting psi: a Gaussian of the curvature width and, for g > 0, the TF profile smoothed at the edge."""
-    omega = _curvature_frequency(problem)
-    width = problem.grid.r_max / 6.0 if omega is None else math.sqrt(HBAR / (problem.mass * omega))
+    width = math.sqrt(HBAR / (problem.mass * _curvature_frequency(problem)))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
@@ -280,7 +275,7 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
         raise GridError(
             f"the ground state reaches the box wall: density in the outer tenth of "
             f"r_max={grid.r_max:g} m is {edge:.1e} of its peak (limit {CLIP_DENSITY:g}); "
-            "enlarge the box"
+            "the box is too small for this ground state"
         )
     return solution
 
@@ -315,8 +310,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     grid = problem.grid
     r, dr, v = grid.r, grid.spacing, problem.potential
     g, atom_count = problem.g, problem.atom_count
-    dt = default_time_step(problem)
-    dt_max = DT_GROWTH_CAP * dt
+    lam = default_time_step(problem) / HBAR
 
     kin = HBAR**2 / (2.0 * problem.mass * dr**2)
     two_kin = 2.0 * kin
@@ -359,8 +353,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         dmu = sum(map(mul, u_in, a)) / sum(map(mul, u_in, b))  # <u, du> = 0 for du = dmu*b - a
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
-    def flow(s, dt):
-        lam = dt / HBAR
+    def flow(s):
         flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_step, s.nonlinear)]
         solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
         return None if solved is None else state([0.0, *solved[0], 0.0])
@@ -390,7 +383,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
             current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
-            stepped, e_prev = flow(current, dt), current.energy
+            stepped, e_prev = flow(current), current.energy
             if stepped is None or not stepped.energy <= e_prev + abs(e_prev) * ENERGY_SLACK:  # nan too
                 fault = "a pivot not positive or no finite, nonzero norm" if stepped is None else (
                     f"energy rose from {e_prev:.12e} to {stepped.energy:.12e} J"
@@ -400,7 +393,6 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
                 )
             current = stepped
             flow_steps += 1
-            dt = min(2.0 * dt, dt_max)
         floor = EPS * (linear_scale + max(current.nonlinear)) / abs(current.mu)
         if current.residual < max(tol, floor):
             break

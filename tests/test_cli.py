@@ -465,6 +465,7 @@ def test_oracle_clipped_box_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "oracle", "--config", path, "--grid-points", "512")
     assert code == 2
     assert "box wall" in err
+    assert "enlarge" not in err  # no option enlarges the oracle's box of GRID_SPAN_FACTOR radii
 
 
 @pytest.mark.parametrize("flags", [[], ["--idealized"]], ids=["stored", "idealized"])

@@ -83,8 +83,19 @@ class TestLinearOscillator:
     def test_time_step_heuristic(self, oscillator, config):
         # curvature of the quadratic potential recovers the trap period
         assert_allclose(
-            default_time_step(oscillator), 1e-4 * 2.0 * math.pi / config.omega, rtol=1e-12
+            default_time_step(oscillator), 0.1 * 2.0 * math.pi / config.omega, rtol=1e-12
         )
+
+    def test_linear_problem_converges_by_inverse_iteration(self, config, scales, mu, grid, monkeypatch):
+        # at g = 0 the flow step is inverse iteration with the fixed shift min V - hbar/dt,
+        # 21 steps from the curvature Gaussian
+        stored = stored_problem(config, scales, mu, grid, idealized=True)
+        linear = GpeProblem(grid, stored.potential, 0.0, stored.atom_count, stored.mass)
+        monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 25)
+        sol = solve_ground_state(linear)
+        lowest, overlap = lowest_eigenpair(linear, sol.psi)
+        assert_allclose(lowest, sol.mu, rtol=1e-10)
+        assert overlap > 1.0 - 1e-10
 
     def test_flat_potential_is_refused(self, config):
         grid = RadialGrid(1e-5, 64)
@@ -132,7 +143,10 @@ class TestProblemValidation:
         with pytest.raises(TypeError):
             problem.potential[0] = 2.0
 
-    def test_iteration_budget(self, oscillator, monkeypatch):
+    def test_iteration_budget(self, oscillator, scales, monkeypatch):
+        # the wrong-width start of test_gaussian_ground_state: three steps cannot converge
+        guess = np.exp(-0.25 * (np.asarray(oscillator.grid.r) / (2.0 * scales.d)) ** 2)
+        monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [guess])
         monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 3)
         monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-16)
         with pytest.raises(ConvergenceError) as err:
