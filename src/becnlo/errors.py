@@ -24,7 +24,7 @@ class ConvergenceError(BecnloError):
     ----------
     residual : float or None
         Last value of the quantity the solver drives below its tolerance
-        (for the GPE solver, the stationary residual ||H u - mu u||/||mu u||).
+        (for the GPE solver, the stationary residual ||H u - mu u||/(|mu - min V| ||u||)).
     iterations : int or None
         Number of iterations performed before giving up.
     """

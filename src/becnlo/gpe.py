@@ -16,15 +16,16 @@ and keeps the renormalized u + du if every pivot of K is positive and the
 residual falls.  Otherwise it takes a step of the backward-Euler normalized
 gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)),
 (I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n, renormalized, with one fixed step
-dt = `default_time_step`: the shift by min V keeps the ground state and makes the
-matrix strictly diagonally dominant, and the energy must not rise.  The step is
-inverse iteration with the fixed shift min V - hbar/dt.  With g = 0, K is never
-positive definite, so linear problems run on the flow alone.  Both steps factor
-their matrix by the Thomas algorithm.  The loop stops when the stationary
-residual ||H[u] u - mu u||/||mu u|| falls below DEFAULT_TOL, or below its
-round-off floor eps*(4*T + max|V| + g*max n)/|mu| if that is larger.  A
-solution whose density in the outer tenth of the box exceeds CLIP_DENSITY of its
-peak raises GridError: the wall at r_max is squeezing the cloud.  Only the
+dt = `default_time_step`; the energy must not rise.  The step is inverse
+iteration with the fixed shift min V - hbar/dt.  With g = 0, K is never positive
+definite, so linear problems run on the flow alone.  Both steps factor their
+matrix by the Thomas algorithm.  The loop stops when the stationary residual
+||H[u] u - mu u||/(|mu - min V| ||u||) falls below DEFAULT_TOL, or below its
+round-off floor eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if that is
+larger.  The solve measures every energy from min V, so no constant in V moves
+its steps or its stop, and the flow's matrix is strictly diagonally dominant.
+A solution whose density in the outer tenth of the box exceeds CLIP_DENSITY of
+its peak raises GridError: the wall at r_max is squeezing the cloud.  Only the
 caller's grid is checked.
 
 The start for g > 0 on a grid of n points is a solve of the same problem on
@@ -57,7 +58,7 @@ from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 5_000  # ~5x the slowest converging solve known: 1,026 flow steps, sodium at n_host 1e20
+DEFAULT_MAX_ITERS = 5_000  # slowest measured: 14 Newton steps (sodium host, n_host 1e20), 34 flow steps (g = 0)
 DT_TRAP_PERIODS = 0.1  # the imaginary-time step, in curvature periods
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
@@ -106,9 +107,9 @@ class GpeSolution:
     e_kinetic: float  # J (total, not per atom)
     e_potential: float  # J
     e_interaction: float  # J
-    residual: float  # ||H[u] u - mu u|| / ||mu u|| at the returned state
+    residual: float  # ||H[u] u - mu u|| / (|mu - min V| ||u||) at the returned state
     stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
-    floor: float  # the round-off floor of the residual at the returned state
+    floor: float  # eps*(4*T + max(V - min V) + g*max n)/|mu - min V|, the residual's round-off floor
     newton_steps: int  # on this grid only, as are flow_steps: the coarse start's steps are not counted
     flow_steps: int
     coarse_points: int  # points of the coarse grid the start was solved on, 0 if it was a guess
@@ -194,18 +195,17 @@ def _inner(dr, a, b) -> float:
 def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
     """mu with N = (4*pi*dr/g) * sum r_i^2 max(mu - v_i, 0), the solver's inner product.
 
-    N(mu) is linear between the sorted v_i: solve the piece that holds N.  The
-    last of equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
+    v is measured from min V, so the sums keep the digits of mu - min V.  N(mu)
+    is linear between the sorted v_i: solve the piece that holds N.  The last of
+    equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
     """
-    ordered = sorted(zip(v, r))
-    v0 = ordered[0][0]
-    dv = [x - v0 for x, _ in ordered]  # measured from min V, so the sums keep the digits of mu - min V
-    r2 = [x * x for _, x in ordered]
+    v, r = zip(*sorted(zip(v, r)))
+    r2 = [x * x for x in r]
     weight = list(accumulate(r2))
-    moment = list(accumulate(map(mul, r2, dv)))
+    moment = list(accumulate(map(mul, r2, v)))
     target = problem.atom_count * problem.g / (4.0 * math.pi * problem.grid.spacing)
-    k = bisect_right([d * w - m for d, w, m in zip(dv, weight, moment)], target) - 1
-    return v0 + (target + moment[k]) / weight[k]
+    k = bisect_right([d * w - m for d, w, m in zip(v, weight, moment)], target) - 1
+    return (target + moment[k]) / weight[k]
 
 
 def _mean_field_out_of_range(problem: GpeProblem) -> ValidationError:
@@ -213,13 +213,13 @@ def _mean_field_out_of_range(problem: GpeProblem) -> ValidationError:
 
 
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
-    """Starting psi: a Gaussian of the curvature width and, for g > 0, the TF profile smoothed at the edge."""
+    """Starting psi: the curvature's Gaussian and, for g > 0, the edge-smoothed TF profile in v = V - min V."""
     width = math.sqrt(HBAR / (problem.mass * _curvature_frequency(problem)))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
         try:
-            eps2 = (0.05 * (mu_guess - min(v))) ** 2
+            eps2 = (0.05 * mu_guess) ** 2
         except OverflowError as exc:
             raise _mean_field_out_of_range(problem) from exc
         two_g = 2.0 * problem.g
@@ -255,12 +255,12 @@ def _thomas(off: float, diag, *rhs):
     return solutions
 
 
-# a normalized u (ends included), g*(u/r)^2 and H[u] u - mu u inside, mu, the energies and the residual
+# normalized u (ends included); inside, g*(u/r)^2 and H[u] u - mu u; mu and the energies from min V; the residual
 _State = namedtuple("_State", "u nonlinear stationary mu e_kinetic e_potential e_interaction energy residual")
 
 
 def solve_ground_state(problem: GpeProblem) -> GpeSolution:
-    """Newton or flow steps until ||H[u] u - mu u||/||mu u|| < max(DEFAULT_TOL, floor).
+    """Newton or flow steps until ||H[u] u - mu u||/(|mu - min V| ||u||) < max(DEFAULT_TOL, floor).
 
     The solution's step counts are this grid's only.  Raises ConvergenceError
     if DEFAULT_MAX_ITERS steps do not converge or a flow step breaks down or
@@ -308,18 +308,16 @@ def _coarse_start(problem: GpeProblem):
 
 def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     grid = problem.grid
-    r, dr, v = grid.r, grid.spacing, problem.potential
+    r, dr = grid.r, grid.spacing
     g, atom_count = problem.g, problem.atom_count
     lam = default_time_step(problem) / HBAR
 
     kin = HBAR**2 / (2.0 * problem.mass * dr**2)
     two_kin = 2.0 * kin
+    v_min = min(problem.potential)  # every energy below is measured from it
+    v = [x - v_min for x in problem.potential]
     r_in, v_in = r[1:-1], v[1:-1]  # the ends of u stay zero
-    # the flow's matrix sees V - min V: same ground state, diagonally dominant,
-    # and a large constant offset no longer caps the contraction per step
-    v_min = min(v)
-    v_step = [x - v_min for x in v_in]
-    linear_scale = 4.0 * kin + max(map(abs, v))  # bounds |H u| without the mean field
+    linear_scale = 4.0 * kin + max(v)  # bounds |H u| without the mean field
     u_norm = math.sqrt(atom_count / (4.0 * math.pi * dr))  # ||u|| of a normalized u
 
     def state(u):
@@ -354,7 +352,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
     def flow(s):
-        flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_step, s.nonlinear)]
+        flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_in, s.nonlinear)]
         solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
         return None if solved is None else state([0.0, *solved[0], 0.0])
 
@@ -386,7 +384,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
             stepped, e_prev = flow(current), current.energy
             if stepped is None or not stepped.energy <= e_prev + abs(e_prev) * ENERGY_SLACK:  # nan too
                 fault = "a pivot not positive or no finite, nonzero norm" if stepped is None else (
-                    f"energy rose from {e_prev:.12e} to {stepped.energy:.12e} J"
+                    f"energy above N*min V rose from {e_prev:.12e} to {stepped.energy:.12e} J"
                 )
                 raise ConvergenceError(
                     f"{fault} at step {iterations}", residual=current.residual, iterations=iterations
@@ -408,9 +406,9 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     psi = ((4.0 * psi[0] - psi[1]) / 3.0, *psi)
     return GpeSolution(
         psi=psi,
-        mu=current.mu,
+        mu=current.mu + v_min,
         e_kinetic=current.e_kinetic,
-        e_potential=current.e_potential,
+        e_potential=current.e_potential + atom_count * v_min,
         e_interaction=current.e_interaction,
         residual=current.residual,
         stop="tol" if current.residual < tol else "floor", floor=floor,
