@@ -208,20 +208,14 @@ def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
     return (target + moment[k]) / weight[k]
 
 
-def _mean_field_out_of_range(problem: GpeProblem) -> ValidationError:
-    return ValidationError(f"the mean field of {problem.atom_count:g} atoms is out of floating-point range")
-
-
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
     """Starting psi: the curvature's Gaussian and, for g > 0, the edge-smoothed TF profile in v = V - min V."""
     width = math.sqrt(HBAR / (problem.mass * _curvature_frequency(problem)))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
-        try:
-            eps2 = (0.05 * mu_guess) ** 2
-        except OverflowError as exc:
-            raise _mean_field_out_of_range(problem) from exc
+        eps = 0.05 * mu_guess
+        eps2 = eps * eps  # inf, not OverflowError, if the mean field is out of range: start() drops the guess
         two_g = 2.0 * problem.g
         guesses.append([math.sqrt((f + math.sqrt(f * f + eps2)) / two_g) for f in (mu_guess - x for x in v)])
     return guesses
@@ -357,16 +351,16 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return None if solved is None else state([0.0, *solved[0], 0.0])
 
     def start(guesses):
-        """The lower-energy state of the guesses for psi, refused if its residual is not finite.
+        """The lower-energy state of the guesses for psi with a finite norm, refused if its residual is not.
 
-        A mean field out of range makes the residual inf or nan, and no step would lower it.
+        A mean field out of range makes a guess or the residual inf or nan, and no step would lower it.
         """
         starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
         if not starts:
             raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
         best = min(starts, key=lambda s: s.energy)
         if not best.residual < math.inf:
-            raise _mean_field_out_of_range(problem)
+            raise ValidationError(f"the mean field of {atom_count:g} atoms is out of floating-point range")
         return best
 
     coarse_points, psi = _coarse_start(problem)
@@ -421,25 +415,24 @@ class TfGpeComparison:
     """Side-by-side of the closed-form host parabola and the full ground state."""
 
     mu_tf: float
-    mu_gpe: float
     central_density_tf: float
-    central_density_gpe: float
     l2_density_err: float  # relative L2 norm of the density difference
-    virial: float
-    iterations: int
+    solution: GpeSolution
 
     def to_dict(self) -> dict:
+        sol = self.solution
+        central_density_gpe = sol.psi[0] ** 2
         return {
             "mu_tf_J": self.mu_tf,
-            "mu_gpe_J": self.mu_gpe,
-            "mu_rel_err": abs(self.mu_gpe - self.mu_tf) / self.mu_tf,
+            "mu_gpe_J": sol.mu,
+            "mu_rel_err": abs(sol.mu - self.mu_tf) / self.mu_tf,
             "central_density_tf_m3": self.central_density_tf,
-            "central_density_gpe_m3": self.central_density_gpe,
-            "central_density_rel_err": abs(self.central_density_gpe - self.central_density_tf)
+            "central_density_gpe_m3": central_density_gpe,
+            "central_density_rel_err": abs(central_density_gpe - self.central_density_tf)
             / self.central_density_tf,
             "l2_density_err": self.l2_density_err,
-            "virial_residual": self.virial,
-            "iterations": self.iterations,
+            "virial_residual": virial_residual(sol),
+            "iterations": sol.iterations,
         }
 
 
@@ -460,12 +453,9 @@ def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_P
     ref2 = radial_integral(r, [n * n for n in n_tf])
     return TfGpeComparison(
         mu_tf=host.mu,
-        mu_gpe=solution.mu,
         central_density_tf=n_tf[0],  # mu/U11: V(0) = 0
-        central_density_gpe=solution.psi[0] ** 2,
         l2_density_err=math.sqrt(diff2 / ref2),
-        virial=virial_residual(solution),
-        iterations=solution.iterations,
+        solution=solution,
     )
 
 

@@ -35,7 +35,7 @@ from becnlo import (
 )
 from reference import energy_shift_bruteforce, kinetic_correction_fd, kinetic_crossing_radius
 import becnlo.gpe as gpe
-from becnlo.gpe import GpeProblem, solve_ground_state
+from becnlo.gpe import GpeProblem, solve_ground_state, virial_residual
 from becnlo.params import SODIUM_REFERENCE
 
 
@@ -156,7 +156,7 @@ def test_criterion_09_gpe_oracle(config, scales, monkeypatch):
     payload = comp.to_dict()
     ok = 2e-4 <= payload["mu_rel_err"] <= 5e-3
     ok = ok and 2e-4 <= payload["central_density_rel_err"] <= 5e-3
-    ok = ok and comp.virial < 1e-4
+    ok = ok and virial_residual(comp.solution) < 1e-4
 
     grid = RadialGrid(8.0 * scales.d, 2048)
     linear = GpeProblem(

@@ -36,6 +36,7 @@ from becnlo.gpe import (
     DEFAULT_TOL,
     GRID_SPAN_FACTOR,
     GpeProblem,
+    GpeSolution,
     TfGpeComparison,
     _initial_guesses,
     default_time_step,
@@ -175,9 +176,9 @@ class TestHostComparison:
         # "one part in a thousand": both errors sit between 2e-4 and 5e-3
         assert 2e-4 < payload["mu_rel_err"] < 5e-3
         assert 2e-4 < payload["central_density_rel_err"] < 5e-3
-        assert comp.mu_gpe > comp.mu_tf  # kinetic pressure raises mu
+        assert comp.solution.mu > comp.mu_tf  # kinetic pressure raises mu
         assert comp.l2_density_err < 0.05
-        assert comp.virial < 1e-4
+        assert virial_residual(comp.solution) < 1e-4
 
     def test_step_size_invariance(self, config, scales, mu, monkeypatch):
         from becnlo import tf_radius
@@ -204,8 +205,8 @@ class TestHostComparison:
 
     def test_grid_refinement_stable(self, config):
         coarse = compare_tf_vs_gpe(config, grid_points=1024)
-        fine = compare_tf_vs_gpe(config, grid_points=2048)
-        assert abs(fine.mu_gpe - coarse.mu_gpe) / fine.mu_gpe < 1e-5
+        fine = compare_tf_vs_gpe(config, grid_points=2048).solution
+        assert abs(fine.mu - coarse.solution.mu) / fine.mu < 1e-5
 
     def test_errors_shrink_with_atom_number(self, config):
         # the parabola is the large-N limit, so its error is monotone in N
@@ -241,15 +242,25 @@ class TestHostComparison:
             "iterations",
         }
 
-    @pytest.mark.parametrize("mu_gpe, central_gpe", [(2.5, 3.0), (1.5, 5.0)])
-    def test_to_dict_derives_relative_errors(self, mu_gpe, central_gpe):
-        comp = TfGpeComparison(
-            mu_tf=2.0, mu_gpe=mu_gpe, central_density_tf=4.0, central_density_gpe=central_gpe,
-            l2_density_err=0.1, virial=1e-9, iterations=3,
+    @pytest.mark.parametrize(
+        "mu_gpe, psi0, central_tf", [(2.5, 1.5, 3.0), (1.5, 2.5, 5.0)], ids=["2.5-3.0", "1.5-5.0"]
+    )
+    def test_to_dict_derives_relative_errors(self, mu_gpe, psi0, central_tf):
+        # psi0**2 and the relative errors are exact in binary: 2.25 against 3 and 6.25 against 5
+        solution = GpeSolution(
+            psi=(psi0, 0.0), mu=mu_gpe, e_kinetic=1.0, e_potential=1.0, e_interaction=1.0,
+            residual=1e-12, stop="tol", floor=1e-15, newton_steps=3, flow_steps=0, coarse_points=0,
         )
+        comp = TfGpeComparison(mu_tf=2.0, central_density_tf=central_tf, l2_density_err=0.1, solution=solution)
         payload = comp.to_dict()
         assert payload["mu_rel_err"] == abs(mu_gpe - 2.0) / 2.0 == 0.25
-        assert payload["central_density_rel_err"] == abs(central_gpe - 4.0) / 4.0 == 0.25
+        assert payload["central_density_rel_err"] == abs(psi0**2 - central_tf) / central_tf == 0.25
+
+    def test_host_report_keeps_its_solve(self, config, scales):
+        comp = compare_tf_vs_gpe(config, grid_points=1024)
+        grid = RadialGrid(GRID_SPAN_FACTOR * tf_host(config, scales).radius, 1024)
+        assert comp.solution == solve_ground_state(host_problem(config, scales, grid))
+        assert comp.to_dict()["mu_gpe_J"] == comp.solution.mu
 
 
 class TestStoredComparison:

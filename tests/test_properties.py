@@ -1,8 +1,9 @@
-"""Property tests: fuzzed scenario files and gate amplitudes through the closed-form subcommands.
+"""Property tests: fuzzed scenario files and gate amplitudes through the CLI.
 
 Every config, however extreme, must end in exit code 0 or 2 without a
 traceback or a warning (tier-1 turns warnings into errors); a run that exits
 0 prints only finite numbers (`null` ratios and `-inf` logarithms aside).
+The oracle may also exit 3, when its solve does not converge.
 Every physically sensible config must give finite, positive scales and a sign
 gate of fidelity 1.  Hypothesis runs derandomized, so the examples are the
 same on every run.
@@ -227,3 +228,37 @@ def test_decoupled_underflowing_mode_gives_null_two_tf(tmp_path):
     code, out = run_grid_command(path, ["validity"])
     assert code == 0
     assert json.loads(out)["two_tf"] == {"ratio": None, "ok": False}
+
+
+@st.composite
+def oracle_scenarios(draw):
+    """Sodium with fuzzed atom numbers, trap and a stable a22; the oracle's mode and grid."""
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(math.log10(lo), math.log10(hi)))  # noqa: E731
+    a11 = SODIUM_REFERENCE["a11_m"]
+    a12 = a11 * draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999999]))
+    data = {
+        **SODIUM_REFERENCE,
+        "a12_m": a12,
+        "a22_m": a12 * a12 / a11 * (1.0 + 10.0 ** draw(st.floats(-8.0, 1.0))),
+        "omega_rad_s": log_uniform(1e-2, 1e6),
+        "n_host": int(log_uniform(1.0, 1e22)),
+        "n_stored_max": draw(st.one_of(st.just(0), st.floats(0.0, 12.0).map(lambda e: int(10.0**e)))),
+    }
+    mode = draw(st.sampled_from([[], ["--stored"], ["--stored", "--idealized"]]))
+    # 1,300 points take the coarse start, and with it the restart from the guesses
+    points = draw(st.sampled_from(["512", "1300"]))
+    return data, ["oracle", *mode, "--grid-points", points]
+
+
+@settings(FUZZ, max_examples=30)
+@given(scenario=oracle_scenarios())
+def test_fuzzed_oracle_exits_cleanly(config_path, scenario):
+    data, argv = scenario
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(config_path, *argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert all(math.isfinite(x) for x in payload.values())
