@@ -13,20 +13,21 @@ E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, and mu = (E_kin + E_pot +
 Each iteration tries Newton's step on H[u] u = mu u, <u, u> = N first: it solves
 K du - u dmu = -(H[u] u - mu u), <u, du> = 0, with K = H[u] - mu + 2g*diag((u/r)^2),
 and keeps the renormalized u + du if every pivot of K is positive and the
-residual falls.  Otherwise it takes a step of the backward-Euler normalized
-gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)),
-(I + (dt/hbar) (H[u_n] - min V)) u_{n+1} = u_n, renormalized, with one fixed step
-dt = `default_time_step`; the energy must not rise.  The step is inverse
-iteration with the fixed shift min V - hbar/dt.  With g = 0, K is never positive
-definite, so linear problems run on the flow alone.  Both steps factor their
-matrix by the Thomas algorithm.  The loop stops when the stationary residual
+residual falls.  Otherwise it takes a damped, shifted inverse-iteration step,
+which needs no time step (Henning & Peterseim, SIAM J. Numer. Anal. 58, 1744
+(2020); Altmann, Henning & Peterseim, Numer. Math. 148, 575 (2021)): w solves
+(H[u] - sigma) w = u for sigma = max(0, mu*(1 - residual)), at or below the
+eigenvalue within mu*residual of mu (0 if a pivot is not positive), and the
+renormalized (1 - tau) u + tau*<u, u>/<u, w> w is kept for the first tau = 1,
+1/2, ... above EPS whose energy does not rise beyond ENERGY_SLACK.  With g = 0,
+K is never positive definite, so linear problems take this step alone.  Both
+steps are factored by the Thomas algorithm.  The loop stops when the residual
 ||H[u] u - mu u||/(|mu - min V| ||u||) falls below DEFAULT_TOL, or below its
-round-off floor eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if that is
-larger.  The solve measures every energy from min V, so no constant in V moves
-its steps or its stop, and the flow's matrix is strictly diagonally dominant.
-A solution whose density in the outer tenth of the box exceeds CLIP_DENSITY of
-its peak raises GridError: the wall at r_max is squeezing the cloud.  Only the
-caller's grid is checked.
+round-off floor eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if larger.
+All energies, sigma too, are measured from min V: H[u] - min V is positive
+definite, and no constant in V moves the steps or the stop.  A solution whose
+density in the outer tenth of the box exceeds CLIP_DENSITY of its peak raises
+GridError: the wall at r_max squeezes it.  Only the caller's grid is checked.
 
 The start for g > 0 on a grid of n points is a solve of the same problem on
 every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V sliced from the
@@ -34,12 +35,12 @@ fine values, to the residual COARSE_TOL, its psi interpolated linearly onto the
 fine grid (grid sequencing: Newton's step count does not depend on the mesh,
 Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
-for g = 0 (the flow gains nothing from it), or if the coarse solve does not
-converge, the start is the lower-energy of two guesses: the smoothed
+for g = 0 (the fallback step gains nothing from it), or if the coarse solve
+does not converge, the start is the lower-energy of two guesses: the smoothed
 Thomas-Fermi profile and the Gaussian of the potential's curvature.  If the
 fine grid refuses its first Newton step from the coarse start, it restarts from
-the guesses: the flow from that start crawls (800 steps for a sodium host of
-1e16 atoms, where the guesses take 10 Newton steps).
+the guesses: the fallback step from that start crawls (799 steps for a sodium
+host of 1e16 atoms, where the guesses take 10 Newton steps).
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 5_000  # slowest measured: 14 Newton steps (sodium host, n_host 1e20), 34 flow steps (g = 0)
-DT_TRAP_PERIODS = 0.1  # the imaginary-time step, in curvature periods
+DEFAULT_MAX_ITERS = 5_000  # slowest measured: 13 Newton steps (sodium host, n_host 1e20), 4 flow steps (g = 0)
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
@@ -173,20 +173,6 @@ def stored_problem(
     )
 
 
-def _curvature_frequency(problem: GpeProblem) -> float:
-    """Harmonic frequency matching the potential's curvature at the origin; a flat potential is refused."""
-    v = problem.potential
-    vpp = 2.0 * (v[1] - v[0]) / problem.grid.spacing**2
-    if vpp <= 0.0:
-        raise ValidationError("cannot infer a time step from a flat potential")
-    return math.sqrt(vpp / problem.mass)
-
-
-def default_time_step(problem: GpeProblem) -> float:
-    """DT_TRAP_PERIODS trap periods of the curvature-matched frequency."""
-    return DT_TRAP_PERIODS * 2.0 * math.pi / _curvature_frequency(problem)
-
-
 def _inner(dr, a, b) -> float:
     """<a, b> = 4*pi*dr*sum(a_i*b_i), the solver's one quadrature."""
     return 4.0 * math.pi * dr * sum(map(mul, a, b))
@@ -210,7 +196,10 @@ def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
 
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
     """Starting psi: the curvature's Gaussian and, for g > 0, the edge-smoothed TF profile in v = V - min V."""
-    width = math.sqrt(HBAR / (problem.mass * _curvature_frequency(problem)))
+    curvature = 2.0 * (v[1] - v[0]) / problem.grid.spacing**2
+    if curvature <= 0.0:
+        raise ValidationError("cannot set the Gaussian guess's width from a flat potential")
+    width = math.sqrt(HBAR / (problem.mass * math.sqrt(curvature / problem.mass)))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         mu_guess = _thomas_fermi_mu(problem, r, v)
@@ -254,13 +243,13 @@ _State = namedtuple("_State", "u nonlinear stationary mu e_kinetic e_potential e
 
 
 def solve_ground_state(problem: GpeProblem) -> GpeSolution:
-    """Newton or flow steps until ||H[u] u - mu u||/(|mu - min V| ||u||) < max(DEFAULT_TOL, floor).
+    """Newton or fallback steps until ||H[u] u - mu u||/(|mu - min V| ||u||) < max(DEFAULT_TOL, floor).
 
     The solution's step counts are this grid's only.  Raises ConvergenceError
-    if DEFAULT_MAX_ITERS steps do not converge or a flow step breaks down or
-    raises the energy by more than round-off, GridError if the solution
-    reaches the wall of this grid, and ValidationError if the start's mean
-    field is out of floating-point range.
+    if DEFAULT_MAX_ITERS steps do not converge or no damping of a fallback
+    step keeps the energy from rising, GridError if the solution reaches the
+    wall of this grid, and ValidationError if the Gaussian guess meets a flat
+    potential or the start's mean field is out of floating-point range.
     """
     solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
@@ -279,7 +268,7 @@ def _coarse_start(problem: GpeProblem):
 
     The coarse solve stops at COARSE_TOL: it only supplies a start.
     (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
-    g = 0, where the flow takes every step and a coarse start saves none, or if
+    g = 0, where every step is a fallback step and the guess takes a handful, or if
     the coarse solve does not converge: an unresolved guess may stop it where
     the fine grid converges.  The wall is not checked here: a start is not an answer.
     """
@@ -304,7 +293,6 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     grid = problem.grid
     r, dr = grid.r, grid.spacing
     g, atom_count = problem.g, problem.atom_count
-    lam = default_time_step(problem) / HBAR
 
     kin = HBAR**2 / (2.0 * problem.mass * dr**2)
     two_kin = 2.0 * kin
@@ -346,9 +334,22 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
     def flow(s):
-        flow_diag = [1.0 + lam * (two_kin + x + n) for x, n in zip(v_in, s.nonlinear)]
-        solved = _thomas(-lam * kin, flow_diag, s.u[1:-1])
-        return None if solved is None else state([0.0, *solved[0], 0.0])
+        """The damped, shifted inverse-iteration step; None if both shifts break down or no tau > EPS passes."""
+        u_in = s.u[1:-1]
+        diag = [two_kin + x + n for x, n in zip(v_in, s.nonlinear)]
+        sigma = s.mu * max(0.0, 1.0 - s.residual)  # an eigenvalue lies within mu*residual of mu, none below 0
+        solved = _thomas(-kin, [d - sigma for d in diag], u_in) or _thomas(-kin, diag, u_in)
+        if solved is None:
+            return None
+        w = solved[0]
+        gamma = sum(map(mul, u_in, u_in)) / sum(map(mul, u_in, w))
+        tau = 1.0
+        while tau > EPS:
+            stepped = state([0.0, *((1.0 - tau) * x + tau * gamma * y for x, y in zip(u_in, w)), 0.0])
+            if stepped is not None and stepped.energy <= s.energy + abs(s.energy) * ENERGY_SLACK:  # nan fails
+                return stepped
+            tau *= 0.5
+        return None
 
     def start(guesses):
         """The lower-energy state of the guesses for psi with a finite norm, refused if its residual is not.
@@ -375,13 +376,12 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
             current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
-            stepped, e_prev = flow(current), current.energy
-            if stepped is None or not stepped.energy <= e_prev + abs(e_prev) * ENERGY_SLACK:  # nan too
-                fault = "a pivot not positive or no finite, nonzero norm" if stepped is None else (
-                    f"energy above N*min V rose from {e_prev:.12e} to {stepped.energy:.12e} J"
-                )
+            stepped = flow(current)
+            if stepped is None:
                 raise ConvergenceError(
-                    f"{fault} at step {iterations}", residual=current.residual, iterations=iterations
+                    f"no fallback step lowers the energy at step {iterations}",
+                    residual=current.residual,
+                    iterations=iterations,
                 )
             current = stepped
             flow_steps += 1

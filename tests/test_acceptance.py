@@ -169,7 +169,6 @@ def test_criterion_09_gpe_oracle(config, scales, monkeypatch):
     guess = np.exp(-0.25 * (np.asarray(grid.r) / (2.0 * scales.d)) ** 2)
     monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [guess])
     monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
-    monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 100.0 * gpe.DT_TRAP_PERIODS)
     sol = solve_ground_state(linear)
     phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (np.asarray(grid.r) / scales.d) ** 2)
     overlap = 4.0 * math.pi * simpson(np.asarray(grid.r) ** 2 * phi * np.asarray(sol.psi), x=grid.r)

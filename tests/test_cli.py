@@ -479,6 +479,22 @@ def test_stored_oracle_unresolved_mode_exit_code(capsys, tmp_path, flags):
     assert "does not resolve the stored mode" in err and "1.47 spacings" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--idealized"]], ids=["stored", "idealized"])
+def test_stored_oracle_spilling_cloud_exit_code(capsys, tmp_path, flags):
+    # a strong stored mean field in a weak, nearly cancelled trap spills past the
+    # host's box: the answer is the wall (exit 2), not a solver fault (exit 3)
+    a11 = json.loads((REPO_ROOT / "paper_sodium.json").read_text(encoding="utf-8"))["a11_m"]
+    a12 = 0.99 * a11
+    path = write_config(
+        tmp_path, "spill.json", a12_m=a12, a22_m=1.001 * a12 * a12 / a11, omega_rad_s=105.2,
+        n_host=33_040, n_stored_max=1_293_723,
+    )
+    code, out, err = run(capsys, "oracle", "--stored", *flags, "--config", path)
+    assert code == 2
+    assert out == ""
+    assert "reaches the box wall" in err
+
+
 def test_validity_without_stored_atoms_is_strict_json(capsys, tmp_path):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

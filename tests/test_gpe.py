@@ -1,8 +1,9 @@
 """Ground-state solver: analytic limits, invariances, comparisons, certificates.
 
-Newton's step and the backward-Euler flow converge to the same discrete
-stationary state, so the answer must not depend on the flow's step size, and
-halving the grid spacing must barely move the chemical potential.  The g = 0
+Newton's step and the fallback step (damped, shifted inverse iteration)
+converge to the same discrete stationary state, so the answer must not depend
+on which of them took the solve there, and halving the grid spacing must
+barely move the chemical potential.  The g = 0
 oscillator and the virial identity pin down the kinetic/potential bookkeeping
 independently, and a dense eigensolver certifies that the state found is the
 ground state, not an excited one.
@@ -39,7 +40,6 @@ from becnlo.gpe import (
     GpeSolution,
     TfGpeComparison,
     _initial_guesses,
-    default_time_step,
     host_problem,
     solve_ground_state,
     stored_problem,
@@ -72,7 +72,6 @@ class TestLinearOscillator:
         guess = np.exp(-0.25 * (np.asarray(grid.r) / (2.0 * scales.d)) ** 2)
         monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [guess])
         monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
-        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 100.0 * gpe.DT_TRAP_PERIODS)
         sol = solve_ground_state(oscillator)
         r = np.asarray(grid.r)
         phi = np.pi**-0.75 * scales.d**-1.5 * np.exp(-0.5 * (r / scales.d) ** 2)
@@ -81,19 +80,15 @@ class TestLinearOscillator:
         assert_allclose(sol.mu, 1.5 * scales.e_trap, rtol=1e-4)
         assert sol.e_interaction == 0.0
 
-    def test_time_step_heuristic(self, oscillator, config):
-        # curvature of the quadratic potential recovers the trap period
-        assert_allclose(
-            default_time_step(oscillator), 0.1 * 2.0 * math.pi / config.omega, rtol=1e-12
-        )
-
-    def test_linear_problem_converges_by_inverse_iteration(self, config, scales, mu, grid, monkeypatch):
-        # at g = 0 the flow step is inverse iteration with the fixed shift min V - hbar/dt,
-        # 21 steps from the curvature Gaussian
-        stored = stored_problem(config, scales, mu, grid, idealized=True)
+    @pytest.mark.parametrize("idealized", [False, True], ids=["full", "idealized"])
+    def test_linear_problem_converges_by_inverse_iteration(self, config, scales, mu, grid, idealized, monkeypatch):
+        # at g = 0 the fallback step is inverse iteration shifted to just below mu by
+        # the residual: 4 steps (full) and 3 (idealized) from the curvature Gaussian
+        stored = stored_problem(config, scales, mu, grid, idealized=idealized)
         linear = GpeProblem(grid, stored.potential, 0.0, stored.atom_count, stored.mass)
-        monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 25)
+        monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 6)
         sol = solve_ground_state(linear)
+        assert sol.stop == "tol"
         lowest, overlap = lowest_eigenpair(linear, sol.psi)
         assert_allclose(lowest, sol.mu, rtol=1e-10)
         assert overlap > 1.0 - 1e-10
@@ -159,12 +154,11 @@ class TestProblemValidation:
             solve_ground_state(oscillator)
         assert err.value.iterations == 0
 
-    @pytest.mark.parametrize("dt", [1e200, 1e308])
-    def test_broken_flow_step_is_a_convergence_error(self, oscillator, dt, monkeypatch):
-        # with g = 0 every step is a flow step; a step this large leaves double
-        # range (a pivot that is not positive, or a state whose norm underflows)
-        monkeypatch.setattr(gpe, "default_time_step", lambda problem: dt)
-        with pytest.raises(ConvergenceError, match="pivot not positive") as err:
+    def test_broken_flow_step_is_a_convergence_error(self, oscillator, monkeypatch):
+        # with g = 0 every step is a fallback step; with a negative slack no
+        # energy passes its test, so the first step finds no damping that does
+        monkeypatch.setattr(gpe, "ENERGY_SLACK", -1.0)
+        with pytest.raises(ConvergenceError, match="no fallback step lowers the energy at step 1") as err:
             solve_ground_state(oscillator)
         assert err.value.iterations == 1
 
@@ -187,20 +181,22 @@ class TestHostComparison:
         monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-12)
         a = solve_ground_state(problem)
         b = solve_ground_state(problem)
-        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 3.0 * gpe.DT_TRAP_PERIODS)
-        c = solve_ground_state(problem)
-        assert a.mu == b.mu  # identical inputs, identical bytes
-        assert_allclose(c.mu, a.mu, rtol=1e-12)
+        assert a.mu == b.mu  # identical inputs, identical bytes: no step has a size to vary
 
     def test_large_first_step_reaches_same_mu(self, config, scales, mu, monkeypatch):
-        # the residual stop ties the answer to the fixed point, not to dt
+        # the residual stop ties the answer to the fixed point, not to the path:
+        # from the curvature Gaussian, far narrower than the host, Newton is
+        # refused and the fallback steps, each first tried undamped, lead in
         from becnlo import tf_radius
 
         grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
         problem = host_problem(config, scales, grid)
         ref = solve_ground_state(problem)
-        monkeypatch.setattr(gpe, "DT_TRAP_PERIODS", 1e4 * gpe.DT_TRAP_PERIODS)
+        v_min = min(problem.potential)
+        gaussian = _initial_guesses(problem, grid.r, [x - v_min for x in problem.potential])[0]
+        monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [gaussian])
         big = solve_ground_state(problem)
+        assert ref.flow_steps == 0 < big.flow_steps
         assert_allclose(big.mu, ref.mu, rtol=1e-10)
 
     def test_grid_refinement_stable(self, config):
@@ -395,9 +391,8 @@ def sodium_problem(config, scales, mu, case, points=1024):
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled"])
 def test_iteration_count(config, scales, mu, case):
     # 1,024 points are too few for a coarse start: from the guesses Newton's
-    # step reaches the residual stop in two to four iterations on each problem,
-    # against about fifty to a hundred steps of the flow alone; the count is
-    # deterministic, so a lost Newton step or a poor guess fails here
+    # step reaches the residual stop in two to four iterations on each problem;
+    # the count is deterministic, so a lost Newton step or a poor guess fails here
     sol = solve_ground_state(sodium_problem(config, scales, mu, case))
     assert sol.coarse_points == 0
     assert sol.iterations <= 10
@@ -457,7 +452,7 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
 
 def test_large_host_restarts_from_the_guesses(monkeypatch):
     # from n_host 1e16 the fine grid's Newton step refuses the interpolated coarse
-    # solution; from there the flow crawled for 799 steps, while from the guesses
+    # solution; from there the fallback step crawls for 799 steps, while from the guesses
     # Newton's step converges well inside a budget of 30
     large = config_from_dict({**SODIUM_REFERENCE, "n_host": 1e16})
     scales = derive_scales(large)
@@ -470,8 +465,8 @@ def test_large_host_restarts_from_the_guesses(monkeypatch):
 
 
 def test_linear_problem_starts_from_the_guess(config, scales):
-    # with g = 0 only the flow steps, and from a coarse start it takes more
-    # steps, not fewer
+    # with g = 0 only the fallback step runs, and it needs no coarse start:
+    # from the curvature Gaussian it takes a handful of steps
     grid = RadialGrid(8.0 * scales.d, 2 * COARSE_POINTS - 1)
     problem = GpeProblem(grid, [config.trap_potential(x) for x in grid.r], 0.0, 1.0, config.mass)
     sol = solve_ground_state(problem)
@@ -542,9 +537,9 @@ def k_shaped_diagonal(rng, kin, n):
 @pytest.mark.parametrize("n", [14, 15, 16, 510, 1023, 4094])
 @pytest.mark.parametrize("kind", ["flow", "newton"])
 def test_thomas_matches_banded_solve(n, kind):
-    # the two matrices the solver factors, each with two right-hand sides,
-    # against LAPACK's banded solve: a flow matrix, strictly diagonally dominant,
-    # and a positive definite matrix shaped like Newton's K, which is not
+    # the two kinds of matrix the solver factors, each with two right-hand sides,
+    # against LAPACK's banded solve: a diagonally dominant one, as the unshifted
+    # fallback step's, and a positive definite matrix shaped like Newton's K, which is not
     from scipy.linalg import solve_banded
 
     from becnlo.gpe import _thomas

@@ -3,7 +3,9 @@
 Every config, however extreme, must end in exit code 0 or 2 without a
 traceback or a warning (tier-1 turns warnings into errors); a run that exits
 0 prints only finite numbers (`null` ratios and `-inf` logarithms aside).
-The oracle may also exit 3, when its solve does not converge.
+The oracle may also exit 3, when its solve does not converge: DEFAULT_MAX_ITERS
+steps without reaching the stop rule, or a fallback step that no damping keeps
+from raising the energy.
 Every physically sensible config must give finite, positive scales and a sign
 gate of fidelity 1.  Hypothesis runs derandomized, so the examples are the
 same on every run.
