@@ -12,7 +12,7 @@ import sys
 from types import SimpleNamespace
 
 # Each cmd_* imports the layers it runs; only `oracle` loads the solver gpe, and no command loads numpy.
-from .errors import BecnloError, ConvergenceError, ValidationError
+from .errors import BecnloError, ConvergenceError, ValidationError, _pointwise
 from .params import GRID_SPAN_FACTOR  # noqa: F401  (public: bench/worker.py reads the oracle's span)
 from .params import (
     DEFAULT_GRID_POINTS, HBAR, SystemConfig, check_conditions, check_storage_time, derive_scales,
@@ -54,9 +54,8 @@ def cmd_units(config, args) -> int:
 def cmd_phase(config, args) -> int:
     scales = derive_scales(config)
     shift = energy_shift(args.n, scales)
-    phase = shift * check_storage_time(args.time) / HBAR
-    if not math.isfinite(phase):
-        raise ValidationError(f"the phase after {args.time:g} s is out of floating-point range")
+    time = check_storage_time(args.time)
+    phase = _pointwise(lambda t: shift * t / HBAR, time, what=f"the phase after {time:g} s")
     print(f"n = {args.n}")
     print(f"delta_e = {_fmt(shift)} J")
     print(f"phase = {_fmt(phase)} rad")

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one range rule for closed forms.
+
+A closed form of a finite config that leaves double range is refused with ValidationError:
+each is computed through `_pointwise`, which also refuses the inf or nan that floats give quietly.
+"""
+
+import math
+import numbers
 
 
 class BecnloError(Exception):
@@ -33,3 +40,24 @@ class ConvergenceError(BecnloError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def _all_finite(values) -> bool:
+    # a float sum stays inf or nan once a term is, so only an overflowing sum needs the full check
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _pointwise(f, *args, what="a closed form"):
+    """f at one point (numbers in, a float out), or mapped over sequences (a tuple out).
+
+    A closed form that leaves double range raises ValidationError naming `what`, where
+    Python's floats raise OverflowError or ZeroDivisionError or give inf or nan.
+    """
+    scalar = isinstance(args[0], numbers.Real)
+    try:
+        out = f(*args) if scalar else tuple(map(f, *args))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} is out of floating-point range") from exc
+    if not _all_finite((out,) if scalar else out):
+        raise ValidationError(f"{what} is out of floating-point range")
+    return out

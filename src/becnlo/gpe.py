@@ -53,13 +53,13 @@ from itertools import accumulate
 from operator import mul, sub, truediv
 
 from ._record import record
-from .errors import ConvergenceError, GridError, ValidationError
-from .grids import RadialGrid, _all_finite, radial_integral
+from .errors import ConvergenceError, GridError, ValidationError, _all_finite
+from .grids import RadialGrid, radial_integral
 from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 5_000  # slowest measured: 13 Newton steps (sodium host, n_host 1e20), 4 flow steps (g = 0)
+DEFAULT_MAX_ITERS = 5_000  # slowest measured: 13 Newton steps (sodium host, n_host 1e20), 4 fallback steps (g = 0)
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
@@ -110,13 +110,13 @@ class GpeSolution:
     residual: float  # ||H[u] u - mu u|| / (|mu - min V| ||u||) at the returned state
     stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
     floor: float  # eps*(4*T + max(V - min V) + g*max n)/|mu - min V|, the residual's round-off floor
-    newton_steps: int  # on this grid only, as are flow_steps: the coarse start's steps are not counted
-    flow_steps: int
+    newton_steps: int  # on this grid only, as are fallback_steps: the coarse start's steps are not counted
+    fallback_steps: int
     coarse_points: int  # points of the coarse grid the start was solved on, 0 if it was a guess
 
     @property
     def iterations(self) -> int:
-        return self.newton_steps + self.flow_steps
+        return self.newton_steps + self.fallback_steps
 
     @property
     def energy(self) -> float:
@@ -333,7 +333,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         dmu = sum(map(mul, u_in, a)) / sum(map(mul, u_in, b))  # <u, du> = 0 for du = dmu*b - a
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
-    def flow(s):
+    def fallback(s):
         """The damped, shifted inverse-iteration step; None if both shifts break down or no tau > EPS passes."""
         u_in = s.u[1:-1]
         diag = [two_kin + x + n for x, n in zip(v_in, s.nonlinear)]
@@ -367,7 +367,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     coarse_points, psi = _coarse_start(problem)
     current = start([psi] if coarse_points else _initial_guesses(problem, r, v))
 
-    iterations = newton_steps = flow_steps = 0
+    iterations = newton_steps = fallback_steps = 0
     for iterations in range(1, DEFAULT_MAX_ITERS + 1):
         candidate = newton(current)
         if candidate is not None and candidate.residual < current.residual:
@@ -376,7 +376,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
             current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
-            stepped = flow(current)
+            stepped = fallback(current)
             if stepped is None:
                 raise ConvergenceError(
                     f"no fallback step lowers the energy at step {iterations}",
@@ -384,7 +384,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
                     iterations=iterations,
                 )
             current = stepped
-            flow_steps += 1
+            fallback_steps += 1
         floor = EPS * (linear_scale + max(current.nonlinear)) / abs(current.mu)
         if current.residual < max(tol, floor):
             break
@@ -406,7 +406,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         e_interaction=current.e_interaction,
         residual=current.residual,
         stop="tol" if current.residual < tol else "floor", floor=floor,
-        newton_steps=newton_steps, flow_steps=flow_steps, coarse_points=coarse_points,
+        newton_steps=newton_steps, fallback_steps=fallback_steps, coarse_points=coarse_points,
     )
 
 

@@ -1,38 +1,16 @@
-"""Uniform radial grids, spherical quadrature, and closed forms evaluated pointwise."""
+"""Uniform radial grids and spherical quadrature."""
 
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property
 
 from ._record import record
-from .errors import GridError, ValidationError
+from .errors import GridError
 
 MIN_POINTS = 16
 # a table or an oracle solve holds about 0.6-0.75 KB per point, so this keeps either under about 0.8 GB
 MAX_POINTS = 2**20
-
-
-def _all_finite(values) -> bool:
-    # a float sum stays inf or nan once a term is, so only an overflowing sum needs the full check
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
-def _pointwise(f, *args):
-    """f at one point (numbers in, a float out), or mapped over sequences (a tuple out).
-
-    A closed form that leaves double range raises ValidationError, where
-    Python's floats raise OverflowError or ZeroDivisionError or give inf.
-    """
-    scalar = isinstance(args[0], numbers.Real)
-    try:
-        out = f(*args) if scalar else tuple(map(f, *args))
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ValidationError("a closed form is out of floating-point range") from exc
-    if not _all_finite((out,) if scalar else out):
-        raise ValidationError("a closed form is out of floating-point range")
-    return out
 
 
 @record

@@ -10,8 +10,7 @@ R = sqrt(2*mu/(m*omega^2)).
 from __future__ import annotations
 
 from ._record import record
-from .errors import GridError
-from .grids import RadialGrid, _pointwise
+from .errors import GridError, _pointwise
 from .params import DerivedScales, SystemConfig, tf_chemical_potential, tf_radius
 
 
@@ -35,10 +34,8 @@ def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):
     return _pointwise(n1, r)
 
 
-def tf_density(
-    config: SystemConfig, scales: DerivedScales, mu: float, grid: RadialGrid
-) -> TfSolution:
-    """The host at chemical potential mu, checked against a grid that must hold the cloud; scales is unread."""
+def tf_density(config: SystemConfig, scales: DerivedScales, mu: float, grid) -> TfSolution:
+    """The host at chemical potential mu, checked against a RadialGrid that must hold the cloud; scales is unread."""
     radius = tf_radius(config, mu)
     if grid.r_max < radius:
         raise GridError(

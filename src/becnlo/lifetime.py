@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import LossNotConfiguredError, ValidationError
-from .grids import _pointwise
+from .errors import LossNotConfiguredError, ValidationError, _pointwise
 from .host_tf import TfSolution
 from .params import HBAR, DerivedScales, SystemConfig, coupling
 

@@ -14,7 +14,7 @@ import numbers
 import sys
 
 from ._record import record
-from .errors import ValidationError
+from .errors import ValidationError, _pointwise
 
 HBAR = 1.054571817e-34  # J*s (2018 CODATA, exact by SI definition)
 
@@ -80,11 +80,6 @@ class SystemConfig:
         return 0.5 * self.mass * self.omega**2 * (r * r)
 
 
-# Python floats raise these, or quietly give inf or 0, where a closed form of an
-# extreme but finite config leaves double range; the config is then rejected.
-_OUT_OF_RANGE = (OverflowError, ZeroDivisionError)
-
-
 @record
 class DerivedScales:
     """Every derived scale needed downstream; see derive_scales for formulas."""
@@ -139,7 +134,7 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
             u22_tilde=u22_tilde,
             omega_nl=omega_nl,
         )
-    except _OUT_OF_RANGE as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise ValidationError("a derived scale is out of floating-point range") from exc
     for name, value in vars(scales).items():
         if not 0.0 < value < math.inf and name != "u12":  # U12 is 0 when a12 is, else below U11
@@ -156,11 +151,10 @@ def tf_radius(config: SystemConfig, mu: float) -> float:
     """Cloud edge R where V(R) = mu."""
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
-    try:
-        radius = math.sqrt(2.0 * mu / (config.mass * config.omega**2))
-    except _OUT_OF_RANGE as exc:
-        raise ValidationError("cloud radius R is out of floating-point range") from exc
-    if not 0.0 < radius < math.inf:
+    radius = _pointwise(
+        lambda mu: math.sqrt(2.0 * mu / (config.mass * config.omega**2)), mu, what="cloud radius R"
+    )
+    if not radius > 0.0:
         raise ValidationError(f"cloud radius R = {radius:g} is out of floating-point range")
     return radius
 
@@ -169,13 +163,8 @@ def energy_shift(n: int, scales: DerivedScales) -> float:
     """DeltaE_n = (n^2 - n) * hbar * omega_nl in J."""
     if n < 0:
         raise ValidationError(f"occupation must be non-negative, got {n}")
-    try:
-        shift = (n * n - n) * HBAR * scales.omega_nl
-    except _OUT_OF_RANGE as exc:  # int too large to convert to float
-        raise ValidationError("the energy shift is out of floating-point range") from exc
-    if not math.isfinite(shift):
-        raise ValidationError("the energy shift is out of floating-point range")
-    return shift
+    # an n past about 1.3e154 makes n*n - n an int too large to convert to float
+    return _pointwise(lambda n: (n * n - n) * HBAR * scales.omega_nl, n, what="the energy shift")
 
 
 def check_storage_time(t: float) -> float:
@@ -204,10 +193,7 @@ class ConditionFlags:
 def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> ConditionFlags:
     """Flag whether the host is in the strong-interaction, dilute regime."""
     tf_ratio = tf_radius(config, mu) / scales.d
-    try:
-        diluteness = (mu / scales.u11) * config.a11**3
-    except _OUT_OF_RANGE as exc:
-        raise ValidationError("the diluteness is out of floating-point range") from exc
+    diluteness = _pointwise(lambda mu: (mu / scales.u11) * config.a11**3, mu, what="the diluteness")
     return ConditionFlags(tf_ratio=tf_ratio, diluteness=diluteness)
 
 

@@ -13,8 +13,7 @@ import cmath
 import math
 
 from ._record import record
-from .errors import ValidationError
-from .grids import _pointwise
+from .errors import ValidationError, _pointwise
 from .params import DerivedScales, check_storage_time
 
 NORM_TOL = 1e-12

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import GridError, ValidationError
-from .grids import MAX_POINTS, MIN_POINTS, RadialGrid, _pointwise
+from .errors import GridError, ValidationError, _pointwise
+from .grids import MAX_POINTS, MIN_POINTS, RadialGrid
 from .host_tf import TfSolution, tf_density_at, tf_host
 from .params import HBAR, DerivedScales, SystemConfig, derive_scales
 from .stored_mode import StoredMode

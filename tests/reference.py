@@ -28,7 +28,7 @@ from becnlo import (
     tf_density_at,
     tf_radius,
 )
-from becnlo.grids import _pointwise
+from becnlo.errors import _pointwise
 from becnlo.validity import EDGE_FRACTION
 
 FD_STEP = 1e-4  # finite-difference step of kinetic_correction_fd, in cloud radii

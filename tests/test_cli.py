@@ -527,6 +527,20 @@ def test_non_finite_config_exit_code(capsys, tmp_path, key, value):
     assert "finite" in err
 
 
+# finite scales, mu and R whose diluteness (mu/U11)*a11**3 is not a double:
+# mu/U11 overflows to inf while a11**3 underflows to 0, so the product is nan ...
+DILUTENESS_NAN = {
+    "mass_kg": 1.790485411879652e-12, "a11_m": 6.6104244712396474e-149, "a22_m": 2 * 6.6104244712396474e-149,
+    "a12_m": 0, "omega_rad_s": 3.384196926231566e142, "n_stored_max": 1,
+    "n_host": 2493960490159110146273489490824086324194979933617016702452736426195222952646665629559947264,
+}
+# ... or mu/U11 times a finite a11**3 overflows to inf
+DILUTENESS_INF = {
+    "mass_kg": 1.958655338074424e130, "a11_m": 4.117204858858284e102, "a22_m": 2 * 4.117204858858284e102,
+    "a12_m": 0, "omega_rad_s": 6.15042000264193e-92, "n_host": 10**154, "n_stored_max": 1,
+}
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -536,8 +550,13 @@ def test_non_finite_config_exit_code(capsys, tmp_path, key, value):
         {"omega_rad_s": 1e155},  # omega**2 in the cloud radius overflows
         {"n_host": 1e308},  # mu and R become inf without raising
         {"a11_m": 1e103},  # a11**3 in the diluteness overflows
+        DILUTENESS_NAN,
+        DILUTENESS_INF,
     ],
-    ids=["s3-overflow", "s3-underflow", "inf-scale", "omega2-overflow", "inf-radius", "a11-cubed"],
+    ids=[
+        "s3-overflow", "s3-underflow", "inf-scale", "omega2-overflow", "inf-radius", "a11-cubed",
+        "diluteness-nan", "diluteness-inf",
+    ],
 )
 def test_out_of_range_config_exit_code(capsys, tmp_path, changes):
     # finite config values whose closed forms leave double range
@@ -545,7 +564,7 @@ def test_out_of_range_config_exit_code(capsys, tmp_path, changes):
     code, out, err = run(capsys, "units", "--config", path)
     assert code == 2
     assert out == ""
-    assert "out of floating-point range" in err
+    assert err.count("error: ") == 1 and "out of floating-point range" in err
 
 
 def test_validity_underflowing_mode_warns_nothing(capsys, tmp_path):
@@ -671,14 +690,14 @@ def test_lifetime_does_not_load_stored_mode(closed_form_modules):
     # the loss overlap reads the mode width from the derived scales
     modules = closed_form_modules["lifetime"]
     assert {"becnlo.host_tf", "becnlo.lifetime"} <= modules
-    assert "becnlo.stored_mode" not in modules
+    assert not {"becnlo.stored_mode", "becnlo.grids"} & modules
 
 
 def test_gate_does_not_load_host_profile(closed_form_modules):
     modules = closed_form_modules["gate --amps 1,1,1"]
-    assert {"becnlo.grids", "becnlo.stored_mode"} <= modules
+    assert "becnlo.stored_mode" in modules
     assert "numpy" not in modules
-    assert "becnlo.host_tf" not in modules
+    assert not {"becnlo.grids", "becnlo.host_tf"} & modules
 
 
 # argparse, with the gettext and locale it loads, and building its parsers

@@ -196,7 +196,7 @@ class TestHostComparison:
         gaussian = _initial_guesses(problem, grid.r, [x - v_min for x in problem.potential])[0]
         monkeypatch.setattr(gpe, "_initial_guesses", lambda problem, r, v: [gaussian])
         big = solve_ground_state(problem)
-        assert ref.flow_steps == 0 < big.flow_steps
+        assert ref.fallback_steps == 0 < big.fallback_steps
         assert_allclose(big.mu, ref.mu, rtol=1e-10)
 
     def test_grid_refinement_stable(self, config):
@@ -245,7 +245,7 @@ class TestHostComparison:
         # psi0**2 and the relative errors are exact in binary: 2.25 against 3 and 6.25 against 5
         solution = GpeSolution(
             psi=(psi0, 0.0), mu=mu_gpe, e_kinetic=1.0, e_potential=1.0, e_interaction=1.0,
-            residual=1e-12, stop="tol", floor=1e-15, newton_steps=3, flow_steps=0, coarse_points=0,
+            residual=1e-12, stop="tol", floor=1e-15, newton_steps=3, fallback_steps=0, coarse_points=0,
         )
         comp = TfGpeComparison(mu_tf=2.0, central_density_tf=central_tf, l2_density_err=0.1, solution=solution)
         payload = comp.to_dict()
@@ -459,7 +459,7 @@ def test_large_host_restarts_from_the_guesses(monkeypatch):
     grid = RadialGrid(GRID_SPAN_FACTOR * tf_host(large, scales).radius, DEFAULT_GRID_POINTS)
     monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 30)
     sol = solve_ground_state(host_problem(large, scales, grid))
-    assert sol.flow_steps == 0
+    assert sol.fallback_steps == 0
     assert sol.coarse_points == 0
     assert sol.residual < DEFAULT_TOL
 
@@ -588,7 +588,7 @@ def test_stop_reason(config, scales, mu, monkeypatch):
     assert sol.stop == "tol"
     assert sol.residual < DEFAULT_TOL
     assert sol.newton_steps >= 1
-    assert sol.newton_steps + sol.flow_steps == sol.iterations
+    assert sol.newton_steps + sol.fallback_steps == sol.iterations
     assert 0.0 < sol.floor < DEFAULT_TOL
     monkeypatch.setattr(gpe, "DEFAULT_TOL", 1e-16)
     tight = solve_ground_state(problem)
@@ -620,7 +620,7 @@ def test_a_constant_in_the_potential_moves_nothing(config, scales, mu, case, c):
     raised = [x + offset for x in problem.potential]
     moved = solve_ground_state(GpeProblem(problem.grid, raised, problem.g, problem.atom_count, problem.mass))
     assert moved.newton_steps == sol.newton_steps
-    assert moved.flow_steps == sol.flow_steps
+    assert moved.fallback_steps == sol.fallback_steps
     assert moved.coarse_points == sol.coarse_points
     assert_allclose(moved.psi, sol.psi, rtol=0.0, atol=1e-12 * max(sol.psi))
     assert_allclose(moved.mu - offset, sol.mu, rtol=1e-12)

@@ -71,6 +71,24 @@ def configs(draw):
     return data
 
 
+@st.composite
+def extreme_configs(draw, max_keys=2):
+    """The sodium scenario with one to max_keys values drawn log-uniformly over the doubles."""
+    data = dict(SODIUM_REFERENCE)
+    for key in draw(st.lists(st.sampled_from(sorted(data)), min_size=1, max_size=max_keys, unique=True)):
+        data[key] = draw(magnitude)
+    return data
+
+
+def printed_numbers(out):
+    """Every token of the output that reads as a float, inf and nan included."""
+    for token in out.replace("(", " ").split():
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
 def run_cli(path, *argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,13 +107,15 @@ def config_path(tmp_path_factory):
     ids=["units", "phase", "gate"],
 )
 @FUZZ
-@given(data=configs())
+@given(data=st.one_of(configs(), extreme_configs(max_keys=len(SODIUM_REFERENCE))))
 def test_fuzzed_config_exits_cleanly(config_path, argv, data):
     config_path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run_cli(config_path, *argv)
     assert code in (0, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+    else:
+        assert all(map(math.isfinite, printed_numbers(out))), out
 
 
 # a component near the largest double gives |c| past it, where abs() of a complex raises OverflowError
@@ -145,15 +165,6 @@ def test_sensible_config_gives_positive_scales_and_exact_gate(data):
     state = FockSuperposition.normalized([1.0, 1.0j, -1.0])
     evolved = evolve(state, ns_gate_time(scales).gate_time, scales)
     assert gate_fidelity(evolved, ns_gate_target(state)) == pytest.approx(1.0, abs=1e-12)
-
-
-@st.composite
-def extreme_configs(draw):
-    """The sodium scenario with one or two values drawn log-uniformly over the doubles."""
-    data = dict(SODIUM_REFERENCE)
-    for key in draw(st.lists(st.sampled_from(sorted(data)), min_size=1, max_size=2, unique=True)):
-        data[key] = draw(magnitude)
-    return data
 
 
 def reject_constant(token):
