@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 
 from ._record import record
 from .errors import ValidationError, _pointwise
@@ -25,6 +24,14 @@ DILUTENESS_THRESHOLD = 1e-3
 
 DEFAULT_GRID_POINTS = 4096  # radial points of the oracle's solver grid
 GRID_SPAN_FACTOR = 1.5  # the oracle's solver grid reaches this multiple of the cloud radius
+
+
+# scenario-file key -> SystemConfig field, in the order SystemConfig checks the values;
+# a key is optional when its field has a default, and the annotation decides float or int
+_FIELDS = {
+    "mass_kg": "mass", "a11_m": "a11", "a22_m": "a22", "a12_m": "a12", "im_a12_m": "im_a12",
+    "omega_rad_s": "omega", "n_host": "n_host", "n_stored_max": "n_stored_max",
+}
 
 
 @record
@@ -41,9 +48,21 @@ class SystemConfig:
     im_a12: float = 0.0  # m, inelastic part of a12; <= 0, 0 disables losses
 
     def __post_init__(self):
-        for name in ("mass", "a11", "a22", "a12", "im_a12"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        for key, field in _FIELDS.items():  # messages name the scenario key
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{key} must be a number, got {value!r}")
+            try:  # an int is unbounded; float() raises past the largest double
+                number = float(value)
+            except OverflowError:
+                raise ValidationError(f"{key} is beyond floating-point range, got {value!r}") from None
+            if not math.isfinite(number):
+                raise ValidationError(f"{key} must be finite, got {value!r}")
+            if SystemConfig.__annotations__[field] == "int":  # a count; 1e6 is read as 1_000_000
+                if not number.is_integer():
+                    raise ValidationError(f"{key} must be an integer, got {value!r}")
+                number = int(value)
+            object.__setattr__(self, field, number)
         if not self.mass > 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         if not self.a11 > 0:
@@ -66,11 +85,11 @@ class SystemConfig:
                 "stored component would be untrapped: require a11 > a12, "
                 f"got a11={self.a11:g}, a12={self.a12:g}"
             )
-        if not (self.omega > 0 and math.isfinite(self.omega)):
-            raise ValidationError(f"omega must be positive and finite, got {self.omega}")
-        if not isinstance(self.n_host, numbers.Integral) or self.n_host < 1:
+        if not self.omega > 0:
+            raise ValidationError(f"omega must be positive, got {self.omega}")
+        if self.n_host < 1:
             raise ValidationError(f"n_host must be a positive integer, got {self.n_host!r}")
-        if not isinstance(self.n_stored_max, numbers.Integral) or self.n_stored_max < 0:
+        if self.n_stored_max < 0:
             raise ValidationError(
                 f"n_stored_max must be a non-negative integer, got {self.n_stored_max!r}"
             )
@@ -197,49 +216,18 @@ def check_conditions(config: SystemConfig, scales: DerivedScales, mu: float) -> 
     return ConditionFlags(tf_ratio=tf_ratio, diluteness=diluteness)
 
 
-# scenario-file key -> SystemConfig field, in the order the values are read;
-# every key but im_a12_m is required, and the two atom numbers are integers
-_FIELDS = {
-    "mass_kg": "mass", "a11_m": "a11", "a22_m": "a22", "a12_m": "a12", "im_a12_m": "im_a12",
-    "omega_rad_s": "omega", "n_host": "n_host", "n_stored_max": "n_stored_max",
-}
-_OPTIONAL_KEYS = {"im_a12_m"}
-_INTEGER_KEYS = {"n_host", "n_stored_max"}
-
-
 def config_from_dict(data: dict) -> SystemConfig:
-    """Build a SystemConfig from a plain dict (the on-disk JSON layout)."""
+    """Map a plain dict (the on-disk JSON layout) to a SystemConfig, which checks every value."""
     if not isinstance(data, dict):
         raise ValidationError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = sorted(data.keys() - _FIELDS.keys())
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = sorted(_FIELDS.keys() - data.keys() - _OPTIONAL_KEYS)
+    optional = {key for key, field in _FIELDS.items() if hasattr(SystemConfig, field)}
+    missing = sorted(_FIELDS.keys() - data.keys() - optional)
     if missing:
         raise ValidationError(f"missing config key(s): {', '.join(missing)}")
-    for key, value in data.items():  # JSON integers are unbounded; float() would raise
-        if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
-            raise ValidationError(f"{key} is beyond floating-point range, got {value!r}")
-
-    def number(key, value):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{key} must be a number, got {value!r}")
-        return float(value)
-
-    def integer(key, value):
-        if isinstance(value, bool):
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
-        if isinstance(value, numbers.Integral):
-            return int(value)
-        if isinstance(value, numbers.Real) and float(value).is_integer():
-            return int(value)
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-
-    return SystemConfig(**{
-        field: (integer if key in _INTEGER_KEYS else number)(key, data[key])
-        for key, field in _FIELDS.items()
-        if key in data
-    })
+    return SystemConfig(**{field: data[key] for key, field in _FIELDS.items() if key in data})
 
 
 def load_config(path) -> SystemConfig:

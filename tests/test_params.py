@@ -98,6 +98,11 @@ SODIUM_FIELDS = dict(
     mass=3.82e-26, a11=2.75e-9, a22=2.85e-9, a12=2.65e-9, omega=100.0 * math.pi,
     n_host=1_000_000, n_stored_max=10, im_a12=-1.291883e-9,
 )
+# SystemConfig field -> scenario-file key, which the record's value checks name
+KEY_OF = {
+    "mass": "mass_kg", "a11": "a11_m", "a22": "a22_m", "a12": "a12_m", "im_a12": "im_a12_m",
+    "omega": "omega_rad_s", "n_host": "n_host", "n_stored_max": "n_stored_max",
+}
 
 
 class TestValidation:
@@ -137,6 +142,26 @@ class TestValidation:
 
     def test_sodium_fields_are_the_reference(self):
         assert SystemConfig(**SODIUM_FIELDS) == sodium_reference_config()
+
+    @pytest.mark.parametrize(
+        "field, value, stored",
+        [(field, value, None) for field in SODIUM_FIELDS for value in ("x", None, True, 10**400)]
+        + [("n_stored_max", 2.5, None), ("n_host", 1e6, 1_000_000), ("a12", 0, 0.0)],
+    )
+    def test_record_checks_each_value_as_the_file_does(self, field, value, stored):
+        # stored None: both ways in refuse the value, naming its key; else both store it converted
+        key = KEY_OF[field]
+        data = {**SODIUM_REFERENCE, key: value}
+        if stored is None:
+            with pytest.raises(ValidationError, match=key):
+                SystemConfig(**{**SODIUM_FIELDS, field: value})
+            with pytest.raises(ValidationError, match=key):
+                config_from_dict(data)
+        else:
+            config = SystemConfig(**{**SODIUM_FIELDS, field: value})
+            assert getattr(config, field) == stored
+            assert type(getattr(config, field)) is type(stored)
+            assert config == config_from_dict(data)
 
 
 class TestConfigIO:
