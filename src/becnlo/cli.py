@@ -65,12 +65,9 @@ def cmd_phase(config, args) -> int:
 
 def _parse_amps(text: str) -> list:
     try:
-        values = [complex(tok.strip()) for tok in text.split(",")]
+        return [complex(tok.strip()) for tok in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"cannot parse amplitudes {text!r}") from exc
-    if len(values) != 3:
-        raise ValidationError(f"need exactly three amplitudes c0,c1,c2, got {len(values)}")
-    return values
 
 
 def cmd_gate(config, args) -> int:

@@ -90,12 +90,12 @@ class GpeProblem:
         if not _all_finite(potential):
             raise ValidationError("potential contains non-finite values")
         object.__setattr__(self, "potential", potential)
-        if self.g < 0:
-            raise ValidationError(f"attractive coupling not supported, got g={self.g}")
-        if not self.atom_count >= 1:
-            raise ValidationError(f"atom_count must be >= 1, got {self.atom_count}")
-        if not self.mass > 0:
-            raise ValidationError(f"mass must be positive, got {self.mass}")
+        if not 0.0 <= self.g < math.inf:
+            raise ValidationError(f"g must be finite and >= 0 (attractive coupling not supported), got {self.g}")
+        if not 1.0 <= self.atom_count < math.inf:
+            raise ValidationError(f"atom_count must be finite and >= 1, got {self.atom_count}")
+        if not 0.0 < self.mass < math.inf:
+            raise ValidationError(f"mass must be positive and finite, got {self.mass}")
 
 
 @record
@@ -130,8 +130,8 @@ def virial_residual(solution: GpeSolution) -> float:
 
 
 def _trap_values(config: SystemConfig, r) -> list:
-    """config.trap_potential at each radius, bit for bit, with no method call per point."""
-    k = config.trap_potential(1.0)
+    """V(r) = k*r^2 at each radius, with k = config.trap_k read once."""
+    k = config.trap_k
     return [k * (x * x) for x in r]
 
 

@@ -21,8 +21,8 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not self.r_max > 0:
-            raise GridError(f"r_max must be positive, got {self.r_max}")
+        if not 0.0 < self.r_max < math.inf:
+            raise GridError(f"r_max must be positive and finite, got {self.r_max}")
         if self.n_points < MIN_POINTS:
             raise GridError(f"need at least {MIN_POINTS} grid points, got {self.n_points}")
         if self.n_points > MAX_POINTS:

@@ -4,7 +4,7 @@ Dropping the kinetic term from the stationary equation gives
 n1(r) = max(0, (mu - V(r)) / U11) with mu fixed by the atom number.  For the
 isotropic harmonic trap the normalization closes to
 mu = (hbar*omega/2) * (15 * N * a11 / d)^(2/5) and the cloud ends at
-R = sqrt(2*mu/(m*omega^2)).
+R = sqrt(mu/k), where the trap V(r) = k*r^2 reaches mu.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class TfSolution:
 
 def tf_density_at(config: SystemConfig, scales: DerivedScales, mu: float, r):
     """Clipped parabola max((mu - V(r))/U11, 0) at one radius or a sequence of radii."""
-    k = config.trap_potential(1.0)  # V(r) = k*r^2, inlined with no max(): this runs per grid point
+    k = config.trap_k  # V(r) = k*r^2, inlined with no max(): this runs per grid point
     u11 = scales.u11
 
     def n1(x):

@@ -36,7 +36,7 @@ def mode_host_overlap(config: SystemConfig, scales: DerivedScales, host: TfSolut
     J4 = int_0^X x^4 exp(-x^2) dx = 3/2 J2 - X^3 exp(-X^2)/2.
     """
     s, u11 = scales.s, scales.u11
-    k = config.trap_potential(1.0)
+    k = config.trap_k
 
     def overlap(x):
         xg = x * math.exp(-(x * x))  # X^3 exp(-X^2) as xg*X*X: 0, not inf*0, for a large X

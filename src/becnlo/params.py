@@ -42,7 +42,7 @@ class SystemConfig:
     a11: float  # m, host-host
     a22: float  # m, stored-stored
     a12: float  # m, inter-component (real part)
-    omega: float  # rad/s, isotropic harmonic trap V(r) = m*omega^2*r^2/2
+    omega: float  # rad/s, isotropic harmonic trap V(r) = trap_k*r^2
     n_host: int
     n_stored_max: int
     im_a12: float = 0.0  # m, inelastic part of a12; <= 0, 0 disables losses
@@ -94,14 +94,15 @@ class SystemConfig:
                 f"n_stored_max must be a non-negative integer, got {self.n_stored_max!r}"
             )
 
-    def trap_potential(self, r):
-        """V(r) = m*omega^2*r^2/2 in J at one radius r, a float (r * r refuses a tuple of radii)."""
-        return 0.5 * self.mass * self.omega**2 * (r * r)
+    @property
+    def trap_k(self) -> float:
+        """k in J/m^2 of the trap V(r) = k*r^2, m*omega^2/2: read it once, then V(x) = k * (x * x)."""
+        return 0.5 * self.mass * self.omega**2
 
 
 @record
 class DerivedScales:
-    """Every derived scale needed downstream; see derive_scales for formulas."""
+    """Every derived scale needed downstream, each finite and positive (U12 may be 0); see derive_scales."""
 
     d: float  # m, bare oscillator length sqrt(hbar/(m*omega))
     e_trap: float  # J, hbar*omega
@@ -114,6 +115,11 @@ class DerivedScales:
     a22_tilde: float  # m, a22 - a12^2/a11
     u22_tilde: float  # J*m^3
     omega_nl: float  # rad/s, per-pair collisional phase rate of the stored mode
+
+    def __post_init__(self):
+        for name, value in vars(self).items():  # U12 is 0 when a12 is, else below U11
+            if not (0.0 < value < math.inf or name == "u12" and value == 0.0):
+                raise ValidationError(f"derived scale {name} = {value:g} is out of floating-point range")
 
 
 def coupling(mass, a):
@@ -155,9 +161,6 @@ def derive_scales(config: SystemConfig) -> DerivedScales:
         )
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValidationError("a derived scale is out of floating-point range") from exc
-    for name, value in vars(scales).items():
-        if not 0.0 < value < math.inf and name != "u12":  # U12 is 0 when a12 is, else below U11
-            raise ValidationError(f"derived scale {name} = {value:g} is out of floating-point range")
     return scales
 
 
@@ -170,9 +173,7 @@ def tf_radius(config: SystemConfig, mu: float) -> float:
     """Cloud edge R where V(R) = mu."""
     if not mu > 0:
         raise ValidationError(f"mu must be positive, got {mu}")
-    radius = _pointwise(
-        lambda mu: math.sqrt(2.0 * mu / (config.mass * config.omega**2)), mu, what="cloud radius R"
-    )
+    radius = _pointwise(lambda mu: math.sqrt(mu / config.trap_k), mu, what="cloud radius R")
     if not radius > 0.0:
         raise ValidationError(f"cloud radius R = {radius:g} is out of floating-point range")
     return radius

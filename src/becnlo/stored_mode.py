@@ -26,8 +26,8 @@ class StoredMode:
     s: float  # m
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValidationError(f"mode width must be positive, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise ValidationError(f"mode width must be positive and finite, got {self.s}")
 
     def _phi(self):
         s = self.s
@@ -101,8 +101,6 @@ class NsGateTimes:
 
 def ns_gate_time(scales: DerivedScales) -> NsGateTimes:
     """Storage times at which the collisional phase realizes the sign gate."""
-    if not scales.omega_nl > 0:
-        raise ValidationError(f"omega_nl must be positive, got {scales.omega_nl}")
     return NsGateTimes(
         gate_time=math.pi / (2.0 * scales.omega_nl),
         revival_time=math.pi / scales.omega_nl,
@@ -113,7 +111,7 @@ def ns_gate_target(state: FockSuperposition) -> FockSuperposition:
     """(c0, c1, c2) -> (c0, c1, -c2); defined on exactly three amplitudes."""
     if len(state.amps) != 3:
         raise ValidationError(
-            f"the sign gate acts on (c0, c1, c2); got {len(state.amps)} amplitudes"
+            f"the sign gate acts on three amplitudes (c0, c1, c2); got {len(state.amps)} amplitudes"
         )
     c0, c1, c2 = state.amps
     return FockSuperposition([c0, c1, -c2])

@@ -43,7 +43,7 @@ FIGURE_SPAN = 0.95  # profiles are tabulated out to this fraction of R
 def kinetic_correction(config: SystemConfig, host: TfSolution, r):
     """Closed-form K(r) for the clipped parabola, J per host atom; one radius or a sequence."""
     limit = EDGE_FRACTION * host.radius
-    k = config.trap_potential(1.0)  # V(r) = k*r^2
+    k = config.trap_k  # V(r) = k*r^2
     # the factors that do not depend on r, once (as ValidationError if they leave double range)
     c1 = _pointwise(lambda omega: 3.0 * HBAR**2 * omega**2, config.omega)
     c2 = _pointwise(lambda omega: HBAR**2 * config.mass * omega**4, config.omega)
@@ -75,7 +75,7 @@ def _budget(config: SystemConfig, scales: DerivedScales, host: TfSolution, r, fi
     kin = kinetic_correction(config, host, r) if figs & {2, 3} else None
     cols = {}
     if 2 in figs:
-        k = config.trap_potential(1.0)  # V(r) = k*r^2
+        k = config.trap_k  # V(r) = k*r^2
         cols.update(trap=_pointwise(lambda x: k * (x * x), r),
                     host_coll=_pointwise(lambda n: scales.u11 * n, n1),
                     cross_coll=_pointwise(lambda n: scales.u12 * n, n2),

@@ -51,7 +51,7 @@ def tf_chemical_potential_numeric(
     def defect(x):
         mu = x * scales.e_trap
         r = np.linspace(0.0, tf_radius(config, mu), n_points)
-        n1 = (mu - config.trap_potential(r)) / scales.u11
+        n1 = (mu - config.trap_k * (r * r)) / scales.u11
         return radial_integral(r, np.clip(n1, 0.0, None)) - target
 
     lo = 1e-6
@@ -69,7 +69,7 @@ def kinetic_crossing_radius(config: SystemConfig, host: TfSolution) -> float:
     # scan in units of R so brentq's absolute xtol is meaningful
     def gap(x):
         r = x * host.radius
-        return float(kinetic_correction(config, host, r) - (host.mu - config.trap_potential(r)))
+        return float(kinetic_correction(config, host, r) - (host.mu - config.trap_k * (r * r)))
 
     hi = EDGE_FRACTION * (1.0 - 1e-9)
     lo = 0.5

@@ -103,7 +103,7 @@ def test_criterion_05_ns_gate(scales):
 def test_criterion_06_energy_ordering(config, scales, host):
     r = np.linspace(0.0, 0.5 * host.radius, 401)
     host_coll = scales.u11 * np.asarray(tf_density_at(config, scales, host.mu, r))
-    trap = config.trap_potential(r)
+    trap = config.trap_k * (r * r)
     kin = np.asarray(kinetic_correction(config, host, r))
     ok = bool(np.all(host_coll > trap)) and bool(np.all(kin < host_coll))
     crossing = kinetic_crossing_radius(config, host)
@@ -161,7 +161,7 @@ def test_criterion_09_gpe_oracle(config, scales, monkeypatch):
     grid = RadialGrid(8.0 * scales.d, 2048)
     linear = GpeProblem(
         grid=grid,
-        potential=[config.trap_potential(x) for x in grid.r],
+        potential=[config.trap_k * (x * x) for x in grid.r],
         g=0.0,
         atom_count=1.0,
         mass=config.mass,

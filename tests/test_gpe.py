@@ -53,7 +53,7 @@ def oscillator(config, scales):
     grid = RadialGrid(8.0 * scales.d, 2048)
     return GpeProblem(
         grid=grid,
-        potential=[config.trap_potential(x) for x in grid.r],
+        potential=[config.trap_k * (x * x) for x in grid.r],
         g=0.0,
         atom_count=1.0,
         mass=config.mass,
@@ -116,6 +116,15 @@ class TestProblemValidation:
                 atom_count=1.0,
                 mass=config.mass,
             )
+
+    @pytest.mark.parametrize(
+        "field, value", [("g", math.nan), ("g", math.inf), ("atom_count", math.inf), ("mass", math.inf)]
+    )
+    def test_non_finite_values_rejected(self, oscillator, field, value):
+        # inf and nan pass one-sided bounds such as g >= 0; each is refused here, not at the solver's start
+        fields = {**vars(oscillator), field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be .*finite"):
+            GpeProblem(**fields)
 
     def test_potential_shape_mismatch(self, config):
         grid = RadialGrid(1.0, 32)
@@ -324,7 +333,7 @@ def test_stored_potential_shapes(config, scales, mu):
     full = stored_problem(config, scales, mu, grid, idealized=False)
     v_ideal = np.asarray(ideal.potential)
     v_full = np.asarray(full.potential)
-    assert_allclose(v_ideal, scales.eff_trap_factor * config.trap_potential(np.asarray(grid.r)), rtol=1e-12)
+    assert_allclose(v_ideal, scales.eff_trap_factor * config.trap_k * np.asarray(grid.r) ** 2, rtol=1e-12)
     inside = np.asarray(grid.r) < 0.9 * math.sqrt(2.0 * mu / (config.mass * config.omega**2))
     offset = mu * scales.u12 / scales.u11
     assert_allclose(v_full[inside] - v_ideal[inside], offset, rtol=1e-10)
@@ -468,7 +477,7 @@ def test_linear_problem_starts_from_the_guess(config, scales):
     # with g = 0 only the fallback step runs, and it needs no coarse start:
     # from the curvature Gaussian it takes a handful of steps
     grid = RadialGrid(8.0 * scales.d, 2 * COARSE_POINTS - 1)
-    problem = GpeProblem(grid, [config.trap_potential(x) for x in grid.r], 0.0, 1.0, config.mass)
+    problem = GpeProblem(grid, [config.trap_k * (x * x) for x in grid.r], 0.0, 1.0, config.mass)
     sol = solve_ground_state(problem)
     assert sol.coarse_points == 0
     assert sol.newton_steps == 0
@@ -478,7 +487,7 @@ def test_linear_problem_starts_from_the_guess(config, scales):
 def test_harmonic_potential_is_the_trap_potential(config, scales, grid):
     # tabulated without a method call per point, bit for bit
     problem = host_problem(config, scales, grid)
-    assert problem.potential == tuple(config.trap_potential(x) for x in grid.r)
+    assert problem.potential == tuple(config.trap_k * (x * x) for x in grid.r)
 
 
 @pytest.mark.parametrize("case", ["host", "stored", "idealized", "decoupled", "stored-from-tf"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +26,13 @@ def test_grid_rejects_tiny():
         RadialGrid(r_max=1.0, n_points=4)
     with pytest.raises(GridError):
         RadialGrid(r_max=-1.0, n_points=64)
+
+
+@pytest.mark.parametrize("r_max", [math.inf, math.nan])
+def test_grid_rejects_non_finite_r_max(r_max):
+    # inf > 0, but its radii would be (nan, inf, inf, ...)
+    with pytest.raises(GridError, match="r_max must be positive and finite"):
+        RadialGrid(r_max, 64)
 
 
 def test_radial_integral_gaussian():

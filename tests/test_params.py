@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from becnlo import (
     HBAR,
+    DerivedScales,
     SystemConfig,
     ValidationError,
     check_conditions,
@@ -16,6 +18,7 @@ from becnlo import (
     load_config,
     sodium_reference_config,
     tf_chemical_potential,
+    tf_radius,
 )
 from becnlo.params import SODIUM_REFERENCE
 from conftest import REPO_ROOT
@@ -91,6 +94,17 @@ class TestDerivedScales:
         assert_allclose(out.a22_tilde, 2.0 * scales.a22_tilde, rtol=1e-13)
         assert_allclose(out.s, scales.s, rtol=1e-15)
         assert_allclose(out.omega_nl, 2.0 * scales.omega_nl, rtol=1e-13)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", list(DerivedScales.__annotations__))
+    def test_record_refuses_a_scale_out_of_range(self, scales, field, value):
+        # built directly, the record runs the range check derive_scales relies on; U12 = 0 is a12 = 0
+        changed = {**vars(scales), field: value}
+        if field == "u12" and value == 0.0:
+            assert DerivedScales(**changed).u12 == 0.0
+        else:
+            with pytest.raises(ValidationError, match=f"derived scale {field} = "):
+                DerivedScales(**changed)
 
 
 # the sodium scenario as SystemConfig keywords; each validation case changes one or two
@@ -258,3 +272,19 @@ def test_mu_atom_number_scaling(config, scales, mu):
     doubled = config_from_dict({**SODIUM_REFERENCE, "n_host": 2 * config.n_host})
     mu2 = tf_chemical_potential(doubled, scales)
     assert_allclose(mu2 / mu, 2.0**0.4, rtol=1e-13)
+
+
+def test_cloud_radius_is_the_trap_formula_bit_for_bit():
+    # sqrt(mu/trap_k) is sqrt(2*mu/(m*omega^2)) to the last bit, since halving a normal double is exact;
+    # the scenarios span the benchmark's ranges: Li to Rb, 20-200 Hz, 1e5-1e7 host atoms
+    rng = random.Random(29)
+    for _ in range(1000):
+        a11 = rng.uniform(2e-9, 6e-9)
+        a12 = a11 * rng.uniform(0.85, 0.99)
+        config = SystemConfig(
+            mass=rng.uniform(1.0e-26, 1.5e-25), a11=a11, a22=a12 * a12 / a11 * (1.0 + rng.uniform(0.05, 0.5)),
+            a12=a12, omega=2.0 * math.pi * rng.uniform(20.0, 200.0),
+            n_host=int(10.0 ** rng.uniform(5.0, 7.0)), n_stored_max=rng.randint(1, 20),
+        )
+        mu = tf_chemical_potential(config, derive_scales(config))
+        assert tf_radius(config, mu) == math.sqrt(2.0 * mu / (config.mass * config.omega**2))

@@ -28,6 +28,13 @@ def test_mode_width(mode, scales):
     assert mode.s == scales.s
 
 
+@pytest.mark.parametrize("width", [math.inf, math.nan])
+def test_mode_width_must_be_positive_and_finite(width):
+    # an infinite width would give a profile of zeros
+    with pytest.raises(ValidationError, match="mode width"):
+        StoredMode(width)
+
+
 def test_profile_normalized(mode):
     r = np.linspace(0.0, 12.0 * mode.s, 8001)
     from becnlo import radial_integral
