@@ -36,8 +36,9 @@ fine grid (grid sequencing: Newton's step count does not depend on the mesh,
 Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
 for g = 0 (the fallback step gains nothing from it), or if the coarse solve
-does not converge, the start is the lower-energy of two guesses: the smoothed
-Thomas-Fermi profile and the Gaussian of the potential's curvature.  If the
+does not converge, the start is the lower-energy of two guesses from the
+curvature c of V at min V: its Gaussian, and the smoothed Thomas-Fermi profile
+of the harmonic closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).  If the
 fine grid refuses its first Newton step from the coarse start, it restarts from
 the guesses: the fallback step from that start crawls (799 steps for a sodium
 host of 1e16 atoms, where the guesses take 10 Newton steps).
@@ -47,13 +48,12 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate
 from operator import mul, sub, truediv
 
 from ._record import record
-from .errors import ConvergenceError, GridError, ValidationError, _all_finite
+from .errors import ConvergenceError, GridError, ValidationError, _all_finite, _pointwise
 from .grids import RadialGrid, radial_integral
 from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
@@ -178,35 +178,19 @@ def _inner(dr, a, b) -> float:
     return 4.0 * math.pi * dr * sum(map(mul, a, b))
 
 
-def _thomas_fermi_mu(problem: GpeProblem, r, v) -> float:
-    """mu with N = (4*pi*dr/g) * sum r_i^2 max(mu - v_i, 0), the solver's inner product.
-
-    v is measured from min V, so the sums keep the digits of mu - min V.  N(mu)
-    is linear between the sorted v_i: solve the piece that holds N.  The last of
-    equal breaks is taken, so the piece's weight (tied v_i, r = 0) is positive.
-    """
-    v, r = zip(*sorted(zip(v, r)))
-    r2 = [x * x for x in r]
-    weight = list(accumulate(r2))
-    moment = list(accumulate(map(mul, r2, v)))
-    target = problem.atom_count * problem.g / (4.0 * math.pi * problem.grid.spacing)
-    k = bisect_right([d * w - m for d, w, m in zip(v, weight, moment)], target) - 1
-    return (target + moment[k]) / weight[k]
-
-
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
-    """Starting psi: the curvature's Gaussian and, for g > 0, the edge-smoothed TF profile in v = V - min V."""
+    """Starting psi: the Gaussian of v = V - min V's curvature and, for g > 0, its harmonic TF profile, smoothed."""
     curvature = 2.0 * (v[1] - v[0]) / problem.grid.spacing**2
     if curvature <= 0.0:
-        raise ValidationError("cannot set the Gaussian guess's width from a flat potential")
+        raise ValidationError("cannot set the start guesses from a flat potential")
     width = math.sqrt(HBAR / (problem.mass * math.sqrt(curvature / problem.mass)))
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
-        mu_guess = _thomas_fermi_mu(problem, r, v)
+        # powers below 1 raise nothing: out of range, mu_guess is inf, and start() drops its guess
+        mu_guess = (15.0 * problem.g * problem.atom_count / (8.0 * math.pi)) ** 0.4 * (0.5 * curvature) ** 0.6
         eps = 0.05 * mu_guess
-        eps2 = eps * eps  # inf, not OverflowError, if the mean field is out of range: start() drops the guess
         two_g = 2.0 * problem.g
-        guesses.append([math.sqrt((f + math.sqrt(f * f + eps2)) / two_g) for f in (mu_guess - x for x in v)])
+        guesses.append([math.sqrt((f + math.hypot(f, eps)) / two_g) for f in (mu_guess - x for x in v)])
     return guesses
 
 
@@ -248,8 +232,8 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
     The solution's step counts are this grid's only.  Raises ConvergenceError
     if DEFAULT_MAX_ITERS steps do not converge or no damping of a fallback
     step keeps the energy from rising, GridError if the solution reaches the
-    wall of this grid, and ValidationError if the Gaussian guess meets a flat
-    potential or the start's mean field is out of floating-point range.
+    wall of this grid, and ValidationError if the guesses meet a flat
+    potential or the start's energy scale is out of floating-point range.
     """
     solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
@@ -334,14 +318,15 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
     def fallback(s):
-        """The damped, shifted inverse-iteration step; None if both shifts break down or no tau > EPS passes."""
+        """The damped, shifted inverse-iteration step; None if no tau > EPS passes.
+
+        Where the shift breaks the factorization down, the unshifted one cannot: s has a finite residual,
+        so a finite nonlinear term, and H[u] - min V has diagonal >= 2T and off-diagonal -T: every pivot is >= T.
+        """
         u_in = s.u[1:-1]
         diag = [two_kin + x + n for x, n in zip(v_in, s.nonlinear)]
         sigma = s.mu * max(0.0, 1.0 - s.residual)  # an eigenvalue lies within mu*residual of mu, none below 0
-        solved = _thomas(-kin, [d - sigma for d in diag], u_in) or _thomas(-kin, diag, u_in)
-        if solved is None:
-            return None
-        w = solved[0]
+        w = (_thomas(-kin, [d - sigma for d in diag], u_in) or _thomas(-kin, diag, u_in))[0]
         gamma = sum(map(mul, u_in, u_in)) / sum(map(mul, u_in, w))
         tau = 1.0
         while tau > EPS:
@@ -352,16 +337,17 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         return None
 
     def start(guesses):
-        """The lower-energy state of the guesses for psi with a finite norm, refused if its residual is not.
+        """The lower-energy state of the guesses for psi with a finite norm, refused unless 0 < residual < inf.
 
-        A mean field out of range makes a guess or the residual inf or nan, and no step would lower it.
+        An energy scale out of range makes a guess or the residual inf or nan, and no step would lower it;
+        or it underflows H[u] u - mu u to 0, and the start would pass the stop as it is.
         """
         starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
         if not starts:
             raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
         best = min(starts, key=lambda s: s.energy)
-        if not best.residual < math.inf:
-            raise ValidationError(f"the mean field of {atom_count:g} atoms is out of floating-point range")
+        if not 0.0 < best.residual < math.inf:
+            raise ValidationError(f"the energy scale of {atom_count:g} atoms is out of floating-point range")
         return best
 
     coarse_points, psi = _coarse_start(problem)
@@ -421,7 +407,7 @@ class TfGpeComparison:
 
     def to_dict(self) -> dict:
         sol = self.solution
-        central_density_gpe = sol.psi[0] ** 2
+        central_density_gpe = sol.psi[0] ** 2  # finite: compare_tf_vs_gpe refuses an inf p * p
         return {
             "mu_tf_J": self.mu_tf,
             "mu_gpe_J": sol.mu,
@@ -449,12 +435,13 @@ def compare_tf_vs_gpe(config: SystemConfig, *, grid_points: int = DEFAULT_GRID_P
     solution = solve_ground_state(host_problem(config, scales, grid))
     r = grid.r
     n_tf = tf_density_at(config, scales, host.mu, r)
-    diff2 = radial_integral(r, [(p * p - n) ** 2 for p, n in zip(solution.psi, n_tf)])
+    what = "the L2 density error"
+    diff2 = radial_integral(r, _pointwise(lambda p, n: (p * p - n) ** 2, solution.psi, n_tf, what=what))
     ref2 = radial_integral(r, [n * n for n in n_tf])
     return TfGpeComparison(
         mu_tf=host.mu,
         central_density_tf=n_tf[0],  # mu/U11: V(0) = 0
-        l2_density_err=math.sqrt(diff2 / ref2),
+        l2_density_err=_pointwise(lambda a, b: math.sqrt(a / b), diff2, ref2, what=what),
         solution=solution,
     )
 
@@ -500,7 +487,7 @@ def solve_stored_in_host(
     r = grid.r
     ov = radial_integral(r, list(map(mul, mode.profile(r), solution.psi)))
     return StoredComparison(
-        overlap=ov**2 / problem.atom_count,
+        overlap=_pointwise(lambda ov: ov**2 / problem.atom_count, ov, what="the overlap"),
         mode_length=scales.s,
         solution=solution,
         idealized=idealized,

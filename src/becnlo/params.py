@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 from ._record import record
 from .errors import ValidationError, _pointwise
@@ -87,6 +88,12 @@ class SystemConfig:
             )
         if not self.omega > 0:
             raise ValidationError(f"omega must be positive, got {self.omega}")
+        k = 0.5 * self.mass * self.omega * self.omega  # trap_k, less its omega**2, which raises past 1.3e154
+        if not k >= sys.float_info.min:
+            raise ValidationError(
+                f"omega_rad_s = {self.omega:g} puts the trap constant m*omega^2/2 = {k:g} J/m^2 out of "
+                "floating-point range (subnormal)"
+            )
         if self.n_host < 1:
             raise ValidationError(f"n_host must be a positive integer, got {self.n_host!r}")
         if self.n_stored_max < 0:

@@ -544,7 +544,7 @@ DILUTENESS_INF = {
 @pytest.mark.parametrize(
     "changes",
     [
-        {"mass_kg": 1e-313},  # s**3 overflows
+        {"mass_kg": 1e-313},  # m*omega^2/2 is subnormal (s**3 would overflow)
         {"mass_kg": 1e200},  # s**3 underflows to 0, a division by zero
         {"mass_kg": 1e-70, "a22_m": 1e308},  # U22 and omega_nl become inf without raising
         {"omega_rad_s": 1e155},  # omega**2 in the cloud radius overflows
@@ -587,6 +587,30 @@ def test_stored_oracle_mean_field_out_of_range_exit_code(capsys, tmp_path, flags
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "out of floating-point range" in err
+
+
+@pytest.mark.parametrize(
+    "changes, flags",
+    [
+        # (mu - V)^2 underflowed, and the guess's square root met a negative argument; past that, the
+        # start's residual underflows to 0, which would pass the stop on the guess
+        ({"omega_rad_s": 2.9450801540663315e-141}, []),
+        ({"omega_rad_s": 2.9450801540663315e-141}, ["--stored"]),
+        ({"omega_rad_s": 2.9450801540663315e-141}, ["--stored", "--idealized"]),
+        # the host report's L2 density error: an OverflowError, a ZeroDivisionError, and a NaN in the JSON
+        ({"mass_kg": 4.320694627616164e57, "omega_rad_s": 3.647782683151716e83}, []),
+        ({"mass_kg": 1.2875849725059338e-123, "a11_m": 1.4847309730973176e221,
+          "a22_m": 1.5227853347343902e206, "n_host": 441}, []),
+        ({"mass_kg": 3.935189069069134e91, "n_host": 13, "n_stored_max": 3.3334224750076105e101}, []),
+    ],
+    ids=["underflow-host", "underflow-stored", "underflow-idealized", "l2-overflow", "l2-zero-division", "l2-nan"],
+)
+def test_oracle_out_of_range_exit_code(capsys, tmp_path, changes, flags):
+    path = write_config(tmp_path, "extreme.json", **changes)
+    code, out, err = run(capsys, "oracle", *flags, "--config", path, "--grid-points", "512")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "out of floating-point range" in err
 
 
 STORED_REPORT_KEYS = ["overlap", "mode_length_m", "mu_J", "residual", "iterations", "virial_residual"]

@@ -507,29 +507,23 @@ def test_solution_is_the_ground_state(config, scales, mu, case, monkeypatch):
     assert overlap > 1.0 - 1e-10
 
 
-@pytest.mark.parametrize("case", ["host", "stored", "idealized"])
-def test_thomas_fermi_guess_matches_root_find(config, scales, mu, case):
-    # the guess solves the piecewise-linear atom-number defect exactly; a
-    # root-find of the same defect must agree, both measured from min V
-    from scipy.optimize import brentq
+def test_thomas_fermi_guess_is_the_closed_form_parabola(config, scales, mu):
+    # the guess's mu is the harmonic closed form of the curvature at the origin, so for the
+    # sodium host it is tf_chemical_potential's: inside the cloud, psi^2 is that parabola, smoothed at its edge
+    problem = sodium_problem(config, scales, mu, "host")
+    guess = np.asarray(_initial_guesses(problem, problem.grid.r, problem.potential)[1])
+    f = mu - np.asarray(problem.potential)
+    inside = f > 0.0
+    smoothed = (f + np.hypot(f, 0.05 * mu)) / (2.0 * problem.g)
+    assert_allclose(guess[inside] ** 2, smoothed[inside], rtol=1e-13)
 
-    from becnlo import tf_radius
-    from becnlo.gpe import _thomas_fermi_mu
 
-    grid = RadialGrid(1.5 * tf_radius(config, mu), 1024)
-    if case == "host":
-        problem = host_problem(config, scales, grid)
-    else:
-        problem = stored_problem(config, scales, mu, grid, idealized=case == "idealized")
-    v = np.asarray(problem.potential)
-    e_ref = v.max() - v.min()
-
-    def defect(x):  # atoms at mu = min V + x*e_ref in the solver's inner product, less N
-        dens = np.clip((x * e_ref - (v - v.min())) / problem.g, 0.0, None)
-        return 4.0 * math.pi * grid.spacing * float(np.dot(np.asarray(grid.r) ** 2, dens)) - problem.atom_count
-
-    x = brentq(defect, 0.0, 1.0, xtol=1e-300, rtol=1e-15, maxiter=500)
-    assert_allclose(_thomas_fermi_mu(problem, np.asarray(grid.r), v - v.min()), x * e_ref, rtol=1e-12)
+def test_guesses_without_a_norm_are_refused(config):
+    # a trap so stiff that the curvature's Gaussian underflows to 0 one spacing out; g = 0 has no other guess
+    grid = RadialGrid(1e-4, 101)
+    problem = GpeProblem(grid, [1e-8 * (x * x) for x in grid.r], 0.0, 1.0, config.mass)
+    with pytest.raises(ValidationError, match="no initial guess has a finite, nonzero norm"):
+        solve_ground_state(problem)
 
 
 def k_shaped_diagonal(rng, kin, n):

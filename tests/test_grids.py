@@ -28,6 +28,12 @@ def test_grid_rejects_tiny():
         RadialGrid(r_max=-1.0, n_points=64)
 
 
+def test_grid_rejects_an_underflowing_spacing():
+    # r_max is positive, but r_max/(n - 1) rounds to 0
+    with pytest.raises(GridError, match="grid spacing underflows"):
+        RadialGrid(r_max=5e-324, n_points=16)
+
+
 @pytest.mark.parametrize("r_max", [math.inf, math.nan])
 def test_grid_rejects_non_finite_r_max(r_max):
     # inf > 0, but its radii would be (nan, inf, inf, ...)

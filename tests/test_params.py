@@ -141,6 +141,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="omega"):
             SystemConfig(**{**SODIUM_FIELDS, "omega": 0.0})
 
+    def test_negative_a12(self):
+        with pytest.raises(ValidationError, match="a12 must be non-negative"):
+            SystemConfig(**{**SODIUM_FIELDS, "a12": -1e-9})
+
+    @pytest.mark.parametrize("omega", [1e-148, 1.2e-145])
+    def test_subnormal_trap_constant(self, omega):
+        # m*omega^2/2 below the smallest normal double keeps only a few bits, and R would be off by up to 0.25 %
+        with pytest.raises(ValidationError, match="omega_rad_s .* out of floating-point range"):
+            SystemConfig(**{**SODIUM_FIELDS, "omega": omega})
+
     def test_bad_atom_numbers(self):
         with pytest.raises(ValidationError, match="n_host"):
             SystemConfig(**{**SODIUM_FIELDS, "n_host": 0})
@@ -288,3 +298,10 @@ def test_cloud_radius_is_the_trap_formula_bit_for_bit():
         )
         mu = tf_chemical_potential(config, derive_scales(config))
         assert tf_radius(config, mu) == math.sqrt(2.0 * mu / (config.mass * config.omega**2))
+
+
+def test_cloud_radius_underflow_is_refused():
+    # mu/trap_k underflows to 0 for the smallest positive mu once trap_k > 2 J/m^2
+    stiff = config_from_dict({**SODIUM_REFERENCE, "omega_rad_s": 1e14})
+    with pytest.raises(ValidationError, match="cloud radius R = 0 is out of floating-point range"):
+        tf_radius(stiff, 5e-324)

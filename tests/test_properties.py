@@ -222,9 +222,10 @@ def test_fuzzed_config_grid_commands_exit_cleanly(config_path, argv, data):
         {"omega_rad_s": 7.8e87},  # omega**4 in the kinetic correction overflowed: traceback
         {"a11_m": 5.4e174},  # a11**3 in the depletion overflowed: traceback
         {"omega_rad_s": 1.1e154},  # overflow in the loss overlap: RuntimeWarning
-        {"omega_rad_s": 1.2e-145},  # 0/0 in the kinetic correction: RuntimeWarning, nan
+        {"omega_rad_s": 1.2e-145},  # 0/0 in the kinetic correction: RuntimeWarning, nan; now a subnormal trap_k
         {"mass_kg": 7.9e155},  # overflow in the density std: RuntimeWarning, inf
         {"n_stored_max": 1e308},  # overflow in the stored density: RuntimeWarning, inf
+        {"omega_rad_s": 2e-141},  # a normal trap_k that still underflows the kinetic correction
     ],
 )
 def test_extreme_config_grid_commands_exit_cleanly(tmp_path, argv, changes):
@@ -263,15 +264,29 @@ def oracle_scenarios(draw):
     return data, ["oracle", *mode, "--grid-points", points]
 
 
-@settings(FUZZ, max_examples=30)
-@given(scenario=oracle_scenarios())
-def test_fuzzed_oracle_exits_cleanly(config_path, scenario):
-    data, argv = scenario
-    config_path.write_text(json.dumps(data), encoding="utf-8")
-    code, out, err = run_cli(config_path, *argv)
+def assert_clean_oracle_exit(code, out, err):
+    """Exit 0 with finite JSON, or exit 2 or 3 with a one-line message and nothing on stdout."""
     assert code in (0, 2, 3)
     if code:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         payload = json.loads(out, parse_constant=reject_constant)
         assert all(math.isfinite(x) for x in payload.values())
+
+
+@settings(FUZZ, max_examples=30)
+@given(scenario=oracle_scenarios())
+def test_fuzzed_oracle_exits_cleanly(config_path, scenario):
+    data, argv = scenario
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert_clean_oracle_exit(*run_cli(config_path, *argv))
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--stored"], ["--stored", "--idealized"]], ids=["host", "stored", "idealized"]
+)
+@settings(FUZZ, max_examples=400)  # 150 examples miss the underflows in the guesses of the start
+@given(data=extreme_configs(max_keys=3))
+def test_extreme_config_oracle_exits_cleanly(config_path, mode, data):
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert_clean_oracle_exit(*run_cli(config_path, "oracle", *mode, "--grid-points", "512"))
