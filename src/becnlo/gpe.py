@@ -37,8 +37,9 @@ Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
 for g = 0 (the fallback step gains nothing from it), or if the coarse solve
 does not converge, the start is the lower-energy of two guesses from the
-curvature c of V at min V: its Gaussian, and the smoothed Thomas-Fermi profile
-of the harmonic closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).  If the
+curvature c of V at min V (refused if V is flat there, or lowest at the box
+wall): its Gaussian, and the smoothed Thomas-Fermi profile of the harmonic
+closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).  If the
 fine grid refuses its first Newton step from the coarse start, it restarts from
 the guesses: the fallback step from that start crawls (799 steps for a sodium
 host of 1e16 atoms, where the guesses take 10 Newton steps).
@@ -179,11 +180,20 @@ def _inner(dr, a, b) -> float:
 
 
 def _initial_guesses(problem: GpeProblem, r, v) -> list:
-    """Starting psi: the Gaussian of v = V - min V's curvature and, for g > 0, its harmonic TF profile, smoothed."""
-    curvature = 2.0 * (v[1] - v[0]) / problem.grid.spacing**2
+    """Starting psi: the Gaussian of v = V - min V's curvature at min V and, for g > 0, its TF profile, smoothed."""
+    i = min(range(len(v)), key=v.__getitem__)
+    if i == len(v) - 1:
+        raise ValidationError("cannot set the start guesses: the potential is lowest at the box wall")
+    dr2 = problem.grid.spacing**2  # at i = 0, V is even about r = 0: v[1] stands on both sides
+    curvature = _pointwise(
+        lambda a, b, c: (a - 2.0 * b + c) / dr2, v[i + 1], v[i], v[abs(i - 1)], what="the curvature of V at min V"
+    )
     if curvature <= 0.0:
         raise ValidationError("cannot set the start guesses from a flat potential")
-    width = math.sqrt(HBAR / (problem.mass * math.sqrt(curvature / problem.mass)))
+    m = problem.mass
+    width = _pointwise(
+        lambda c: math.sqrt(HBAR / (m * math.sqrt(c / m))), curvature, what="the Gaussian guess's width"
+    )
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
         # powers below 1 raise nothing: out of range, mu_guess is inf, and start() drops its guess
@@ -233,7 +243,7 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
     if DEFAULT_MAX_ITERS steps do not converge or no damping of a fallback
     step keeps the energy from rising, GridError if the solution reaches the
     wall of this grid, and ValidationError if the guesses meet a flat
-    potential or the start's energy scale is out of floating-point range.
+    potential or one lowest at the box wall, or the start's scales are out of floating-point range.
     """
     solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
@@ -278,7 +288,9 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
     r, dr = grid.r, grid.spacing
     g, atom_count = problem.g, problem.atom_count
 
-    kin = HBAR**2 / (2.0 * problem.mass * dr**2)
+    kin = _pointwise(
+        lambda dr: HBAR**2 / (2.0 * problem.mass * dr**2), dr, what="the kinetic scale hbar^2/(2m dr^2)"
+    )
     two_kin = 2.0 * kin
     v_min = min(problem.potential)  # every energy below is measured from it
     v = [x - v_min for x in problem.potential]

@@ -27,11 +27,14 @@ DEFAULT_GRID_POINTS = 4096  # radial points of the oracle's solver grid
 GRID_SPAN_FACTOR = 1.5  # the oracle's solver grid reaches this multiple of the cloud radius
 
 
-# scenario-file key -> SystemConfig field, in the order SystemConfig checks the values;
-# a key is optional when its field has a default, and the annotation decides float or int
+# scenario-file key -> (SystemConfig field, its sign), in the order SystemConfig checks the values;
+# a key is optional when its field has a default, and the annotation decides float or int;
+# im_a12_m is non-positive because losses shrink the norm
 _FIELDS = {
-    "mass_kg": "mass", "a11_m": "a11", "a22_m": "a22", "a12_m": "a12", "im_a12_m": "im_a12",
-    "omega_rad_s": "omega", "n_host": "n_host", "n_stored_max": "n_stored_max",
+    "mass_kg": ("mass", "positive"), "a11_m": ("a11", "positive"), "a22_m": ("a22", "positive"),
+    "a12_m": ("a12", "non-negative"), "im_a12_m": ("im_a12", "non-positive"),
+    "omega_rad_s": ("omega", "positive"), "n_host": ("n_host", "positive"),
+    "n_stored_max": ("n_stored_max", "non-negative"),
 }
 
 
@@ -49,7 +52,7 @@ class SystemConfig:
     im_a12: float = 0.0  # m, inelastic part of a12; <= 0, 0 disables losses
 
     def __post_init__(self):
-        for key, field in _FIELDS.items():  # messages name the scenario key
+        for key, (field, sign) in _FIELDS.items():  # messages name the scenario key
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"{key} must be a number, got {value!r}")
@@ -63,19 +66,10 @@ class SystemConfig:
                 if not number.is_integer():
                     raise ValidationError(f"{key} must be an integer, got {value!r}")
                 number = int(value)
+            if not {"positive": number > 0, "non-negative": number >= 0, "non-positive": number <= 0}[sign]:
+                raise ValidationError(f"{key} must be {sign}, got {value!r}")
             object.__setattr__(self, field, number)
-        if not self.mass > 0:
-            raise ValidationError(f"mass must be positive, got {self.mass}")
-        if not self.a11 > 0:
-            raise ValidationError(f"a11 must be positive, got {self.a11}")
-        if not self.a22 > 0:
-            raise ValidationError(f"a22 must be positive, got {self.a22}")
-        if self.a12 < 0:
-            raise ValidationError(f"a12 must be non-negative, got {self.a12}")
-        if self.im_a12 > 0:
-            raise ValidationError(
-                f"im_a12 must be <= 0 (losses shrink the norm), got {self.im_a12}"
-            )
+        # the rules that relate two values run last
         if not self.a11 * self.a22 > self.a12 * self.a12:  # a12**2 would raise past 1e154
             raise ValidationError(
                 "components would phase-separate: require a11*a22 > a12^2, "
@@ -86,19 +80,11 @@ class SystemConfig:
                 "stored component would be untrapped: require a11 > a12, "
                 f"got a11={self.a11:g}, a12={self.a12:g}"
             )
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
         k = 0.5 * self.mass * self.omega * self.omega  # trap_k, less its omega**2, which raises past 1.3e154
         if not k >= sys.float_info.min:
             raise ValidationError(
                 f"omega_rad_s = {self.omega:g} puts the trap constant m*omega^2/2 = {k:g} J/m^2 out of "
                 "floating-point range (subnormal)"
-            )
-        if self.n_host < 1:
-            raise ValidationError(f"n_host must be a positive integer, got {self.n_host!r}")
-        if self.n_stored_max < 0:
-            raise ValidationError(
-                f"n_stored_max must be a non-negative integer, got {self.n_stored_max!r}"
             )
 
     @property
@@ -231,11 +217,11 @@ def config_from_dict(data: dict) -> SystemConfig:
     unknown = sorted(data.keys() - _FIELDS.keys())
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
-    optional = {key for key, field in _FIELDS.items() if hasattr(SystemConfig, field)}
+    optional = {key for key, (field, _) in _FIELDS.items() if hasattr(SystemConfig, field)}
     missing = sorted(_FIELDS.keys() - data.keys() - optional)
     if missing:
         raise ValidationError(f"missing config key(s): {', '.join(missing)}")
-    return SystemConfig(**{field: data[key] for key, field in _FIELDS.items() if key in data})
+    return SystemConfig(**{field: data[key] for key, (field, _) in _FIELDS.items() if key in data})
 
 
 def load_config(path) -> SystemConfig:

@@ -105,6 +105,28 @@ class TestLinearOscillator:
         with pytest.raises(ValidationError, match="flat potential"):
             solve_ground_state(flat)
 
+    def test_guesses_read_the_curvature_at_min_v(self):
+        # a probe atom in the trap plus the mean field U12*psi1^2 of a 30,000-atom host: the potential falls
+        # away from r = 0, so its curvature there is negative; at min V it is not, and the probe solves
+        config = config_from_dict({**SODIUM_REFERENCE, "n_host": 30_000})
+        scales = derive_scales(config)
+        grid = RadialGrid(2.5 * tf_host(config, scales).radius, 512)
+        host = host_problem(config, scales, grid)
+        psi1 = solve_ground_state(host).psi
+        v = [x + scales.u12 * p * p for x, p in zip(host.potential, psi1)]
+        assert v[1] < v[0]
+        probe = GpeProblem(grid, v, 0.0, 1.0, config.mass)
+        sol = solve_ground_state(probe)
+        lowest, overlap = lowest_eigenpair(probe, sol.psi)
+        assert_allclose(lowest, sol.mu, rtol=1e-10)
+        assert overlap > 1.0 - 1e-10
+
+    def test_potential_lowest_at_the_wall_is_refused(self, config):
+        grid = RadialGrid(1e-5, 512)
+        falling = GpeProblem(grid, [-x for x in grid.r], 0.0, 1.0, config.mass)
+        with pytest.raises(ValidationError, match="the potential is lowest at the box wall"):
+            solve_ground_state(falling)
+
 
 class TestProblemValidation:
     def test_attractive_rejected(self, config, oscillator):
@@ -523,6 +545,22 @@ def test_guesses_without_a_norm_are_refused(config):
     grid = RadialGrid(1e-4, 101)
     problem = GpeProblem(grid, [1e-8 * (x * x) for x in grid.r], 0.0, 1.0, config.mass)
     with pytest.raises(ValidationError, match="no initial guess has a finite, nonzero norm"):
+        solve_ground_state(problem)
+
+
+@pytest.mark.parametrize(
+    "r_max, mass, k, what",
+    [
+        (1e-160, None, 1.0, "the kinetic scale"),  # dr^2 underflows to 0
+        (1e10, 1e300, 1e-300, "the Gaussian guess's width"),  # c/m underflows to 0
+        (1e-3, None, 1e308, "the curvature of V at min V"),  # c = 2k overflows to inf
+    ],
+)
+def test_start_scales_out_of_range_are_refused(config, r_max, mass, k, what):
+    # built directly, a problem can reach what no CLI scenario does; each is refused by the range rule
+    grid = RadialGrid(r_max, 512)
+    problem = GpeProblem(grid, [k * (x * x) for x in grid.r], 0.0, 1.0, mass or config.mass)
+    with pytest.raises(ValidationError, match=f"^{what}.* is out of floating-point range"):
         solve_ground_state(problem)
 
 

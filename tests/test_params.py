@@ -142,7 +142,7 @@ class TestValidation:
             SystemConfig(**{**SODIUM_FIELDS, "omega": 0.0})
 
     def test_negative_a12(self):
-        with pytest.raises(ValidationError, match="a12 must be non-negative"):
+        with pytest.raises(ValidationError, match="a12_m must be non-negative"):
             SystemConfig(**{**SODIUM_FIELDS, "a12": -1e-9})
 
     @pytest.mark.parametrize("omega", [1e-148, 1.2e-145])
@@ -158,11 +158,14 @@ class TestValidation:
             SystemConfig(**{**SODIUM_FIELDS, "n_stored_max": -1})
 
     def test_checks_run_in_order(self):
-        # the species checks come first, then the trap, then the atom numbers
-        with pytest.raises(ValidationError, match="mass must be positive"):
+        # each key's own checks run key by key, in the order of the scenario file's keys (mass, lengths, trap,
+        # atom numbers); the rules that relate two values run last: phase separation, a11 > a12, the trap constant
+        with pytest.raises(ValidationError, match="mass_kg must be positive"):
             SystemConfig(**{**SODIUM_FIELDS, "mass": -1.0, "omega": 0.0, "n_host": 0})
         with pytest.raises(ValidationError, match="omega"):
             SystemConfig(**{**SODIUM_FIELDS, "omega": 0.0, "n_host": 0})
+        with pytest.raises(ValidationError, match="n_host must be positive"):
+            SystemConfig(**{**SODIUM_FIELDS, "a11": 2.0e-9, "a22": 2.0e-9, "a12": 2.5e-9, "n_host": 0})
 
     def test_sodium_fields_are_the_reference(self):
         assert SystemConfig(**SODIUM_FIELDS) == sodium_reference_config()
@@ -170,16 +173,19 @@ class TestValidation:
     @pytest.mark.parametrize(
         "field, value, stored",
         [(field, value, None) for field in SODIUM_FIELDS for value in ("x", None, True, 10**400)]
-        + [("n_stored_max", 2.5, None), ("n_host", 1e6, 1_000_000), ("a12", 0, 0.0)],
+        + [("n_stored_max", 2.5, None), ("n_host", 1e6, 1_000_000), ("a12", 0, 0.0)]
+        # one value of the wrong sign per key
+        + [("mass", 0.0, None), ("a11", 0.0, None), ("a22", -1e-9, None), ("a12", -1e-9, None),
+           ("im_a12", 1e-10, None), ("omega", 0.0, None), ("n_host", 0, None), ("n_stored_max", -1, None)],
     )
     def test_record_checks_each_value_as_the_file_does(self, field, value, stored):
         # stored None: both ways in refuse the value, naming its key; else both store it converted
         key = KEY_OF[field]
         data = {**SODIUM_REFERENCE, key: value}
         if stored is None:
-            with pytest.raises(ValidationError, match=key):
+            with pytest.raises(ValidationError, match=rf"^{key} "):
                 SystemConfig(**{**SODIUM_FIELDS, field: value})
-            with pytest.raises(ValidationError, match=key):
+            with pytest.raises(ValidationError, match=rf"^{key} "):
                 config_from_dict(data)
         else:
             config = SystemConfig(**{**SODIUM_FIELDS, field: value})
