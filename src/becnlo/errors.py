@@ -1,7 +1,8 @@
 """Exception types shared across the package, and its one range rule for closed forms.
 
 A closed form of a finite config that leaves double range is refused with ValidationError:
-each is computed through `_pointwise`, which also refuses the inf or nan that floats give quietly.
+each is computed through `_pointwise`, which also refuses the inf or nan that floats give quietly,
+except the values a record checks where it is built: `SystemConfig.trap_k` and `DerivedScales`.
 """
 
 import math

@@ -80,12 +80,12 @@ class SystemConfig:
                 "stored component would be untrapped: require a11 > a12, "
                 f"got a11={self.a11:g}, a12={self.a12:g}"
             )
-        k = 0.5 * self.mass * self.omega * self.omega  # trap_k, less its omega**2, which raises past 1.3e154
-        if not k >= sys.float_info.min:
-            raise ValidationError(
-                f"omega_rad_s = {self.omega:g} puts the trap constant m*omega^2/2 = {k:g} J/m^2 out of "
-                "floating-point range (subnormal)"
-            )
+        try:  # omega**2 as trap_k squares it, first: it raises past 1.34e154 rad/s; a subnormal keeps few bits
+            normal = self.omega**2 >= sys.float_info.min and self.trap_k >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            raise ValidationError(f"omega_rad_s = {self.omega:g} puts omega^2 or trap_k out of floating-point range")
 
     @property
     def trap_k(self) -> float:

@@ -29,7 +29,8 @@ class StoredMode:
         if not 0.0 < self.s < math.inf:
             raise ValidationError(f"mode width must be positive and finite, got {self.s}")
 
-    def _phi(self):
+    def profile(self, r):
+        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
         s = self.s
         amplitude = math.pi**-0.75 * s**-1.5
 
@@ -37,21 +38,11 @@ class StoredMode:
             q = x / s
             return amplitude * math.exp(-0.5 * (q * q))
 
-        return phi
-
-    def profile(self, r):
-        """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
-        return _pointwise(self._phi(), r)
+        return _pointwise(phi, r)
 
     def density(self, r, n_atoms: float = 1.0):
-        """n_atoms*phi(r)^2, in one pass over r."""
-        phi = self._phi()
-
-        def n2(x):
-            p = phi(x)
-            return n_atoms * (p * p)
-
-        return _pointwise(n2, r)
+        """n_atoms*phi(r)^2: profile, squared."""
+        return _pointwise(lambda p: n_atoms * (p * p), self.profile(r))
 
 
 def _norm(amps) -> float:

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,11 +147,48 @@ class TestValidation:
         with pytest.raises(ValidationError, match="a12_m must be non-negative"):
             SystemConfig(**{**SODIUM_FIELDS, "a12": -1e-9})
 
-    @pytest.mark.parametrize("omega", [1e-148, 1.2e-145])
-    def test_subnormal_trap_constant(self, omega):
-        # m*omega^2/2 below the smallest normal double keeps only a few bits, and R would be off by up to 0.25 %
+    @pytest.mark.parametrize(
+        "mass, omega",
+        [
+            (SODIUM_FIELDS["mass"], 1e-148),  # k subnormal
+            (SODIUM_FIELDS["mass"], 1.2e-145),
+            (1e100, 1e-160),  # omega^2 subnormal, k normal: k would be off by 1.1e-5
+            (1e100, 1.4916681462400412e-154),  # the largest omega whose omega^2 is subnormal
+            (1e-300, 1e200),  # omega^2 overflows, k would be 5e99
+            (SODIUM_FIELDS["mass"], 1.3407807929942597e154),  # the smallest omega whose omega^2 overflows
+        ],
+        ids=["1e-148", "1.2e-145", "1e100-1e-160", "omega2-subnormal", "1e-300-1e200", "omega2-overflows"],
+    )
+    def test_subnormal_trap_constant(self, mass, omega):
+        # a subnormal keeps only a few bits, and R would be off by up to 0.25 %; an omega^2 past the largest
+        # double makes trap_k raise OverflowError
         with pytest.raises(ValidationError, match="omega_rad_s .* out of floating-point range"):
-            SystemConfig(**{**SODIUM_FIELDS, "omega": omega})
+            SystemConfig(**{**SODIUM_FIELDS, "mass": mass, "omega": omega})
+
+    @pytest.mark.parametrize(
+        "mass, omega", [(SODIUM_FIELDS["mass"], 1.3407807929942596e154), (1e100, 1.4916681462400413e-154)]
+    )
+    def test_trap_constant_range_ends_are_accepted(self, mass, omega):
+        # the neighbours of the refused range ends: the largest omega whose omega^2 is finite, and the smallest
+        # omega, for this mass, whose omega^2 is normal
+        assert SystemConfig(**{**SODIUM_FIELDS, "mass": mass, "omega": omega}).trap_k > 0.0
+
+    def test_accepted_trap_constant_is_exact(self):
+        # exact rational arithmetic is the reference; omega^2 and the product each round once, and halving is exact
+        rng = random.Random(5)
+        tested = 0
+        while tested < 2000:
+            mass, omega = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+            try:
+                k = SystemConfig(**{**SODIUM_FIELDS, "mass": mass, "omega": omega}).trap_k
+            except ValidationError:
+                continue
+            exact = Fraction(mass) * Fraction(omega) ** 2 / 2
+            if k == math.inf:  # an exact k past the largest double rounds to inf, never to a wrong finite value
+                assert exact > Fraction(sys.float_info.max) * (1 - Fraction(2 * sys.float_info.epsilon))
+            else:
+                assert abs(Fraction(k) - exact) <= 2 * Fraction(math.ulp(k)), (mass, omega)
+            tested += 1
 
     def test_bad_atom_numbers(self):
         with pytest.raises(ValidationError, match="n_host"):

@@ -44,7 +44,7 @@ def test_profile_normalized(mode):
 
 def test_density_scales_with_atoms(mode):
     r = np.array([0.0, mode.s])
-    assert_allclose(mode.density(r, 10.0), 10.0 * np.asarray(mode.profile(r)) ** 2, rtol=1e-15)
+    np.testing.assert_array_equal(mode.density(r, 10.0), 10.0 * np.asarray(mode.profile(r)) ** 2)
 
 
 def test_central_density(mode, scales):
