@@ -13,24 +13,27 @@ product <a, b> = 4*pi*dr*sum(a_i*b_i), E_kin = <u, T u> (T = hbar^2/2m dr^2),
 E_pot = <u, V u>, E_int = (g/2)*<u, (u/r)^2 u>, and mu = (E_kin + E_pot +
 2*E_int)/N is the Rayleigh quotient <u, H[u] u>/<u, u>.
 
-Each iteration tries Newton's step on H[u] u = mu u, <u, u> = N first: it solves
-K du - u dmu = -(H[u] u - mu u), <u, du> = 0, with K = H[u] - mu + 2g*diag((u/r)^2),
-and keeps the renormalized u + du if every pivot of K is positive and the
-residual falls.  Otherwise it takes a damped, shifted inverse-iteration step,
-which needs no time step (Henning & Peterseim, SIAM J. Numer. Anal. 58, 1744
-(2020); Altmann, Henning & Peterseim, Numer. Math. 148, 575 (2021)): w solves
-(H[u] - sigma) w = u for sigma = max(0, mu*(1 - residual)), at or below the
-eigenvalue within mu*residual of mu (0 if a pivot is not positive), and the
-renormalized (1 - tau) u + tau*<u, u>/<u, w> w is kept for the first tau = 1,
-1/2, ... above EPS whose energy does not rise beyond ENERGY_SLACK.  With g = 0,
-K is never positive definite, so linear problems take this step alone.  Both
-steps are factored by the Thomas algorithm.  The loop stops when the residual
-||H[u] u - mu u||/(|mu - min V| ||u||) falls below DEFAULT_TOL, or below its
-round-off floor eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if larger.
-All energies, sigma too, are measured from min V: H[u] - min V is positive
-definite, and no constant in V moves the steps or the stop.  A solution whose
-density in the outer tenth of the box exceeds CLIP_DENSITY of its peak raises
-GridError: the wall at r_max squeezes it.  Only the caller's grid is checked.
+Each iteration takes one step rule, the bordered Newton system of
+H[u] u = mu u, <u, u> = N: it solves K du - u dmu = -(H[u] u - mu u),
+<u, du> = 0, with K = H[u] - mu + 2g*diag((u/r)^2) + lambda, by one Thomas
+factorization of K for two right-hand sides, and renormalizes u + du.
+lambda = 0 is Newton's step, kept if every pivot of K is positive and the
+residual falls.  Otherwise a fallback step climbs lambda = mu*residual,
+2*mu*residual, ... (Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt,
+J. SIAM 11, 431 (1963)) to the first step whose K factors and whose energy
+does not rise beyond ENERGY_SLACK; once lambda*EPS passes K's scale
+4*T + max(V - min V) + 3g*max n, the step is round-off and the solve raises
+ConvergenceError.  With g = 0, K is never positive definite at lambda = 0, so
+linear problems climb alone, and the step is inverse iteration shifted to
+mu - lambda, which needs no time step (Henning & Peterseim, SIAM J. Numer.
+Anal. 58, 1744 (2020); Altmann, Henning & Peterseim, Numer. Math. 148, 575
+(2021)).  The loop stops when the residual ||H[u] u - mu u||/(|mu - min V|
+||u||) falls below DEFAULT_TOL, or below its round-off floor
+eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if larger.  All energies,
+lambda too, are measured from min V: H[u] - min V is positive definite, and
+no constant in V moves the steps or the stop.  A solution whose density in
+the outer tenth of the box exceeds CLIP_DENSITY of its peak raises GridError:
+the wall at r_max squeezes it.  Only the caller's grid is checked.
 
 The start for g > 0 on a grid of n points is a solve of the same problem on
 every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V sliced from the
@@ -44,8 +47,8 @@ curvature c of V at min V (refused if V is flat there, or lowest at the box
 wall): its Gaussian, and the smoothed Thomas-Fermi profile of the harmonic
 closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).  If the
 fine grid refuses its first Newton step from the coarse start, it restarts from
-the guesses: the fallback step from that start crawls (799 steps for a sodium
-host of 1e16 atoms, where the guesses take 10 Newton steps).
+the guesses: from the coarse start, a stored problem can take a dozen fallback
+steps where the guesses take two Newton steps.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
 DEFAULT_TOL = 1e-10
-# slowest of 8,000 fuzzed oracle runs: 183 steps (5 Newton, 178 fallback), `oracle --stored --grid-points 512`
-# on sodium with a12_m = 0.999999*a11_m, a22_m 2.75009e-9, omega_rad_s 551.6, n_host 1.1e11, n_stored_max 2.4e11
+# slowest of 3,000 fuzzed oracle runs: 44 steps (4 Newton, 40 fallback), the 683-point coarse level of `oracle
+# --stored --idealized` on sodium with a12_m = 0.99*a11_m, a22_m 2.7345e-9, omega_rad_s 2.637, n_host 2.11e19,
+# n_stored_max 3.67e9
 DEFAULT_MAX_ITERS = 5_000
 EPS = sys.float_info.epsilon
 ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
@@ -245,10 +249,11 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
     """Newton or fallback steps until ||H[u] u - mu u||/(|mu - min V| ||u||) < max(DEFAULT_TOL, floor).
 
     The solution's step counts are this grid's only.  Raises ConvergenceError
-    if DEFAULT_MAX_ITERS steps do not converge or no damping of a fallback
-    step keeps the energy from rising, GridError if the solution reaches the
-    wall of this grid, and ValidationError if the guesses meet a flat
-    potential or one lowest at the box wall, or the start's scales are out of floating-point range.
+    if DEFAULT_MAX_ITERS steps do not converge or no shift of a fallback step
+    short of K's round-off scale keeps the energy from rising, GridError if
+    the solution reaches the wall of this grid, and ValidationError if the
+    guesses meet a flat potential or one lowest at the box wall, or the start's
+    scales are out of floating-point range.
     """
     solution = _solve(problem, DEFAULT_TOL)
     grid, psi = problem.grid, solution.psi
@@ -324,34 +329,17 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         residual = math.sqrt(sum(map(mul, stationary, stationary))) / (abs(mu) * u_norm)
         return _State(u, nonlinear, stationary, mu, e_kin, e_pot, e_int, e_kin + e_pot + e_int, residual)
 
-    def newton(s):
+    def step(s, lam):
+        """u + du renormalized, du solved with K = H[u] - mu + 2g*diag((u/r)^2) + lam; None if K fails."""
         u_in = s.u[1:-1]
-        k_diag = [two_kin + vi + 3.0 * n - s.mu for vi, n in zip(v_in, s.nonlinear)]
+        shift = lam - s.mu
+        k_diag = [two_kin + vi + 3.0 * n + shift for vi, n in zip(v_in, s.nonlinear)]
         solved = _thomas(-kin, k_diag, s.stationary, u_in)  # K^-1 (H u - mu u) and K^-1 u
         if solved is None:
             return None
         a, b = solved
         dmu = sum(map(mul, u_in, a)) / sum(map(mul, u_in, b))  # <u, du> = 0 for du = dmu*b - a
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
-
-    def fallback(s):
-        """The damped, shifted inverse-iteration step; None if no tau > EPS passes.
-
-        Where the shift breaks the factorization down, the unshifted one cannot: s has a finite residual,
-        so a finite nonlinear term, and H[u] - min V has diagonal >= 2T and off-diagonal -T: every pivot is >= T.
-        """
-        u_in = s.u[1:-1]
-        diag = [two_kin + x + n for x, n in zip(v_in, s.nonlinear)]
-        sigma = s.mu * max(0.0, 1.0 - s.residual)  # an eigenvalue lies within mu*residual of mu, none below 0
-        w = (_thomas(-kin, [d - sigma for d in diag], u_in) or _thomas(-kin, diag, u_in))[0]
-        gamma = sum(map(mul, u_in, u_in)) / sum(map(mul, u_in, w))
-        tau = 1.0
-        while tau > EPS:
-            stepped = state([0.0, *((1.0 - tau) * x + tau * gamma * y for x, y in zip(u_in, w)), 0.0])
-            if stepped is not None and stepped.energy <= s.energy + abs(s.energy) * ENERGY_SLACK:  # nan fails
-                return stepped
-            tau *= 0.5
-        return None
 
     def start(guesses):
         """The lower-energy state of the guesses for psi with a finite norm, refused unless 0 < residual < inf.
@@ -372,15 +360,21 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
 
     iterations = newton_steps = fallback_steps = 0
     for iterations in range(1, DEFAULT_MAX_ITERS + 1):
-        candidate = newton(current)
+        candidate = step(current, 0.0)
         if candidate is not None and candidate.residual < current.residual:
             current = candidate
             newton_steps += 1
         elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
             current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
-            stepped = fallback(current)
-            if stepped is None:
+            lam = current.mu * current.residual
+            scale = linear_scale + 3.0 * max(current.nonlinear)  # K's scale: past lam = scale/EPS, K is lam
+            while 0.0 < lam < scale / EPS:  # a lam of 0 never grows
+                stepped = step(current, lam)
+                if stepped is not None and stepped.energy <= current.energy + abs(current.energy) * ENERGY_SLACK:
+                    break  # a nan energy fails the test
+                lam *= 2.0
+            else:
                 raise ConvergenceError(
                     f"no fallback step lowers the energy at step {iterations}",
                     residual=current.residual,

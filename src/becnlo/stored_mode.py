@@ -32,7 +32,7 @@ class StoredMode:
     def profile(self, r):
         """phi(r), normalized so 4*pi*int r^2 phi^2 dr = 1; one radius or a sequence."""
         s = self.s
-        amplitude = math.pi**-0.75 * s**-1.5
+        amplitude = _pointwise(lambda s: math.pi**-0.75 * s**-1.5, s, what="the mode amplitude pi^(-3/4) s^(-3/2)")
 
         def phi(x):
             q = x / s

@@ -187,11 +187,19 @@ class TestProblemValidation:
 
     def test_broken_flow_step_is_a_convergence_error(self, oscillator, monkeypatch):
         # with g = 0 every step is a fallback step; with a negative slack no
-        # energy passes its test, so the first step finds no damping that does
+        # energy passes its test, so the first step finds no shift that does
         monkeypatch.setattr(gpe, "ENERGY_SLACK", -1.0)
+        thomas, calls = gpe._thomas, []
+
+        def counted(*args):
+            calls.append(None)
+            return thomas(*args)
+
+        monkeypatch.setattr(gpe, "_thomas", counted)
         with pytest.raises(ConvergenceError, match="no fallback step lowers the energy at step 1") as err:
             solve_ground_state(oscillator)
         assert err.value.iterations == 1
+        assert len(calls) <= 100  # the shift doubles until K is the shift to round-off, then gives up
 
 
 class TestHostComparison:
@@ -483,8 +491,8 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
 
 def test_large_host_restarts_from_the_guesses(monkeypatch):
     # from n_host 1e16 the fine grid's Newton step refuses the interpolated coarse
-    # solution; from there the fallback step crawls for 799 steps, while from the guesses
-    # Newton's step converges well inside a budget of 30
+    # solution, and the solve restarts from the guesses, where Newton's step
+    # converges well inside a budget of 30
     large = config_from_dict({**SODIUM_REFERENCE, "n_host": 1e16})
     scales = derive_scales(large)
     grid = RadialGrid(GRID_SPAN_FACTOR * tf_host(large, scales).radius, DEFAULT_GRID_POINTS)
@@ -493,6 +501,24 @@ def test_large_host_restarts_from_the_guesses(monkeypatch):
     assert sol.fallback_steps == 0
     assert sol.coarse_points == 0
     assert sol.residual < DEFAULT_TOL
+
+
+def test_near_cancelled_stored_solve_does_not_crawl():
+    # a12 = 0.999999*a11 at 512 points: mu settles near the second eigenvalue of H[u], and a
+    # shift of mu*(1 - residual) between the two lowest took 183 steps (178 unshifted); the
+    # doubling shift reaches the lowest eigenpair in about 20
+    crawl = config_from_dict({
+        **SODIUM_REFERENCE, "a12_m": 2.7499972499999998e-09, "a22_m": 2.7500936352587794e-09,
+        "omega_rad_s": 551.5590693533811, "n_host": 113444384649, "n_stored_max": 237086342197,
+    })
+    scales = derive_scales(crawl)
+    host = tf_host(crawl, scales)
+    problem = stored_problem(crawl, scales, host.mu, RadialGrid(GRID_SPAN_FACTOR * host.radius, 512))
+    sol = solve_ground_state(problem)
+    assert sol.iterations <= 30
+    lowest, overlap = lowest_eigenpair(problem, sol.psi)
+    assert_allclose(lowest, sol.mu, rtol=1e-10)
+    assert overlap > 1.0 - 1e-10
 
 
 def test_linear_problem_starts_from_the_guess(config, scales):

@@ -35,6 +35,14 @@ def test_mode_width_must_be_positive_and_finite(width):
         StoredMode(width)
 
 
+@pytest.mark.parametrize("method", ["profile", "density"])
+@pytest.mark.parametrize("r", [0.0, [0.0, 1e-210]], ids=["scalar", "sequence"])
+def test_amplitude_out_of_range_is_refused(method, r):
+    # s^(-3/2) overflows for a width below about 1e-205 m: the range rule refuses it
+    with pytest.raises(ValidationError, match="the mode amplitude"):
+        getattr(StoredMode(1e-210), method)(r)
+
+
 def test_profile_normalized(mode):
     r = np.linspace(0.0, 12.0 * mode.s, 8001)
     from becnlo import radial_integral
