@@ -132,12 +132,12 @@ def cmd_figures(config, args) -> int:
 
 
 def cmd_oracle(config, args) -> int:
+    if args.idealized and not args.stored:
+        raise ValidationError("--idealized applies only with --stored")
     import json
 
     from .gpe import compare_tf_vs_gpe, solve_stored_in_host
 
-    if args.idealized and not args.stored:
-        raise ValidationError("--idealized applies only with --stored")
     if args.stored:
         report = solve_stored_in_host(config, idealized=args.idealized, grid_points=args.grid_points)
     else:

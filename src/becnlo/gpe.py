@@ -21,13 +21,13 @@ lambda = 0 is Newton's step, kept if every pivot of K is positive and the
 residual falls.  Otherwise a fallback step climbs lambda = mu*residual,
 2*mu*residual, ... (Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt,
 J. SIAM 11, 431 (1963)) to the first step whose K factors and whose energy
-does not rise beyond ENERGY_SLACK; once lambda*EPS passes K's scale
-4*T + max(V - min V) + 3g*max n, the step is round-off and the solve raises
-ConvergenceError.  With g = 0, K is never positive definite at lambda = 0, so
-linear problems climb alone, and the step is inverse iteration shifted to
-mu - lambda, which needs no time step (Henning & Peterseim, SIAM J. Numer.
-Anal. 58, 1744 (2020); Altmann, Henning & Peterseim, Numer. Math. 148, 575
-(2021)).  The loop stops when the residual ||H[u] u - mu u||/(|mu - min V|
+does not rise by more than its round-off N*eps*(4*T + max(V - min V) + g*max n);
+once lambda*EPS passes K's scale 4*T + max(V - min V) + 3g*max n, the step is
+round-off and the solve raises ConvergenceError.  With g = 0, K is never
+positive definite at lambda = 0, so linear problems climb alone, and the
+step is inverse iteration shifted to mu - lambda, which needs no time step
+(Henning & Peterseim, SIAM J. Numer. Anal. 58, 1744 (2020); Altmann, Henning
+& Peterseim, Numer. Math. 148, 575 (2021)).  The loop stops when the residual ||H[u] u - mu u||/(|mu - min V|
 ||u||) falls below DEFAULT_TOL, or below its round-off floor
 eps*(4*T + max(V - min V) + g*max n)/|mu - min V| if larger.  All energies,
 lambda too, are measured from min V: H[u] - min V is positive definite, and
@@ -37,7 +37,7 @@ the wall at r_max squeezes it.  Only the caller's grid is checked.
 
 The start for g > 0 on a grid of n points is a solve of the same problem on
 every k-th point, k = (n - 1) // (COARSE_POINTS - 1), with V sliced from the
-fine values, to the residual COARSE_TOL, its psi interpolated linearly onto the
+fine values, to the fine grid's stop, its psi interpolated linearly onto the
 fine grid (grid sequencing: Newton's step count does not depend on the mesh,
 Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 160 (1986)),
 so the fine grid takes one Newton step where it took two to four.  For k < 2,
@@ -66,15 +66,12 @@ from .host_tf import tf_density_at, tf_host
 from .params import DEFAULT_GRID_POINTS, GRID_SPAN_FACTOR, HBAR, DerivedScales, SystemConfig, derive_scales
 
 DEFAULT_TOL = 1e-10
-# slowest of 3,000 fuzzed oracle runs: 44 steps (4 Newton, 40 fallback), the 683-point coarse level of `oracle
-# --stored --idealized` on sodium with a12_m = 0.99*a11_m, a22_m 2.7345e-9, omega_rad_s 2.637, n_host 2.11e19,
-# n_stored_max 3.67e9
+# slowest solve that fuzzing the oracle found: 45 steps (5 Newton, 40 fallback), the 683-point coarse level of
+# `oracle --stored --idealized` at 4,096 points on sodium with README's exact keys (a12_m = 0.99*a11_m)
 DEFAULT_MAX_ITERS = 5_000
 EPS = sys.float_info.epsilon
-ENERGY_SLACK = 1e-11  # relative rise of E tolerated as round-off at the plateau
 CLIP_DENSITY = 1e-4  # largest density, relative to the peak, in the outer tenth of the box
 COARSE_POINTS = 640  # the coarse grid that starts a solve keeps at least this many points
-COARSE_TOL = 1e-8  # the coarse solve stops at this residual
 MIN_MODE_SPACINGS = 4.0  # the stored oracle refuses a grid whose spacing exceeds s / this
 
 
@@ -118,7 +115,7 @@ class GpeSolution:
     e_potential: float  # J
     e_interaction: float  # J
     residual: float  # ||H[u] u - mu u|| / (|mu - min V| ||u||) at the returned state
-    stop: str  # "tol" if the residual fell below tol, "floor" if only below the round-off floor
+    stop: str  # "tol" if the residual fell below DEFAULT_TOL, "floor" if only below the round-off floor
     floor: float  # eps*(4*T + max(V - min V) + g*max n)/|mu - min V|, the residual's round-off floor
     newton_steps: int  # on this grid only, as are fallback_steps: the coarse start's steps are not counted
     fallback_steps: int
@@ -255,7 +252,7 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
     guesses meet a flat potential or one lowest at the box wall, or the start's
     scales are out of floating-point range.
     """
-    solution = _solve(problem, DEFAULT_TOL)
+    solution = _solve(problem)
     grid, psi = problem.grid, solution.psi
     edge = (max(map(abs, psi[bisect_left(grid.r, 0.9 * grid.r_max) :])) / max(map(abs, psi))) ** 2
     if edge > CLIP_DENSITY:
@@ -270,11 +267,11 @@ def solve_ground_state(problem: GpeProblem) -> GpeSolution:
 def _coarse_start(problem: GpeProblem):
     """(points, psi): the problem solved on every k-th point, its psi interpolated onto the grid.
 
-    The coarse solve stops at COARSE_TOL: it only supplies a start.
-    (0, None) if the grid has fewer than 2*(COARSE_POINTS - 1) intervals, if
-    g = 0, where every step is a fallback step and the guess takes a handful, or if
-    the coarse solve does not converge: an unresolved guess may stop it where
-    the fine grid converges.  The wall is not checked here: a start is not an answer.
+    The coarse solve stops where the fine grid does.  (0, None) if the grid
+    has fewer than 2*(COARSE_POINTS - 1) intervals, if g = 0, where every
+    step is a fallback step and the guess takes a handful, or if the coarse
+    solve does not converge: an unresolved guess may stop it where the fine
+    grid converges.  The wall is not checked here: a start is not an answer.
     """
     n = problem.grid.n_points
     k = (n - 1) // (COARSE_POINTS - 1)
@@ -285,7 +282,7 @@ def _coarse_start(problem: GpeProblem):
     grid = RadialGrid(problem.grid.r[last], points)
     coarse = GpeProblem(grid, problem.potential[: last + 1 : k], problem.g, problem.atom_count, problem.mass)
     try:
-        psi = _solve(coarse, COARSE_TOL).psi
+        psi = _solve(coarse).psi
     except ConvergenceError:
         return 0, None
     weights = [i / k for i in range(k)]
@@ -293,7 +290,7 @@ def _coarse_start(problem: GpeProblem):
     return points, fine + [0.0] * (n - last)  # psi is 0 at the coarse wall and beyond
 
 
-def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
+def _solve(problem: GpeProblem) -> GpeSolution:
     grid = problem.grid
     r, dr = grid.r, grid.spacing
     g, atom_count = problem.g, problem.atom_count
@@ -357,6 +354,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
 
     coarse_points, psi = _coarse_start(problem)
     current = start([psi] if coarse_points else _initial_guesses(problem, r, v))
+    round_off = EPS * (linear_scale + max(current.nonlinear))  # round-off of E/N; over |mu|, the floor
 
     iterations = newton_steps = fallback_steps = 0
     for iterations in range(1, DEFAULT_MAX_ITERS + 1):
@@ -371,7 +369,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
             scale = linear_scale + 3.0 * max(current.nonlinear)  # K's scale: past lam = scale/EPS, K is lam
             while 0.0 < lam < scale / EPS:  # a lam of 0 never grows
                 stepped = step(current, lam)
-                if stepped is not None and stepped.energy <= current.energy + abs(current.energy) * ENERGY_SLACK:
+                if stepped is not None and stepped.energy <= current.energy + atom_count * round_off:
                     break  # a nan energy fails the test
                 lam *= 2.0
             else:
@@ -382,13 +380,14 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
                 )
             current = stepped
             fallback_steps += 1
-        floor = EPS * (linear_scale + max(current.nonlinear)) / abs(current.mu)
-        if current.residual < max(tol, floor):
+        round_off = EPS * (linear_scale + max(current.nonlinear))
+        floor = round_off / abs(current.mu)
+        if current.residual < max(DEFAULT_TOL, floor):
             break
     else:
         raise ConvergenceError(
             f"no convergence after {iterations} steps (last residual "
-            f"{current.residual:.3e}, tol {tol:.3e})",
+            f"{current.residual:.3e}, tol {DEFAULT_TOL:.3e})",
             residual=current.residual,
             iterations=iterations,
         )
@@ -402,7 +401,7 @@ def _solve(problem: GpeProblem, tol: float) -> GpeSolution:
         e_potential=current.e_potential + atom_count * v_min,
         e_interaction=current.e_interaction,
         residual=current.residual,
-        stop="tol" if current.residual < tol else "floor", floor=floor,
+        stop="tol" if current.residual < DEFAULT_TOL else "floor", floor=floor,
         newton_steps=newton_steps, fallback_steps=fallback_steps, coarse_points=coarse_points,
     )
 

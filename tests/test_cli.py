@@ -652,7 +652,7 @@ sys.exit(code)
 """
 
 
-def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE, flags=()):
+def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE, flags=(), code=0):
     env = dict(os.environ)
     src = str(Path(becnlo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -664,13 +664,16 @@ def modules_loaded(tmp_path, *argv, probe=IMPORT_PROBE, flags=()):
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
 
 
 def scipy_modules(modules):
     return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
+
+# a usage error (exit 2), refused before the solver or json is loaded
+REFUSED_ORACLE = ["oracle", "--idealized"]
 
 CLOSED_FORM_COMMANDS = [
     ["units"],
@@ -682,13 +685,17 @@ CLOSED_FORM_COMMANDS = [
     ["figures", "--fig", "3"],
     ["figures", "--fig", "4"],
     ["units", "--config", str(REPO_ROOT / "paper_sodium.json")],
+    REFUSED_ORACLE,
 ]
 
 
 @pytest.fixture(scope="module")
 def closed_form_modules(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("imports")
-    return {" ".join(argv): modules_loaded(tmp, *argv) for argv in CLOSED_FORM_COMMANDS}
+    return {
+        " ".join(argv): modules_loaded(tmp, *argv, code=2 if argv is REFUSED_ORACLE else 0)
+        for argv in CLOSED_FORM_COMMANDS
+    }
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS)

@@ -186,16 +186,15 @@ class TestProblemValidation:
         assert err.value.iterations == 0
 
     def test_broken_flow_step_is_a_convergence_error(self, oscillator, monkeypatch):
-        # with g = 0 every step is a fallback step; with a negative slack no
-        # energy passes its test, so the first step finds no shift that does
-        monkeypatch.setattr(gpe, "ENERGY_SLACK", -1.0)
+        # with g = 0 every step is a fallback step; if K factors at no shift
+        # lambda > 0, the first step finds no shift that lowers the energy
         thomas, calls = gpe._thomas, []
 
-        def counted(*args):
+        def unshifted_only(*args):  # step 1's first call is Newton's, at lambda = 0; the rest are shifted
             calls.append(None)
-            return thomas(*args)
+            return thomas(*args) if len(calls) == 1 else None
 
-        monkeypatch.setattr(gpe, "_thomas", counted)
+        monkeypatch.setattr(gpe, "_thomas", unshifted_only)
         with pytest.raises(ConvergenceError, match="no fallback step lowers the energy at step 1") as err:
             solve_ground_state(oscillator)
         assert err.value.iterations == 1
@@ -469,6 +468,23 @@ def test_coarse_level_needs_two_fine_intervals_per_coarse_one(config, scales, mu
     assert sol.residual < DEFAULT_TOL
 
 
+@pytest.mark.parametrize("case", ["host", "stored", "idealized"])
+def test_every_level_stops_at_the_tolerance(config, scales, mu, case, monkeypatch):
+    # the coarse level that starts a solve stops by the fine grid's rule, not a looser one
+    solve, levels = gpe._solve, []
+
+    def recorded(problem):
+        levels.append(solve(problem))
+        return levels[-1]
+
+    monkeypatch.setattr(gpe, "_solve", recorded)
+    solve_ground_state(sodium_problem(config, scales, mu, case, DEFAULT_GRID_POINTS))
+    assert [level.coarse_points for level in levels] == [0, 683]  # the coarse level, then the fine grid
+    for level in levels:
+        assert level.stop == "tol"
+        assert level.residual < DEFAULT_TOL
+
+
 def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monkeypatch):
     # an unresolved start can keep the coarse level from converging where the
     # fine grid converges; the fine grid then starts from its own guesses
@@ -476,10 +492,10 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
     reference = solve_ground_state(problem)
     solve = gpe._solve
 
-    def failing_coarse(coarse, *args):
+    def failing_coarse(coarse):
         if coarse.grid.n_points < problem.grid.n_points:
             raise ConvergenceError("the coarse level failed")
-        return solve(coarse, *args)
+        return solve(coarse)
 
     monkeypatch.setattr(gpe, "_solve", failing_coarse)
     sol = solve_ground_state(problem)
