@@ -45,10 +45,7 @@ for g = 0 (the fallback step gains nothing from it), or if the coarse solve
 does not converge, the start is the lower-energy of two guesses from the
 curvature c of V at min V (refused if V is flat there, or lowest at the box
 wall): its Gaussian, and the smoothed Thomas-Fermi profile of the harmonic
-closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).  If the
-fine grid refuses its first Newton step from the coarse start, it restarts from
-the guesses: from the coarse start, a stored problem can take a dozen fallback
-steps where the guesses take two Newton steps.
+closed form mu = (15*g*N/(8*pi))^(2/5)*(c/2)^(3/5).
 """
 
 from __future__ import annotations
@@ -202,7 +199,7 @@ def _initial_guesses(problem: GpeProblem, r, v) -> list:
     )
     guesses = [[math.exp(-0.5 * (x / width) ** 2) for x in r]]
     if problem.g > 0.0:
-        # powers below 1 raise nothing: out of range, mu_guess is inf, and start() drops its guess
+        # powers below 1 raise nothing: out of range, mu_guess is inf, and the start drops its guess
         mu_guess = (15.0 * problem.g * problem.atom_count / (8.0 * math.pi)) ** 0.4 * (0.5 * curvature) ** 0.6
         eps = 0.05 * mu_guess
         two_g = 2.0 * problem.g
@@ -338,22 +335,17 @@ def _solve(problem: GpeProblem) -> GpeSolution:
         dmu = sum(map(mul, u_in, a)) / sum(map(mul, u_in, b))  # <u, du> = 0 for du = dmu*b - a
         return state([0.0, *(x + dmu * bi - ai for x, ai, bi in zip(u_in, a, b)), 0.0])
 
-    def start(guesses):
-        """The lower-energy state of the guesses for psi with a finite norm, refused unless 0 < residual < inf.
-
-        An energy scale out of range makes a guess or the residual inf or nan, and no step would lower it;
-        or it underflows H[u] u - mu u to 0, and the start would pass the stop as it is.
-        """
-        starts = [s for s in (state([0.0, *map(mul, r_in, psi[1:-1]), 0.0]) for psi in guesses) if s]
-        if not starts:
-            raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
-        best = min(starts, key=lambda s: s.energy)
-        if not 0.0 < best.residual < math.inf:
-            raise ValidationError(f"the energy scale of {atom_count:g} atoms is out of floating-point range")
-        return best
-
+    # the start: the coarse psi or the lower-energy guess with a finite norm, refused unless 0 < residual < inf.
+    # An energy scale out of range makes a guess or the residual inf or nan, and no step would lower it;
+    # or it underflows H[u] u - mu u to 0, and the start would pass the stop as it is.
     coarse_points, psi = _coarse_start(problem)
-    current = start([psi] if coarse_points else _initial_guesses(problem, r, v))
+    guesses = [psi] if coarse_points else _initial_guesses(problem, r, v)
+    starts = [s for s in (state([0.0, *map(mul, r_in, guess[1:-1]), 0.0]) for guess in guesses) if s]
+    if not starts:
+        raise ValidationError("no initial guess has a finite, nonzero norm on the grid")
+    current = min(starts, key=lambda s: s.energy)
+    if not 0.0 < current.residual < math.inf:
+        raise ValidationError(f"the energy scale of {atom_count:g} atoms is out of floating-point range")
     round_off = EPS * (linear_scale + max(current.nonlinear))  # round-off of E/N; over |mu|, the floor
 
     iterations = newton_steps = fallback_steps = 0
@@ -362,8 +354,6 @@ def _solve(problem: GpeProblem) -> GpeSolution:
         if candidate is not None and candidate.residual < current.residual:
             current = candidate
             newton_steps += 1
-        elif coarse_points and iterations == 1:  # Newton refuses the coarse start: restart from the guesses
-            current, coarse_points = start(_initial_guesses(problem, r, v)), 0
         else:
             lam = current.mu * current.residual
             scale = linear_scale + 3.0 * max(current.nonlinear)  # K's scale: past lam = scale/EPS, K is lam

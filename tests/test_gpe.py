@@ -1,6 +1,6 @@
 """Ground-state solver: analytic limits, invariances, comparisons, certificates.
 
-Newton's step and the fallback step (damped, shifted inverse iteration)
+Newton's step and the fallback step (Newton's system shifted by lambda)
 converge to the same discrete stationary state, so the answer must not depend
 on which of them took the solve there, and halving the grid spacing must
 barely move the chemical potential.  The g = 0
@@ -505,18 +505,22 @@ def test_failed_coarse_level_falls_back_to_the_guesses(config, scales, mu, monke
     assert_allclose(sol.mu, reference.mu, rtol=1e-9)
 
 
-def test_large_host_restarts_from_the_guesses(monkeypatch):
-    # from n_host 1e16 the fine grid's Newton step refuses the interpolated coarse
-    # solution, and the solve restarts from the guesses, where Newton's step
-    # converges well inside a budget of 30
+def test_large_host_keeps_its_coarse_start(monkeypatch):
+    # at n_host 1e16 the fine grid's first Newton step meets a pivot that is not
+    # positive; a fallback step takes the coarse start on (4 Newton steps and 1
+    # fallback step, where the guesses take 10 Newton steps) to the guesses' fixed point
     large = config_from_dict({**SODIUM_REFERENCE, "n_host": 1e16})
     scales = derive_scales(large)
     grid = RadialGrid(GRID_SPAN_FACTOR * tf_host(large, scales).radius, DEFAULT_GRID_POINTS)
-    monkeypatch.setattr(gpe, "DEFAULT_MAX_ITERS", 30)
-    sol = solve_ground_state(host_problem(large, scales, grid))
-    assert sol.fallback_steps == 0
-    assert sol.coarse_points == 0
+    problem = host_problem(large, scales, grid)
+    sol = solve_ground_state(problem)
+    assert sol.coarse_points == 683
+    assert sol.iterations <= 5
     assert sol.residual < DEFAULT_TOL
+    monkeypatch.setattr(gpe, "_coarse_start", lambda problem: (0, None))
+    from_guesses = solve_ground_state(problem)
+    assert from_guesses.coarse_points == 0
+    assert_allclose(sol.mu, from_guesses.mu, rtol=1e-9)
 
 
 def test_near_cancelled_stored_solve_does_not_crawl():

@@ -259,7 +259,7 @@ def oracle_scenarios(draw):
         "n_stored_max": draw(st.one_of(st.just(0), st.floats(0.0, 12.0).map(lambda e: int(10.0**e)))),
     }
     mode = draw(st.sampled_from([[], ["--stored"], ["--stored", "--idealized"]]))
-    # 1,300 points take the coarse start, and with it the restart from the guesses
+    # 1,300 points take the coarse start; 512 start from the guesses
     points = draw(st.sampled_from(["512", "1300"]))
     return data, ["oracle", *mode, "--grid-points", points]
 
@@ -280,6 +280,19 @@ def test_fuzzed_oracle_exits_cleanly(config_path, scenario):
     data, argv = scenario
     config_path.write_text(json.dumps(data), encoding="utf-8")
     assert_clean_oracle_exit(*run_cli(config_path, *argv))
+
+
+def test_refused_coarse_start_takes_a_fallback_step(config_path):
+    # at 1,300 points the fine grid's first Newton step refuses the coarse start, and the
+    # guesses' energy scale is out of floating-point range: the solve goes on from the start
+    data = {
+        **SODIUM_REFERENCE, "a12_m": 1.375e-09, "a22_m": 6.877649379927131e-10,
+        "omega_rad_s": 795455.7289609922, "n_host": 7229673541106492506112, "n_stored_max": 30,
+    }
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(config_path, "oracle", "--grid-points", "1300")
+    assert code == 0, err
+    assert_clean_oracle_exit(code, out, err)
 
 
 @pytest.mark.parametrize(
